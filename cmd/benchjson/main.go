@@ -206,9 +206,8 @@ func main() {
 		{"SimCoreContended2", simbench.Contended2},
 		{"SimCoreContended4", simbench.Contended4},
 		{"SimCoreContended8", simbench.Contended8},
-		// MultiDIMM variants stream nt-stores across a DIMM interleave
-		// on the serial service path, baselining the multi-DIMM routing
-		// hot path that parallel device service offloads.
+		// MultiDIMM variants stream nt-stores across a DIMM interleave,
+		// baselining the multi-DIMM routing hot path.
 		{"SimCoreMultiDIMM2", simbench.MultiDIMM2},
 		{"SimCoreMultiDIMM4", simbench.MultiDIMM4},
 		{"SimCoreMultiDIMM8", simbench.MultiDIMM8},

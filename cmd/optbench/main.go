@@ -6,7 +6,7 @@
 //
 //	optbench [-quick] [-j N] [-json dir] [-plot] [-timeout D] [-keep-going]
 //	         [-cpuprofile f] [-memprofile f] [-progress] [-seed N] [-fault SPEC]
-//	         [-device-workers N] [-warm-reuse]
+//	         [-warm-reuse]
 //	         [-trace-out f] [-events-out f] [-sample-out f]
 //	         [-breakdown] [-hist-out f]
 //	         [-sample-every N] [-event-cap N] [-telemetry-addr a]
@@ -27,14 +27,6 @@
 // every metered experiment system — the faultmatrix experiment ignores
 // it and builds its own per-cell injectors.
 //
-// -device-workers N asks the opt-in experiments (bandwidth, fig13,
-// fig14) to service DIMM requests on per-DIMM host workers
-// (machine.System.SetParallelDevices). Every result — printed tables,
-// -json records, and recorded telemetry (events, samples, breakdown
-// histograms) alike — is byte-identical to the serial default; the
-// request auto-disables on systems carrying fault injection. This is a
-// wall-clock knob only.
-//
 // -warm-reuse lets the sweep families that declare a shared warm prefix
 // (fig2's CpX cells, fig13's direct/redirected cells) warm each prefix
 // once, snapshot the complete simulator state
@@ -42,8 +34,8 @@
 // re-warming every cell from scratch. Results — printed tables, -json
 // records, telemetry sinks — are byte-identical to the cold default
 // (the CI gate cmps them); the reuse silently degrades to cold runs for
-// units carrying telemetry or fault injection. Like -device-workers,
-// this is a wall-clock knob only.
+// units carrying telemetry or fault injection. This is a wall-clock
+// knob only.
 //
 // Independent experiment units (e.g. the two generations of fig2, the
 // eight panels of fig8) execute concurrently on a pool of -j workers,
@@ -94,7 +86,6 @@ var (
 	memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	seed       = flag.Uint64("seed", 0, "override the injection matrices' sampling seeds (unit i uses seed+i)")
 	faultSpec  = flag.String("fault", "", "degrade every metered experiment system per this fault spec, e.g. 'poison=64,thermal=400000/200000/150'")
-	devWorkers = flag.Int("device-workers", 0, "service DIMM requests on N host workers in the opt-in experiments (0 = serial; results are byte-identical)")
 	warmReuse  = flag.Bool("warm-reuse", false, "warm each declared sweep family once and fork snapshots per cell (results are byte-identical)")
 )
 
@@ -132,7 +123,7 @@ func main() {
 	// Flatten every selected experiment's units into one task list so
 	// the pool stays busy across experiment boundaries, remembering
 	// which result slots belong to which experiment.
-	opts := bench.Options{Quick: *quick, Telemetry: telemetryFactory(), Seed: *seed, DeviceWorkers: *devWorkers, WarmReuse: *warmReuse}
+	opts := bench.Options{Quick: *quick, Telemetry: telemetryFactory(), Seed: *seed, WarmReuse: *warmReuse}
 	if *faultSpec != "" {
 		cfg, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
@@ -292,23 +283,21 @@ func firstLine(s string) string {
 // writeRunHeader records the knobs that shape a -json run's records as
 // <dir>/run.json, so an archived result directory is reproducible from
 // its header alone. Only simulation-relevant flags appear — never
-// timestamps or -j, which cannot change a byte of the .jsonl files
-// (device_workers cannot either, but it is the claim CI's cmp gate
-// checks, so the header states it). The telemetry knobs — sample
-// period, event-ring capacity, breakdown recording — shape the
-// recorded telemetry sinks, so the header pins them too.
+// timestamps or -j, which cannot change a byte of the .jsonl files.
+// The telemetry knobs — sample period, event-ring capacity, breakdown
+// recording — shape the recorded telemetry sinks, so the header pins
+// them too.
 func writeRunHeader(dir string, run []string) error {
 	hdr := struct {
-		Quick         bool     `json:"quick"`
-		Seed          uint64   `json:"seed"`
-		Fault         string   `json:"fault,omitempty"`
-		DeviceWorkers int      `json:"device_workers"`
-		WarmReuse     bool     `json:"warm_reuse"`
-		SampleEvery   int64    `json:"sample_every"`
-		EventCap      int      `json:"event_cap"`
-		Breakdown     bool     `json:"breakdown"`
-		Experiments   []string `json:"experiments"`
-	}{*quick, *seed, *faultSpec, *devWorkers, *warmReuse, *sampleEvery, *eventCap, breakdownEnabled(), run}
+		Quick       bool     `json:"quick"`
+		Seed        uint64   `json:"seed"`
+		Fault       string   `json:"fault,omitempty"`
+		WarmReuse   bool     `json:"warm_reuse"`
+		SampleEvery int64    `json:"sample_every"`
+		EventCap    int      `json:"event_cap"`
+		Breakdown   bool     `json:"breakdown"`
+		Experiments []string `json:"experiments"`
+	}{*quick, *seed, *faultSpec, *warmReuse, *sampleEvery, *eventCap, breakdownEnabled(), run}
 	data, err := json.MarshalIndent(hdr, "", "  ")
 	if err != nil {
 		return err
@@ -326,6 +315,6 @@ func writeJSONL(dir, name string, results []bench.UnitResult) error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: optbench [-quick] [-j N] [-json dir] [-plot] [-timeout D] [-keep-going] [-cpuprofile f] [-memprofile f] [-progress] [-seed N] [-fault SPEC] [-device-workers N] [-warm-reuse] [-trace-out f] [-events-out f] [-sample-out f] [-breakdown] [-hist-out f] [-sample-every N] [-event-cap N] [-telemetry-addr a] <experiment>...\nexperiments: %v all\n",
+	fmt.Fprintf(os.Stderr, "usage: optbench [-quick] [-j N] [-json dir] [-plot] [-timeout D] [-keep-going] [-cpuprofile f] [-memprofile f] [-progress] [-seed N] [-fault SPEC] [-warm-reuse] [-trace-out f] [-events-out f] [-sample-out f] [-breakdown] [-hist-out f] [-sample-every N] [-event-cap N] [-telemetry-addr a] <experiment>...\nexperiments: %v all\n",
 		bench.ExperimentNames())
 }

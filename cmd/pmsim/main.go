@@ -6,7 +6,6 @@
 //
 //	pmsim [-trace-out f] [-events-out f] [-sample-out f] [-sample-every N] workload.pmsim
 //	pmsim -            # read the script from stdin
-//	pmsim -crashmatrix # run the power-failure injection matrix instead
 //
 // The telemetry flags record the run's introspection layer (see
 // internal/telemetry): -trace-out writes a Chrome trace-event timeline
@@ -26,11 +25,6 @@
 //	  end
 //	end
 //
-// With -crashmatrix, pmsim skips the script engine and sweeps the
-// crash-injection matrix over every persistent index (btree, cceh,
-// radix, kvstore), exiting non-zero if any enumerated post-crash image
-// fails its structure's recovery check.
-//
 // With -replay, pmsim skips the script engine and replays an external
 // memory-access trace (see internal/replay for the Cori- and
 // Ramulator-style line formats) on the testbed:
@@ -38,14 +32,15 @@
 //	pmsim -replay trace.cori -gen g1 -threads 2 -passes 3
 //	pmsim -replay - -format ram -lenient   # trace from stdin
 //
-// With -faultmatrix, pmsim sweeps the runtime fault-injection matrix
-// (media UEs, thermal throttling, controller stalls — see
-// internal/fault) over hardened index read paths and timed workloads.
 // Script and replay runs accept -fault SPEC to degrade the simulated
-// module, e.g.:
+// module (media UEs, thermal throttling, controller stalls — see
+// internal/fault), e.g.:
 //
 //	pmsim -fault 'poison=64,thermal=400000/200000/150' workload.pmsim
 //	pmsim -replay trace.cori -fault 'stall=200000/40000,seed=7'
+//
+// The crash- and fault-injection matrices run as optbench experiments:
+// optbench crashmatrix, optbench faultmatrix.
 package main
 
 import (
@@ -54,22 +49,15 @@ import (
 	"io"
 	"os"
 
-	"optanesim/internal/bench"
 	"optanesim/internal/fault"
 	"optanesim/internal/machine"
-	"optanesim/internal/mem"
 	"optanesim/internal/replay"
-	"optanesim/internal/runner"
 	"optanesim/internal/script"
 	"optanesim/internal/sim"
 	"optanesim/internal/telemetry"
 )
 
 var (
-	crashMatrix = flag.Bool("crashmatrix", false, "run the power-failure injection matrix over all persistent indexes")
-	faultMatrix = flag.Bool("faultmatrix", false, "run the runtime fault-injection matrix (media UEs, thermal, stalls)")
-	quick       = flag.Bool("quick", false, "with -crashmatrix/-faultmatrix: reduced-scale traces")
-	seed        = flag.Uint64("seed", 0, "with -crashmatrix/-faultmatrix: override the matrix sampling seeds (unit i uses seed+i)")
 	faultSpec   = flag.String("fault", "", "degrade the PM module per this fault spec, e.g. 'poison=64,thermal=400000/200000/150,stall=200000/40000,seed=7'")
 	traceOut    = flag.String("trace-out", "", "write a Chrome trace-event timeline of the run to this file")
 	eventsOut   = flag.String("events-out", "", "write the structured event stream as JSON lines to this file")
@@ -87,15 +75,9 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: pmsim <script.pmsim | -> | pmsim -crashmatrix [-quick] [-seed N] | pmsim -faultmatrix [-quick] [-seed N] | pmsim -replay <trace | ->")
+		fmt.Fprintln(os.Stderr, "usage: pmsim <script.pmsim | -> | pmsim -replay <trace | ->")
 	}
 	flag.Parse()
-	if *crashMatrix {
-		os.Exit(runMatrix("crashmatrix"))
-	}
-	if *faultMatrix {
-		os.Exit(runMatrix("faultmatrix"))
-	}
 	if *replayFile != "" {
 		os.Exit(runReplay())
 	}
@@ -289,38 +271,5 @@ func runReplay() int {
 	fmt.Println()
 	fmt.Println(res.PM.String())
 	printFaultStats(inj)
-	return 0
-}
-
-// runMatrix executes one injection-matrix experiment (crashmatrix or
-// faultmatrix) on the worker pool and reports per-unit outcomes, with
-// the typed-error summary (and the sampling seed context a failure
-// needs to reproduce) on exit.
-func runMatrix(name string) int {
-	units, _ := bench.ExperimentUnits(name, bench.Options{Quick: *quick, Seed: *seed})
-	tasks := make([]runner.Task, len(units))
-	for i, u := range units {
-		u := u
-		tasks[i] = runner.Task{ID: u.ID(), Run: func() (any, error) { return u.Run(), nil }}
-	}
-	results := runner.Run(tasks, 0)
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "pmsim: %s: %v\n", r.ID, r.Err)
-			continue
-		}
-		fmt.Println(r.Value.(bench.UnitResult).Text)
-	}
-	if s := runner.Summarize(results); s.Failed() {
-		fmt.Fprintf(os.Stderr, "pmsim: %s: %s", name, s)
-		if n := s.Count(mem.IsPoison); n > 0 {
-			fmt.Fprintf(os.Stderr, " (%d poison errors)", n)
-		}
-		if *seed != 0 {
-			fmt.Fprintf(os.Stderr, " [seed override %d]", *seed)
-		}
-		fmt.Fprintln(os.Stderr)
-		return 1
-	}
 	return 0
 }

@@ -27,10 +27,6 @@ type BandwidthOptions struct {
 	Threads []int
 	// BytesPerThread is the volume each thread moves per measurement.
 	BytesPerThread int
-	// DeviceWorkers, when positive, services DIMM requests on host
-	// workers (machine.System.SetParallelDevices); results are
-	// cycle-identical to the serial default.
-	DeviceWorkers int
 }
 
 func (o *BandwidthOptions) defaults() {
@@ -73,7 +69,6 @@ func bandwidthRun(o BandwidthOptions, threads int, write bool) float64 {
 	// accumulator read after Run, so the lookahead scheduler may run
 	// core-local operations past the grant horizon (sched.go).
 	sys.SetThreadsIsolated(true)
-	sys.SetParallelDevices(o.DeviceWorkers)
 
 	perThread := o.BytesPerThread / mem.XPLineSize
 	var end sim.Cycles
@@ -124,7 +119,7 @@ func bandwidthUnits(o Options) []Unit {
 	for _, gen := range []Gen{G1, G2} {
 		gen := gen
 		units = append(units, Unit{Experiment: "bandwidth", Name: gen.String(), Run: func() UnitResult {
-			opts := BandwidthOptions{Gen: gen, BytesPerThread: o.scale(2*MB, 512*KB), DeviceWorkers: o.DeviceWorkers}
+			opts := BandwidthOptions{Gen: gen, BytesPerThread: o.scale(2*MB, 512*KB)}
 			pts := Bandwidth(opts)
 			return UnitResult{
 				Experiment: "bandwidth", Unit: gen.String(), Data: pts,

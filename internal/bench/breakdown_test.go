@@ -12,12 +12,11 @@ import (
 // runBreakdown executes the named experiments at -quick scale with an
 // attribution-enabled recorder per unit and returns the recordings in
 // submission order plus the hist JSONL export (optbench's -hist-out).
-func runBreakdown(t *testing.T, names []string, workers int, o bench.Options) (recs []*telemetry.Recording, hists []byte) {
+func runBreakdown(t *testing.T, names []string, workers int) (recs []*telemetry.Recording, hists []byte) {
 	t.Helper()
-	o.Quick = true
-	o.Telemetry = func(unit string) *telemetry.Recorder {
+	o := bench.Options{Quick: true, Telemetry: func(unit string) *telemetry.Recorder {
 		return telemetry.NewRecorder(unit, telemetry.Config{Breakdown: true})
-	}
+	}}
 	var units []bench.Unit
 	for _, name := range names {
 		exp, ok := bench.ExperimentUnits(name, o)
@@ -56,7 +55,7 @@ func TestBreakdownConservation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep; skipped in -short mode")
 	}
-	recs, _ := runBreakdown(t, []string{"fig2", "fig4"}, 4, bench.Options{})
+	recs, _ := runBreakdown(t, []string{"fig2", "fig4"}, 4)
 	for _, rec := range recs {
 		bd := rec.Breakdown
 		if op, cls := bd.OpSum(), bd.ClassSum(); op != cls || op == 0 {
@@ -70,7 +69,7 @@ func TestBreakdownConservation(t *testing.T) {
 // appear in its structured data with their distinct workloads' op
 // classes, and conservation holds per recording.
 func TestTenantsUnitSplits(t *testing.T) {
-	recs, _ := runBreakdown(t, []string{"tenants"}, 1, bench.Options{})
+	recs, _ := runBreakdown(t, []string{"tenants"}, 1)
 	if len(recs) != 1 {
 		t.Fatalf("tenants: got %d recordings, want 1", len(recs))
 	}
@@ -104,44 +103,9 @@ func TestBreakdownHistsDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep; skipped in -short mode")
 	}
-	_, seq := runBreakdown(t, []string{"fig2", "fig4"}, 1, bench.Options{})
-	_, par := runBreakdown(t, []string{"fig2", "fig4"}, 8, bench.Options{})
+	_, seq := runBreakdown(t, []string{"fig2", "fig4"}, 1)
+	_, par := runBreakdown(t, []string{"fig2", "fig4"}, 8)
 	if !bytes.Equal(seq, par) {
 		t.Errorf("hist JSONL differs between -j 1 and -j 8:\n%s", firstLineDiff(seq, par))
-	}
-}
-
-// TestParallelDeviceTelemetryByteIdentical is the acceptance gate for
-// telemetry composing with parallel device workers: with recording AND
-// attribution on, the metered opt-in experiment's (fig13 — bandwidth
-// and fig14 run unmetered) event streams, sampler series and
-// attribution histograms are byte-identical between serial device
-// service and -device-workers 4. Worker-side capture, stream holes and
-// join-point bank merging must reconstruct the serial order exactly.
-func TestParallelDeviceTelemetryByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second simulation sweep; skipped in -short mode")
-	}
-	run := func(o bench.Options) (events, samples, hists []byte) {
-		recs, hists := runBreakdown(t, []string{"fig13"}, 2, o)
-		var evBuf, smBuf bytes.Buffer
-		if err := telemetry.WriteEventsJSONL(&evBuf, recs...); err != nil {
-			t.Fatalf("events: %v", err)
-		}
-		if err := telemetry.WriteSamplesJSONL(&smBuf, recs...); err != nil {
-			t.Fatalf("samples: %v", err)
-		}
-		return evBuf.Bytes(), smBuf.Bytes(), hists
-	}
-	sEv, sSm, sHi := run(bench.Options{})
-	pEv, pSm, pHi := run(bench.Options{DeviceWorkers: 4})
-	if !bytes.Equal(sEv, pEv) {
-		t.Errorf("event streams differ between serial and -device-workers 4:\n%s", firstLineDiff(sEv, pEv))
-	}
-	if !bytes.Equal(sSm, pSm) {
-		t.Errorf("sampler series differ between serial and -device-workers 4:\n%s", firstLineDiff(sSm, pSm))
-	}
-	if !bytes.Equal(sHi, pHi) {
-		t.Errorf("attribution hists differ between serial and -device-workers 4:\n%s", firstLineDiff(sHi, pHi))
 	}
 }

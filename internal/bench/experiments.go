@@ -33,15 +33,6 @@ type Options struct {
 	// the experiments' PM path. The faultmatrix experiment ignores it —
 	// its units construct their own injectors.
 	Fault *fault.Config
-	// DeviceWorkers, when positive, asks the experiments that opt in
-	// (bandwidth, fig13, fig14 — the multi-DIMM sweeps where wall-clock
-	// lives) to service device requests on per-DIMM host workers
-	// (machine.System.SetParallelDevices). Results are byte-identical to
-	// the serial default — pinned by TestParallelDeviceUnitsByteIdentical
-	// and the CI cmp gate. Telemetry composes (worker-side capture keeps
-	// the event stream, samples and breakdown histograms byte-identical
-	// to serial); fault injection still auto-disables the request.
-	DeviceWorkers int
 	// WarmReuse, when true, lets sweep families that declare a shared
 	// warm prefix (WarmSweep) warm once, snapshot the simulator state
 	// and fork per cell instead of re-warming every cell from scratch.

@@ -32,10 +32,6 @@ type Fig13Options struct {
 	MaxVisits int
 	// Meter, when non-nil, threads telemetry through every system run.
 	Meter *Meter
-	// DeviceWorkers, when positive, services DIMM requests on host
-	// workers; cycle-identical results (auto-disabled when the meter
-	// carries telemetry or faults).
-	DeviceWorkers int
 	// WarmReuse warms each working-set size once (direct accesses) and
 	// forks the snapshot across the direct/redirected cells.
 	WarmReuse bool
@@ -99,7 +95,6 @@ func fig13Sweep(o Fig13Options, wss int) (direct, opt trace.Counters) {
 		Name: "fig13",
 		Build: func(donor *machine.System) *machine.System {
 			sys := machine.MustNewSystemReusing(cfg, donor)
-			sys.SetParallelDevices(o.DeviceWorkers)
 			rng = sim.NewRand(21)
 			dram = pmem.NewDRAMHeap(1 << 20)
 			return sys
@@ -143,7 +138,7 @@ func fig13Units(o Options) []Unit {
 		gen := gen
 		units = append(units, Unit{Experiment: "fig13", Name: gen.String(), Run: func() UnitResult {
 			m := o.meter("fig13/" + gen.String())
-			pts := Fig13(Fig13Options{Gen: gen, MaxVisits: o.scale(40000, 10000), Meter: m, DeviceWorkers: o.DeviceWorkers, WarmReuse: o.WarmReuse})
+			pts := Fig13(Fig13Options{Gen: gen, MaxVisits: o.scale(40000, 10000), Meter: m, WarmReuse: o.WarmReuse})
 			ur := UnitResult{
 				Experiment: "fig13", Unit: gen.String(), Data: pts,
 				Text: FormatFig13(gen, pts),

@@ -30,10 +30,6 @@ type Fig14Options struct {
 	WSS int
 	// BlocksPerThread is the number of measured block visits per thread.
 	BlocksPerThread int
-	// DeviceWorkers, when positive, services DIMM requests on host
-	// workers (machine.System.SetParallelDevices); results are
-	// cycle-identical to the serial default.
-	DeviceWorkers int
 }
 
 func (o *Fig14Options) defaults() {
@@ -83,7 +79,6 @@ func fig14Run(o Fig14Options, threads int, optimized bool) (cyclesPerBlock, gbs 
 	// per body at start, and bodies always start in registration order —
 	// so local-op overrun is safe to declare (sched.go).
 	sys.SetThreadsIsolated(true)
-	sys.SetParallelDevices(o.DeviceWorkers)
 	nBlocks := o.WSS / mem.XPLineSize
 	base := mem.PMBase
 	dram := pmem.NewDRAMHeap(uint64(threads+1) * (4 << 10))
@@ -134,7 +129,7 @@ func fig14Units(o Options) []Unit {
 	for _, gen := range []Gen{G1, G2} {
 		gen := gen
 		units = append(units, Unit{Experiment: "fig14", Name: gen.String(), Run: func() UnitResult {
-			opts := Fig14Options{Gen: gen, BlocksPerThread: o.scale(6000, 2000), DeviceWorkers: o.DeviceWorkers}
+			opts := Fig14Options{Gen: gen, BlocksPerThread: o.scale(6000, 2000)}
 			if o.Quick {
 				opts.Threads = []int{1, 2, 4, 8, 12, 16}
 			}

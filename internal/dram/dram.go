@@ -81,18 +81,6 @@ func (d *DIMM) RAPWindow() sim.Cycles { return d.prof.RAPWindowCycles }
 // scratchpad.
 func (d *DIMM) SetAttr(a *telemetry.OpAttr) { d.attr = a }
 
-// SwapAttr replaces the DIMM's cycle-attribution handle, returning the
-// previous one (imc.Device's worker-side capture hook).
-func (d *DIMM) SwapAttr(a *telemetry.OpAttr) *telemetry.OpAttr {
-	old := d.attr
-	d.attr = a
-	return old
-}
-
-// SwapTelemetry satisfies imc.Device; the DRAM model emits no events, so
-// there is no probe to swap.
-func (d *DIMM) SwapTelemetry(p *telemetry.Probe) *telemetry.Probe { return nil }
-
 // CommitSlack reports zero: port acquisition order is observable (a
 // later-arriving access can be delayed by an earlier one holding a
 // port), so accesses must arrive in exact simulated-time order.

@@ -3,18 +3,15 @@ package imc
 import "optanesim/internal/sim"
 
 // clone returns an independent copy of the ring, preserving head, count,
-// lastLand and every entry's landing time (and pending marks, which are
-// always clear outside an active parallel-service window).
+// lastLand and every entry's landing time.
 func (q *wpq) clone() *wpq {
 	n := &wpq{
 		land:     make([]sim.Cycles, len(q.land)),
-		pend:     make([]bool, len(q.pend)),
 		head:     q.head,
 		count:    q.count,
 		lastLand: q.lastLand,
 	}
 	copy(n.land, q.land)
-	copy(n.pend, q.pend)
 	return n
 }
 
@@ -40,12 +37,8 @@ func (t *hazardTable) clone() *hazardTable {
 // hazard table, the prune counter and high-water marks all carry over,
 // so the forked controller admits, stalls and prunes exactly as the
 // original would. Observers (telemetry, attribution, write observer,
-// faults) are not carried; parallel device service must be stopped
-// before cloning.
+// faults) are not carried.
 func (c *Controller) Clone(devs ...Device) *Controller {
-	if c.par != nil {
-		panic("imc: Clone with parallel device service running")
-	}
 	if len(devs) != len(c.devs) {
 		panic("imc: Clone device count mismatch")
 	}

@@ -34,15 +34,6 @@ type Device interface {
 	CommitSlack() sim.Cycles
 	// Counters exposes the device's traffic counters.
 	Counters() *trace.Counters
-	// SwapTelemetry replaces the device's telemetry probe, returning the
-	// previous one. Parallel device workers (parallel.go) swap a capture
-	// probe in around each serviced request; devices without event
-	// emission return nil and may ignore the set.
-	SwapTelemetry(p *telemetry.Probe) *telemetry.Probe
-	// SwapAttr replaces the device's cycle-attribution handle, returning
-	// the previous one — the same worker-side capture dance as
-	// SwapTelemetry. Devices that charge no components may ignore it.
-	SwapAttr(a *telemetry.OpAttr) *telemetry.OpAttr
 }
 
 // Config parameterizes a controller.
@@ -76,22 +67,15 @@ func DefaultConfig() Config {
 }
 
 // wpq tracks the occupancy of one device's write pending queue as a ring
-// of landing times. Under parallel device service (parallel.go) an
-// entry whose write is still being serviced off-thread is marked
-// pending: land then holds the acceptance-time lower bound (the entry's
-// in-flight horizon) until the completion is joined. The serial path
-// never sets pend, so its scans stay exactly as they were.
+// of landing times.
 type wpq struct {
 	land     []sim.Cycles
-	pend     []bool
 	head     int
 	count    int
 	lastLand sim.Cycles
 }
 
-func newWPQ(depth int) *wpq {
-	return &wpq{land: make([]sim.Cycles, depth), pend: make([]bool, depth)}
-}
+func newWPQ(depth int) *wpq { return &wpq{land: make([]sim.Cycles, depth)} }
 
 // popHead drops the oldest entry.
 func (q *wpq) popHead() {
@@ -160,12 +144,6 @@ type Controller struct {
 	// arriving inside an accept-pause window wait for it to close before
 	// entering the WPQ. Nil keeps the healthy path to one pointer test.
 	fault *fault.Injector
-
-	// par, when non-nil, is the parallel device-service back half
-	// (parallel.go): device work runs on per-DIMM host workers while
-	// this front half stays in exact arrival order. Nil (the default)
-	// keeps the serial path to one pointer test per request.
-	par *parState
 }
 
 // SetTelemetry attaches (or, with nil, detaches) the controller's event
@@ -215,11 +193,8 @@ func (c *Controller) route(addr mem.Addr) int {
 func (c *Controller) Devices() []Device { return c.devs }
 
 // Counters sums traffic counters across the controller's devices and
-// stamps in the controller's own WPQ occupancy peak. Under parallel
-// device service it quiesces first, so the device counters reflect
-// every admitted request.
+// stamps in the controller's own WPQ occupancy peak.
 func (c *Controller) Counters() trace.Counters {
-	c.Quiesce()
 	var total trace.Counters
 	for _, d := range c.devs {
 		total.Add(d.Counters())
@@ -230,10 +205,8 @@ func (c *Controller) Counters() trace.Counters {
 
 // WPQOccupancy reports how many writes are in flight (accepted but not
 // yet landed) across all of the controller's WPQs at time now. Entries
-// are popped lazily, so the ring is scanned against their landing times
-// (made exact by quiescing any parallel device service first).
+// are popped lazily, so the ring is scanned against their landing times.
 func (c *Controller) WPQOccupancy(now sim.Cycles) int {
-	c.Quiesce()
 	occ := 0
 	for _, q := range c.wpqs {
 		for i := 0; i < q.count; i++ {
@@ -273,13 +246,7 @@ func (c *Controller) Read(now sim.Cycles, addr mem.Addr, demand bool) sim.Cycles
 		}
 	}
 	c.observe(now)
-	idx := c.route(addr)
-	var done sim.Cycles
-	if c.par != nil {
-		done = c.par.read(idx, now+c.cfg.RPQCycles, addr, demand)
-	} else {
-		done = c.devs[idx].ReadLine(now+c.cfg.RPQCycles, addr, demand)
-	}
+	done := c.devs[c.route(addr)].ReadLine(now+c.cfg.RPQCycles, addr, demand)
 	if a != nil {
 		a.Add(telemetry.CompIMCQueue, c.cfg.RPQCycles+c.cfg.BusCycles)
 		if !demand {
@@ -294,23 +261,11 @@ func (c *Controller) Read(now sim.Cycles, addr mem.Addr, demand bool) sim.Cycles
 // the write has reached the ADR domain and the issuing flush is
 // considered complete by a fence — and the time the write lands in the
 // device's buffers. It also opens the line's RAP hazard window.
-//
-// Under parallel device service the landing time is still in flight on
-// a device worker when Write returns; landed is then the acceptance
-// time, a documented lower bound. No enabled caller consumes it —
-// observers that need exact landing times (crash tracking, fault
-// injection) keep the controller serial, while telemetry and
-// attribution compose through deferred join-point merging (see
-// StartParallel and parallel.go).
 func (c *Controller) Write(now sim.Cycles, addr mem.Addr) (accept, landed sim.Cycles) {
 	a := c.attr
 	line := addr.Line()
-	if p := c.par; p != nil {
-		return c.writeParallel(p, now, addr, line)
-	}
 	// Every write is its own isolated service episode: acceptance costs
-	// plus the device-side install/evict cascade record as one sample,
-	// the same granularity the parallel join path reassembles.
+	// plus the device-side install/evict cascade record as one sample.
 	var savedBank telemetry.CompBank
 	var savedDirty bool
 	if a != nil {
@@ -366,59 +321,6 @@ func (c *Controller) Write(now sim.Cycles, addr mem.Addr) (accept, landed sim.Cy
 	return accept, landed
 }
 
-// writeParallel is Write's admission path under parallel device service.
-// The fault injector is structurally absent here (StartParallel refuses
-// it), so the serial path's accept-pause handling has no counterpart.
-// With observability on, the front half emits its own events eagerly
-// (the deferred stream queues them in serial position), reserves stream
-// holes for the in-flight device events and the drain event, and banks
-// its acceptance components in the request's obsSlot for the join to
-// pool with the worker's capture.
-func (c *Controller) writeParallel(p *parState, now sim.Cycles, addr mem.Addr, line mem.Addr) (accept, landed sim.Cycles) {
-	idx := c.route(addr)
-	q := c.wpqs[idx]
-	slotAt := p.freeSlotAt(idx, now)
-	wait := slotAt - now
-	if wait > 0 && c.tel != nil {
-		c.tel.Emit(now, telemetry.KindWPQWait, line, uint64(wait))
-	}
-	accept = sim.Max(now, slotAt) + c.cfg.WPQAcceptCycles
-	dp := &p.devs[idx]
-	var o *obsSlot
-	if p.obs {
-		// The obs slot's worker-read fields must be in place before
-		// p.write can publish the ring tail.
-		o = &dp.obs[dp.submitted&dp.mask]
-		o.svcDepth = 1
-		o.line = line
-		o.front = telemetry.CompBank{}
-		if wait > 0 {
-			o.front[telemetry.CompWPQWait] = wait
-		}
-		o.front[telemetry.CompWPQAccept] = c.cfg.WPQAcceptCycles
-		o.tenant = 0
-		if p.attr != nil {
-			o.tenant = p.attr.CurrentTenant()
-		}
-		o.devHole, o.drainHole = nil, nil
-		if dp.cap != nil {
-			o.devHole = c.tel.Hole()
-		}
-	}
-	p.write(idx, accept, addr)
-	if q.count > c.wpqPeak {
-		c.wpqPeak = q.count
-	}
-	if c.tel != nil {
-		c.tel.Emit(accept, telemetry.KindWPQEnqueue, line, uint64(q.count))
-		o.drainHole = c.tel.Hole()
-	}
-	c.hazards.setMax(line, accept+c.devs[idx].RAPWindow())
-	c.observe(accept)
-	c.maybePruneHazards()
-	return accept, accept
-}
-
 // CommitSlack reports how far past another thread's arrival time an
 // access may be admitted to this controller without any observable
 // reordering — the lookahead scheduler's safe quantum beyond the
@@ -429,13 +331,6 @@ func (c *Controller) writeParallel(p *parState, now sim.Cycles, addr mem.Addr, l
 // nonzero device slack is unobservable behind an order-sensitive queue.
 // The method exists so the scheduler's horizon computation has a single
 // component-owned hook should a relaxed controller model ever exist.
-//
-// Parallel device service (parallel.go) does not change this answer:
-// the scheduler's grant horizons are functions of thread clocks and
-// commit slack only, never of device state, and each outstanding write
-// carries its own per-device in-flight horizon inside the WPQ ring, so
-// admission decisions made while service is outstanding are the ones
-// the serial model makes.
 func (c *Controller) CommitSlack() sim.Cycles { return 0 }
 
 // observe tracks the high-water mark of simulated time for hazard

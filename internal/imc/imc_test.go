@@ -5,7 +5,6 @@ import (
 
 	"optanesim/internal/mem"
 	"optanesim/internal/sim"
-	"optanesim/internal/telemetry"
 	"optanesim/internal/trace"
 )
 
@@ -34,9 +33,6 @@ func (s *stubDev) WriteLine(now sim.Cycles, addr mem.Addr) sim.Cycles {
 func (s *stubDev) RAPWindow() sim.Cycles     { return s.rapWindow }
 func (s *stubDev) CommitSlack() sim.Cycles   { return 0 }
 func (s *stubDev) Counters() *trace.Counters { return &s.c }
-
-func (s *stubDev) SwapTelemetry(p *telemetry.Probe) *telemetry.Probe { return nil }
-func (s *stubDev) SwapAttr(a *telemetry.OpAttr) *telemetry.OpAttr    { return nil }
 
 func newStub() *stubDev {
 	return &stubDev{readCycles: 100, writeLand: 50, rapWindow: 1000}

@@ -58,28 +58,6 @@ import (
 // provably identical with and without overrun, because such operations
 // touch only thread- and core-private state plus order-commutative
 // counters.
-//
-// # Parallel device service and the in-flight horizon
-//
-// SetParallelDevices extends the same soundness style below the
-// controllers: device-side service (on-DIMM buffer lookups, media
-// latency, eviction cascades) runs on per-DIMM host workers while the
-// controllers' front halves stay on the simulated-thread side in exact
-// arrival order. Grant computation stays sound while device service is
-// outstanding for two reasons. First, the horizon is a function of
-// thread clocks and CommitSlack only — grant() and schedQuantum() read
-// no device state, so an in-flight write cannot move any horizon.
-// Second, the one front-side decision that depends on a device result —
-// "has the oldest WPQ entry drained by the time this write arrives?" —
-// is answered against the entry's per-device in-flight horizon, the
-// acceptance-time lower bound recorded at admission: arrivals before
-// the horizon decide "still in flight" without joining the completion
-// (provably the serial answer), and only arrivals at or past it join,
-// which restores the exact landing time. Every acceptance time a thread
-// observes, and hence every clock the scheduler compares, is therefore
-// cycle-identical to serial service; the parallel-device property tests
-// (parallel_prop_test.go) pin this against randomized op mixes, DIMM
-// counts and generations under the race detector.
 
 // Horizon sentinels. horizonNever marks a thread that can never be
 // preempted (a solo run, or the last unfinished thread): its per-op

@@ -124,13 +124,6 @@ func runScenario(sc schedScenario, compat bool) schedOutcome {
 	sys := MustNewSystem(G1Config(sc.cores))
 	sys.compatSched = compat
 	sys.SetThreadsIsolated(sc.isolated)
-	return runScripts(sys, sc)
-}
-
-// runScripts registers the scenario's scripts on an already-configured
-// system and runs it — shared with the parallel-device property tests,
-// which build systems with varying DIMM counts and device workers.
-func runScripts(sys *System, sc schedScenario) schedOutcome {
 	threads := make([]*Thread, len(sc.scripts))
 	for ti := range sc.scripts {
 		script := sc.scripts[ti]

@@ -11,7 +11,7 @@ import (
 
 // Snapshot is a frozen deep copy of a System between Runs: cache
 // hierarchies (tags, way-predictor state, line flags), iMC state (WPQ
-// rings, hazard table, in-flight horizon), on-DIMM state (read buffer,
+// rings, hazard table, high-water marks), on-DIMM state (read buffer,
 // write-buffer residency table, AIT cache, periodic write-back queue),
 // DRAM port schedules, traffic counters, and the carry state of every
 // thread retained by the last RunPhase (clocks, store queues, flush
@@ -169,15 +169,14 @@ func (s *System) CarryThreads() int { return len(s.carry) }
 // cache.CloneInto); pass nil to allocate everything fresh.
 func (s *System) cloneState(recycle *System) *System {
 	n := &System{
-		cfg:          s.cfg,
-		pmDemand:     s.pmDemand,
-		dramDemand:   s.dramDemand,
-		nextTID:      s.nextTID,
-		isolated:     s.isolated,
-		compatSched:  s.compatSched,
-		parallelDevs: s.parallelDevs,
-		tagIDs:       make(map[string]int, len(s.tagIDs)),
-		tagNames:     make([]string, len(s.tagNames), cap(s.tagNames)),
+		cfg:         s.cfg,
+		pmDemand:    s.pmDemand,
+		dramDemand:  s.dramDemand,
+		nextTID:     s.nextTID,
+		isolated:    s.isolated,
+		compatSched: s.compatSched,
+		tagIDs:      make(map[string]int, len(s.tagIDs)),
+		tagNames:    make([]string, len(s.tagNames), cap(s.tagNames)),
 	}
 	for k, v := range s.tagIDs {
 		n.tagIDs[k] = v

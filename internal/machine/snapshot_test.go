@@ -227,27 +227,3 @@ func TestSnapshotForkFidelity(t *testing.T) {
 		})
 	}
 }
-
-// TestSnapshotParallelDevices pins that a fork inherits the parallel
-// device-service request and still produces the serial outcome.
-func TestSnapshotParallelDevices(t *testing.T) {
-	cfg := G1Config(1)
-	cfg.PMDIMMs = 4
-	warm := genSnapOps(7, 4000)
-	measure := genSnapOps(8, 4000)
-
-	outcome := func(workers int) snapOutcome {
-		sys := MustNewSystem(cfg)
-		sys.SetParallelDevices(workers)
-		sys.Go("w", 0, false, func(th *Thread) { applySnapOps(th, warm) })
-		sys.RunPhase()
-		fork := sys.Snapshot().Fork()
-		th := fork.Continue(0, func(th *Thread) { applySnapOps(th, measure) })
-		return runOutcome(fork.Run(), fork, th)
-	}
-	serial := outcome(0)
-	parallel := outcome(4)
-	if d := parallel.diff(serial); d != "" {
-		t.Errorf("parallel-device fork diverged from serial fork: %s", d)
-	}
-}

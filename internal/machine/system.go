@@ -134,11 +134,6 @@ type System struct {
 	// faults, when non-nil, is the injector degrading this system's PM
 	// devices (see AttachFaults).
 	faults *fault.Injector
-
-	// parallelDevs, when positive, asks Run to start per-DIMM device
-	// workers (see SetParallelDevices). It is a request, not a state:
-	// every Run re-checks the observer gates before engaging.
-	parallelDevs int
 }
 
 // NewSystem builds a testbed from cfg.
@@ -273,13 +268,8 @@ func (s *System) DRAMCounters() trace.Counters {
 }
 
 // ResetCounters zeroes all traffic counters (e.g. after a warmup phase)
-// without disturbing cache or buffer state. Under parallel device
-// service the controllers quiesce first, so the reset covers exactly
-// the requests admitted so far — several figures call this mid-Run from
-// a thread body to end their warmup window.
+// without disturbing cache or buffer state.
 func (s *System) ResetCounters() {
-	s.pmc.Quiesce()
-	s.dramc.Quiesce()
 	s.pmDemand.Reset()
 	s.dramDemand.Reset()
 	for _, d := range s.pmDIMMs {
@@ -305,58 +295,6 @@ func (s *System) AttachFaults(inj *fault.Injector) {
 
 // Faults returns the attached injector (nil when healthy).
 func (s *System) Faults() *fault.Injector { return s.faults }
-
-// SetParallelDevices asks Run to service device requests (on-DIMM
-// buffer lookups, media latency, eviction cascades) on up to n host
-// worker goroutines, one per DIMM at most, behind each memory
-// controller's arrival-ordered front half (see internal/imc's
-// parallel.go). Simulated results are cycle-identical to the default
-// serial service — pinned by the parallel-device property tests — so
-// the declaration only changes host execution; n = 0 (the default)
-// restores fully serial service. The request is sticky across Runs.
-//
-// Parallel service auto-disables for a Run while a persist observer
-// (crash tracking) or fault injector is attached: those consume
-// per-write landing times or arrival-ordered event streams on the
-// issuing side. A telemetry recorder composes: worker-side events and
-// attribution are captured into sequence-stamped side buffers and
-// merged at the controllers' join points, so recordings stay
-// byte-identical to serial service.
-func (s *System) SetParallelDevices(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.parallelDevs = n
-}
-
-// startParallelDevices engages the controllers' device workers for one
-// Run when requested and no arrival-ordered observer is attached. It
-// returns whether workers must be stopped at Run end. With a telemetry
-// recorder attached the event stream enters deferred (hole-based)
-// ordering for the run, so worker-serviced events land at their serial
-// stream positions.
-func (s *System) startParallelDevices() bool {
-	if s.parallelDevs <= 0 || s.persistFn != nil || s.faults != nil {
-		return false
-	}
-	pm := s.pmc.StartParallel(s.parallelDevs)
-	dr := s.dramc.StartParallel(s.parallelDevs)
-	if !pm && !dr {
-		return false
-	}
-	if s.rec != nil {
-		s.rec.BeginDeferred()
-	}
-	return true
-}
-
-func (s *System) stopParallelDevices() {
-	s.pmc.StopParallel()
-	s.dramc.StopParallel()
-	if s.rec != nil {
-		s.rec.EndDeferred()
-	}
-}
 
 // AttachTelemetry routes this system's decision-point events and sampled
 // gauges into rec: per-level cache fills/evictions, WPQ and hazard
@@ -414,7 +352,6 @@ func (s *System) AttachTelemetry(rec *telemetry.Recorder) {
 		return float64(s.pmc.WPQOccupancy(now))
 	})
 	rec.RegisterGauge("read_buf_lines", func(now sim.Cycles) float64 {
-		s.pmc.Quiesce()
 		n := 0
 		for _, d := range s.pmDIMMs {
 			n += d.ReadBufferLen()
@@ -422,7 +359,6 @@ func (s *System) AttachTelemetry(rec *telemetry.Recorder) {
 		return float64(n)
 	})
 	rec.RegisterGauge("write_buf_lines", func(now sim.Cycles) float64 {
-		s.pmc.Quiesce()
 		n := 0
 		for _, d := range s.pmDIMMs {
 			n += d.WriteBufferLen()
@@ -576,7 +512,6 @@ func (s *System) run(retain bool) sim.Cycles {
 			s.rec == nil && s.persistFn == nil && !s.compatSched
 	}
 	s.live = len(s.threads)
-	parDevs := s.startParallelDevices()
 
 	if len(s.threads) == 1 {
 		t := s.threads[0]
@@ -585,9 +520,6 @@ func (s *System) run(retain bool) sim.Cycles {
 		t.fn(t)
 		s.live = 0
 		end := t.now
-		if parDevs {
-			s.stopParallelDevices()
-		}
 		s.noteRunEnd(end)
 		s.finishRun(retain)
 		return end
@@ -613,9 +545,6 @@ func (s *System) run(retain bool) sim.Cycles {
 		if t.now > end {
 			end = t.now
 		}
-	}
-	if parDevs {
-		s.stopParallelDevices()
 	}
 	s.noteRunEnd(end)
 	s.finishRun(retain)

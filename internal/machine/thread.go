@@ -605,8 +605,7 @@ func (t *Thread) recordFlush(accept sim.Cycles) {
 //
 // Like every machine-layer write path (flush, flushExpired,
 // spillVictim), only the acceptance time is consumed: the landing time
-// is controller-internal, which is what lets SetParallelDevices defer
-// device service off-thread without changing any observable cycle.
+// is controller-internal.
 func (t *Thread) NTStore(addr mem.Addr) {
 	t.scheduleShared()
 	start := t.now

@@ -76,26 +76,9 @@ func (d *DIMM) SetTelemetry(p *telemetry.Probe) {
 	d.rb.tel = p
 }
 
-// SwapTelemetry replaces the DIMM's event probe, returning the previous
-// one — the parallel device workers' capture hook (imc.Device).
-func (d *DIMM) SwapTelemetry(p *telemetry.Probe) *telemetry.Probe {
-	old := d.tel
-	d.tel = p
-	d.rb.tel = p
-	return old
-}
-
 // SetAttr attaches (or, with nil, detaches) the DIMM's cycle-attribution
 // scratchpad.
 func (d *DIMM) SetAttr(a *telemetry.OpAttr) { d.attr = a }
-
-// SwapAttr replaces the DIMM's cycle-attribution handle, returning the
-// previous one — the parallel device workers' capture hook (imc.Device).
-func (d *DIMM) SwapAttr(a *telemetry.OpAttr) *telemetry.OpAttr {
-	old := d.attr
-	d.attr = a
-	return old
-}
 
 // SetFaults attaches (or, with nil, detaches) a fault injector whose
 // thermal and poison models degrade this DIMM's media ports.

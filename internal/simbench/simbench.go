@@ -156,16 +156,10 @@ func Contended4(b *testing.B) { contended(b, 4) }
 func Contended8(b *testing.B) { contended(b, 8) }
 
 // multiDIMM is the shared body for the MultiDIMM variants: one thread
-// streams nt-stores across an interleave of `dimms` PM DIMMs — the
-// bandwidth-loop shape that the parallel device-service mode
-// (machine.System.SetParallelDevices) targets. Sequential cacheline
-// addresses walk the 4 KB interleave granules, so consecutive writes
-// rotate across every DIMM every lap. The benchmark itself runs the
-// serial service path so the committed ns/op baseline stays
-// deterministic on any host core count; the parallel mode's
-// cycle-identical results and host-side behaviour are pinned by the
-// property tests and the serial-vs-parallel CI byte-identity gate (see
-// EXPERIMENTS.md "Parallel device service").
+// streams nt-stores across an interleave of `dimms` PM DIMMs, the
+// bandwidth-loop shape of the bandwidth, fig13 and fig14 experiments.
+// Sequential cacheline addresses walk the 4 KB interleave granules, so
+// consecutive writes rotate across every DIMM every lap.
 func multiDIMM(b *testing.B, dimms int) {
 	cfg := machine.G1Config(1)
 	cfg.PMDIMMs = dimms

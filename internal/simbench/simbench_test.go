@@ -27,9 +27,8 @@ func BenchmarkSimCoreContended2(b *testing.B) { Contended2(b) }
 func BenchmarkSimCoreContended4(b *testing.B) { Contended4(b) }
 func BenchmarkSimCoreContended8(b *testing.B) { Contended8(b) }
 
-// The MultiDIMM* variants stream nt-stores across a DIMM interleave on
-// the serial service path, baselining the multi-DIMM routing hot path
-// that parallel device service offloads.
+// The MultiDIMM* variants stream nt-stores across a DIMM interleave,
+// baselining the multi-DIMM routing hot path.
 func BenchmarkSimCoreMultiDIMM2(b *testing.B) { MultiDIMM2(b) }
 func BenchmarkSimCoreMultiDIMM4(b *testing.B) { MultiDIMM4(b) }
 func BenchmarkSimCoreMultiDIMM8(b *testing.B) { MultiDIMM8(b) }

@@ -175,14 +175,8 @@ type CompBank [NumComps]sim.Cycles
 // interleaves simulated threads only at op boundaries, so a single
 // scratch is race-free); components hold a nil *OpAttr when attribution
 // is off, making the disabled path a single pointer test.
-//
-// A second, capture-mode form (NewCaptureAttr) is swapped onto devices
-// serviced by parallel workers: it accumulates the same banks off the
-// main Breakdown, and the controller front half merges the captured
-// banks at the join point — making attribution byte-identical to serial
-// execution.
 type OpAttr struct {
-	bd *Breakdown // nil in capture mode
+	bd *Breakdown
 
 	op       CompBank
 	svc      CompBank
@@ -192,15 +186,7 @@ type OpAttr struct {
 	// tenant is the tenant id of the currently running simulated
 	// thread; the machine updates it at baton handoffs.
 	tenant int
-
-	capture bool
-	flushes []CompBank
 }
-
-// NewCaptureAttr builds a capture-mode scratchpad for a parallel device
-// worker: service-bank flush episodes are queued instead of recorded,
-// and the banks are read back by the front half at the join point.
-func NewCaptureAttr() *OpAttr { return &OpAttr{capture: true} }
 
 // Add charges n cycles to component c in the active bank. The receiver
 // must be non-nil (callers nil-check).
@@ -215,10 +201,6 @@ func (a *OpAttr) Add(c Comp, n sim.Cycles) {
 		a.op[c] += n
 	}
 }
-
-// InService reports whether a service episode is open — the controller
-// front half uses it to seed a parallel device request's capture depth.
-func (a *OpAttr) InService() bool { return a.svcDepth > 0 }
 
 // BeginService opens a service episode: until the matching EndService,
 // Add charges the service bank. Episodes nest; nested work pools into
@@ -240,8 +222,7 @@ func (a *OpAttr) EndService() {
 // Controller writes use this so a write's service sample has the same
 // granularity whether the write is admitted at op level or from within
 // another service episode (a prefetch fill cascade spilling a dirty
-// victim) — and the same granularity under parallel device service,
-// where the episode is assembled at the join point instead.
+// victim).
 func (a *OpAttr) BeginIsolated() (saved CompBank, savedDirty bool) {
 	saved, savedDirty = a.svc, a.svcDirty
 	a.svc = CompBank{}
@@ -263,11 +244,7 @@ func (a *OpAttr) EndIsolated(saved CompBank, savedDirty bool) {
 }
 
 func (a *OpAttr) flushSvc() {
-	if a.capture {
-		a.flushes = append(a.flushes, a.svc)
-	} else {
-		a.bd.recordService(a.tenant, &a.svc)
-	}
+	a.bd.recordService(a.tenant, &a.svc)
 	a.svc = CompBank{}
 	a.svcDirty = false
 }
@@ -314,55 +291,6 @@ func (a *OpAttr) Tenant(name string) int { return a.bd.tenant(name) }
 // attributed to; the machine calls it whenever the running simulated
 // thread changes.
 func (a *OpAttr) SetCurrentTenant(id int) { a.tenant = id }
-
-// CurrentTenant reports the active tenant id.
-func (a *OpAttr) CurrentTenant() int { return a.tenant }
-
-// RecordServiceSample records one pooled service-bank sample under an
-// explicit tenant — the join-point path for writes serviced by parallel
-// workers, where the admitting op's tenant must be used rather than
-// whichever op is running when the completion is joined.
-func (a *OpAttr) RecordServiceSample(tenant int, comps *CompBank) {
-	a.bd.recordService(tenant, comps)
-}
-
-// BeginCapture resets a capture-mode scratchpad for one device-service
-// request. svcDepth seeds the bank router: 1 for requests admitted
-// inside a service episode (writes, prefetch reads), 0 for demand
-// reads, mirroring the serial nesting depth at the device call site.
-func (a *OpAttr) BeginCapture(svcDepth int) {
-	a.op = CompBank{}
-	a.svc = CompBank{}
-	a.svcDepth = svcDepth
-	a.svcDirty = false
-	a.flushes = a.flushes[:0]
-}
-
-// Captured returns the capture-mode banks and queued service flushes.
-// The flushes slice is reused by the next BeginCapture; callers copy.
-func (a *OpAttr) Captured() (op, svc *CompBank, flushes []CompBank) {
-	return &a.op, &a.svc, a.flushes
-}
-
-// MergeCaptured merges a captured device service into the live
-// scratchpad at a join point: op-bank cycles route through Add (so the
-// current service depth decides the bank, exactly as the serial device
-// call would), pooled service cycles join the open episode, and queued
-// flush episodes are recorded under the current tenant.
-func (a *OpAttr) MergeCaptured(op, svc *CompBank, flushes []CompBank) {
-	for c := Comp(0); c < NumComps; c++ {
-		a.Add(c, op[c])
-	}
-	for c := Comp(0); c < NumComps; c++ {
-		if svc[c] > 0 {
-			a.svc[c] += svc[c]
-			a.svcDirty = true
-		}
-	}
-	for i := range flushes {
-		a.bd.recordService(a.tenant, &flushes[i])
-	}
-}
 
 // Breakdown is the per-tenant histogram store behind an attribution-
 // enabled Recorder. All histograms are preallocated at tenant-intern

@@ -142,40 +142,11 @@ type Event struct {
 // ring wraps, the oldest events are dropped and counted; analysis sinks
 // report the drop count so a truncated timeline is never mistaken for a
 // complete one.
-//
-// Two auxiliary modes support parallel device service. Grow mode (used
-// by worker-side Captures) appends without bound instead of wrapping.
-// Deferred mode reorders emissions so that events serviced
-// asynchronously by per-DIMM workers enter the ring at the position the
-// serial execution would have given them: the front half reserves a
-// hole at each admission point, later emissions queue behind it, and
-// filling the hole at the join point releases the completed prefix into
-// the ring — so the final ring contents (including the drop count) are
-// byte-identical to a serial run's.
 type Stream struct {
 	buf   []Event
 	next  int
 	full  bool
 	total uint64
-
-	grow bool
-
-	deferred bool
-	def      []*defSeg
-	defHead  int
-}
-
-// defSeg is one segment of the deferred queue: either a run of complete
-// events or an unfilled hole awaiting its join point.
-type defSeg struct {
-	events []Event
-	hole   bool
-}
-
-// StreamHole is a reserved position in a deferred stream.
-type StreamHole struct {
-	s   *Stream
-	seg *defSeg
 }
 
 // newStream builds a ring of the given capacity (minimum 1).
@@ -186,86 +157,15 @@ func newStream(capacity int) *Stream {
 	return &Stream{buf: make([]Event, capacity)}
 }
 
-// emit appends one event, overwriting the oldest on overflow. In
-// deferred mode the event queues behind any unfilled hole.
+// emit appends one event, overwriting the oldest on overflow.
 func (s *Stream) emit(e Event) {
-	if s.deferred && s.defHead < len(s.def) {
-		if tail := s.def[len(s.def)-1]; !tail.hole {
-			tail.events = append(tail.events, e)
-		} else {
-			s.def = append(s.def, &defSeg{events: []Event{e}})
-		}
-		return
-	}
-	s.emitRing(e)
-}
-
-// emitRing appends one event to the ring (or grows, in grow mode).
-func (s *Stream) emitRing(e Event) {
 	s.total++
-	if s.grow {
-		s.buf = append(s.buf, e)
-		s.next = len(s.buf)
-		return
-	}
 	s.buf[s.next] = e
 	s.next++
 	if s.next == len(s.buf) {
 		s.next = 0
 		s.full = true
 	}
-}
-
-// beginDeferred switches the stream into deferred mode.
-func (s *Stream) beginDeferred() { s.deferred = true }
-
-// endDeferred leaves deferred mode; every hole must have been filled.
-func (s *Stream) endDeferred() {
-	s.drainDef()
-	if s.defHead < len(s.def) {
-		panic("telemetry: endDeferred with unfilled stream holes")
-	}
-	s.deferred = false
-}
-
-// hole reserves the current position in the deferred stream; events
-// emitted afterwards queue behind it until Fill.
-func (s *Stream) hole() *StreamHole {
-	seg := &defSeg{hole: true}
-	s.def = append(s.def, seg)
-	return &StreamHole{s: s, seg: seg}
-}
-
-// Fill places events into the hole (in order) and releases the
-// completed prefix of the deferred queue into the ring.
-func (h *StreamHole) Fill(events []Event) {
-	h.seg.events = append(h.seg.events, events...)
-	h.seg.hole = false
-	h.s.drainDef()
-}
-
-// FillOne places a single event into the hole.
-func (h *StreamHole) FillOne(e Event) {
-	h.seg.events = append(h.seg.events, e)
-	h.seg.hole = false
-	h.s.drainDef()
-}
-
-// drainDef pushes leading complete segments into the ring.
-func (s *Stream) drainDef() {
-	for s.defHead < len(s.def) {
-		seg := s.def[s.defHead]
-		if seg.hole {
-			return
-		}
-		for _, e := range seg.events {
-			s.emitRing(e)
-		}
-		s.def[s.defHead] = nil
-		s.defHead++
-	}
-	s.def = s.def[:0]
-	s.defHead = 0
 }
 
 // Len reports the number of retained events.

@@ -95,15 +95,6 @@ func NewRecorder(unit string, cfg Config) *Recorder {
 // with a pointer test, mirroring the *Probe convention.
 func (r *Recorder) Attr() *OpAttr { return r.attr }
 
-// BeginDeferred switches the event stream into deferred (hole-based)
-// ordering for a machine run serviced by parallel device workers; see
-// Stream. EndDeferred must be called after the run quiesces.
-func (r *Recorder) BeginDeferred() { r.stream.beginDeferred() }
-
-// EndDeferred leaves deferred ordering; panics if any hole is unfilled
-// (a completion was never joined).
-func (r *Recorder) EndDeferred() { r.stream.endDeferred() }
-
 // Unit returns the recorder's unit name.
 func (r *Recorder) Unit() string { return r.unit }
 
@@ -183,51 +174,4 @@ type Probe struct {
 // the disabled path costs one branch and no call).
 func (p *Probe) Emit(at sim.Cycles, k Kind, addr mem.Addr, arg uint64) {
 	p.r.stream.emit(Event{At: at + p.r.base, Addr: addr, Arg: arg, Kind: k, Src: p.src})
-}
-
-// EventAt builds (without emitting) the rebased, source-stamped event
-// Emit would record — used to fill stream holes at parallel join points.
-func (p *Probe) EventAt(at sim.Cycles, k Kind, addr mem.Addr, arg uint64) Event {
-	return Event{At: at + p.r.base, Addr: addr, Arg: arg, Kind: k, Src: p.src}
-}
-
-// EmitEvent records an already-rebased event (e.g. one captured by a
-// parallel worker) at the stream's current position.
-func (p *Probe) EmitEvent(e Event) { p.r.stream.emit(e) }
-
-// Hole reserves the stream's current position for events that will only
-// be known at a later join point. Valid only in deferred mode.
-func (p *Probe) Hole() *StreamHole { return p.r.stream.hole() }
-
-// Capture is a side buffer a parallel device worker emits into: a
-// growable event stream sharing the main recorder's timeline base, so
-// captured events are byte-identical to the ones the device would have
-// emitted inline, and can be spliced into the main stream at the join
-// point.
-type Capture struct {
-	rec *Recorder
-}
-
-// NewCapture builds a capture sharing this probe's recorder timeline.
-// Captures are created per parallel-service start, so the base matches
-// the current machine run.
-func (p *Probe) NewCapture() *Capture {
-	return &Capture{rec: &Recorder{stream: &Stream{grow: true}, base: p.r.base}}
-}
-
-// ProbeLike returns a probe emitting into the capture under the same
-// source id as orig, so captured events are indistinguishable from
-// inline ones.
-func (c *Capture) ProbeLike(orig *Probe) *Probe {
-	return &Probe{r: c.rec, src: orig.src}
-}
-
-// TakeInto appends the captured events to dst and resets the capture.
-func (c *Capture) TakeInto(dst []Event) []Event {
-	s := c.rec.stream
-	dst = append(dst, s.buf...)
-	s.buf = s.buf[:0]
-	s.next = 0
-	s.total = 0
-	return dst
 }
