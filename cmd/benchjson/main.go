@@ -215,12 +215,9 @@ func main() {
 		// counterparts is the recording overhead's trajectory.
 		{"SimCoreLoadTelemetry", simbench.LoadTelemetry},
 		{"SimCoreFlushFenceTelemetry", simbench.FlushFenceTelemetry},
-		// Warm-reuse machinery: deep state capture (cold and warmed)
-		// and the per-fork reconstitution a sweep pays per cell.
-		{"SimCoreSnapshotSmall", simbench.SnapshotSmall},
-		{"SimCoreSnapshotWarm", simbench.SnapshotWarm},
-		{"SimCoreRestoreWarm", simbench.RestoreWarm},
-		{"SimCoreRestoreWarmRecycled", simbench.RestoreWarmRecycled},
+		// Donor-backed build: the per-cell system cost of the
+		// fig2/fig3/fig13 sweeps.
+		{"SimCoreBuildReusing", simbench.BuildReusing},
 	}
 
 	doc := document{

@@ -6,7 +6,6 @@
 //
 //	optbench [-quick] [-j N] [-json dir] [-plot] [-timeout D] [-keep-going]
 //	         [-cpuprofile f] [-memprofile f] [-progress] [-seed N] [-fault SPEC]
-//	         [-warm-reuse]
 //	         [-trace-out f] [-events-out f] [-sample-out f]
 //	         [-breakdown] [-hist-out f]
 //	         [-sample-every N] [-event-cap N] [-telemetry-addr a]
@@ -25,17 +24,10 @@
 // is reproducible. -fault SPEC (see internal/fault.ParseSpec, e.g.
 // 'poison=64,thermal=400000/200000/150') degrades the PM module of
 // every metered experiment system — the faultmatrix experiment ignores
-// it and builds its own per-cell injectors.
-//
-// -warm-reuse lets the sweep families that declare a shared warm prefix
-// (fig2's CpX cells, fig13's direct/redirected cells) warm each prefix
-// once, snapshot the complete simulator state
-// (machine.System.Snapshot), and fork the snapshot per cell instead of
-// re-warming every cell from scratch. Results — printed tables, -json
-// records, telemetry sinks — are byte-identical to the cold default
-// (the CI gate cmps them); the reuse silently degrades to cold runs for
-// units carrying telemetry or fault injection. This is a wall-clock
-// knob only.
+// it and builds its own per-cell injectors. After the run, one stderr
+// line per requested -fault or telemetry sink names the experiments it
+// did not reach: those with an unmetered unit, plus faultmatrix and
+// tenants for -fault.
 //
 // Independent experiment units (e.g. the two generations of fig2, the
 // eight panels of fig8) execute concurrently on a pool of -j workers,
@@ -86,7 +78,6 @@ var (
 	memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	seed       = flag.Uint64("seed", 0, "override the injection matrices' sampling seeds (unit i uses seed+i)")
 	faultSpec  = flag.String("fault", "", "degrade every metered experiment system per this fault spec, e.g. 'poison=64,thermal=400000/200000/150'")
-	warmReuse  = flag.Bool("warm-reuse", false, "warm each declared sweep family once and fork snapshots per cell (results are byte-identical)")
 )
 
 func main() {
@@ -97,19 +88,11 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	order := bench.ExperimentNames()
-	var run []string
-	for _, a := range args {
-		if a == "all" {
-			run = order
-			break
-		}
-		if _, ok := bench.ExperimentUnits(a, bench.Options{}); !ok {
-			fmt.Fprintf(os.Stderr, "optbench: unknown experiment %q\n", a)
-			usage()
-			os.Exit(2)
-		}
-		run = append(run, a)
+	run, err := selectExperiments(args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "optbench: %v\n", err)
+		usage()
+		os.Exit(2)
 	}
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
@@ -123,7 +106,7 @@ func main() {
 	// Flatten every selected experiment's units into one task list so
 	// the pool stays busy across experiment boundaries, remembering
 	// which result slots belong to which experiment.
-	opts := bench.Options{Quick: *quick, Telemetry: telemetryFactory(), Seed: *seed, WarmReuse: *warmReuse}
+	opts := bench.Options{Quick: *quick, Telemetry: telemetryFactory(), Seed: *seed}
 	if *faultSpec != "" {
 		cfg, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
@@ -209,6 +192,7 @@ func main() {
 			failed = true
 		}
 	}
+	reportUnreached(run, slots, results)
 	fmt.Printf("[total: %d experiments, %d units, -j %d, %v]\n",
 		len(run), len(tasks), *jobs, time.Since(start).Round(time.Millisecond))
 	if failed {
@@ -228,6 +212,76 @@ func main() {
 		}
 		stopProfiles() // os.Exit skips defers
 		os.Exit(1)
+	}
+}
+
+// selectExperiments resolves the experiment arguments to the run list:
+// "all" selects every experiment in the paper's order, and a repeated
+// name runs once, at its first position.
+func selectExperiments(args []string) ([]string, error) {
+	var run []string
+	seen := make(map[string]bool, len(args))
+	for _, a := range args {
+		if a == "all" {
+			return bench.ExperimentNames(), nil
+		}
+		if _, ok := bench.ExperimentUnits(a, bench.Options{}); !ok {
+			return nil, fmt.Errorf("unknown experiment %q", a)
+		}
+		if !seen[a] {
+			seen[a] = true
+			run = append(run, a)
+		}
+	}
+	return run, nil
+}
+
+// faultExempt lists the experiments that ignore -fault by design:
+// faultmatrix cells build their own injectors, and tenants builds its
+// own meter.
+var faultExempt = map[string]bool{"faultmatrix": true, "tenants": true}
+
+// unreached names, in run order, the experiments a run-wide request
+// cannot have affected: those with a successful unit that ran no metered
+// machine system (SimCycles == 0), plus the exempt ones.
+func unreached(run []string, slots map[string][]int, results []runner.Result, exempt map[string]bool) []string {
+	var out []string
+	for _, name := range run {
+		miss := exempt[name]
+		for _, i := range slots[name] {
+			if ur, ok := results[i].Value.(bench.UnitResult); ok && ur.SimCycles == 0 {
+				miss = true
+			}
+		}
+		if miss {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// reportUnreached prints one stderr line for each requested run-wide
+// knob — -fault and every telemetry sink — naming the experiments it did
+// not reach, so a knob that left some output untouched says so.
+func reportUnreached(run []string, slots map[string][]int, results []runner.Result) {
+	for _, r := range []struct {
+		flag   string
+		on     bool
+		exempt map[string]bool
+	}{
+		{"-fault", *faultSpec != "", faultExempt},
+		{"-trace-out", *traceOut != "", nil},
+		{"-events-out", *eventsOut != "", nil},
+		{"-sample-out", *samplesOut != "", nil},
+		{"-breakdown", *breakdown, nil},
+		{"-hist-out", *histOut != "", nil},
+	} {
+		if !r.on {
+			continue
+		}
+		if names := unreached(run, slots, results, r.exempt); len(names) > 0 {
+			fmt.Fprintf(os.Stderr, "optbench: %s did not reach %s\n", r.flag, strings.Join(names, " "))
+		}
 	}
 }
 
@@ -292,12 +346,11 @@ func writeRunHeader(dir string, run []string) error {
 		Quick       bool     `json:"quick"`
 		Seed        uint64   `json:"seed"`
 		Fault       string   `json:"fault,omitempty"`
-		WarmReuse   bool     `json:"warm_reuse"`
 		SampleEvery int64    `json:"sample_every"`
 		EventCap    int      `json:"event_cap"`
 		Breakdown   bool     `json:"breakdown"`
 		Experiments []string `json:"experiments"`
-	}{*quick, *seed, *faultSpec, *warmReuse, *sampleEvery, *eventCap, breakdownEnabled(), run}
+	}{*quick, *seed, *faultSpec, *sampleEvery, *eventCap, breakdownEnabled(), run}
 	data, err := json.MarshalIndent(hdr, "", "  ")
 	if err != nil {
 		return err
@@ -315,6 +368,6 @@ func writeJSONL(dir, name string, results []bench.UnitResult) error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: optbench [-quick] [-j N] [-json dir] [-plot] [-timeout D] [-keep-going] [-cpuprofile f] [-memprofile f] [-progress] [-seed N] [-fault SPEC] [-warm-reuse] [-trace-out f] [-events-out f] [-sample-out f] [-breakdown] [-hist-out f] [-sample-every N] [-event-cap N] [-telemetry-addr a] <experiment>...\nexperiments: %v all\n",
+	fmt.Fprintf(os.Stderr, "usage: optbench [-quick] [-j N] [-json dir] [-plot] [-timeout D] [-keep-going] [-cpuprofile f] [-memprofile f] [-progress] [-seed N] [-fault SPEC] [-trace-out f] [-events-out f] [-sample-out f] [-breakdown] [-hist-out f] [-sample-every N] [-event-cap N] [-telemetry-addr a] <experiment>...\nexperiments: %v all\n",
 		bench.ExperimentNames())
 }

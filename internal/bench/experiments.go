@@ -30,18 +30,10 @@ type Options struct {
 	Seed uint64
 	// Fault, when non-nil, attaches a fresh fault.Injector built from
 	// this config to every metered machine system (Meter.Run), degrading
-	// the experiments' PM path. The faultmatrix experiment ignores it —
-	// its units construct their own injectors.
+	// the experiments' PM path. The faultmatrix and tenants experiments
+	// ignore it: faultmatrix units construct their own injectors, and
+	// tenants its own meter.
 	Fault *fault.Config
-	// WarmReuse, when true, lets sweep families that declare a shared
-	// warm prefix (WarmSweep) warm once, snapshot the simulator state
-	// and fork per cell instead of re-warming every cell from scratch.
-	// Results are byte-identical to the cold default — pinned by
-	// TestWarmReuseByteIdentical and the CI cmp gate — because a fork
-	// reconstitutes the exact machine state the cold run reaches at the
-	// end of its warm prefix. Auto-degrades to cold per unit when
-	// telemetry or fault injection is attached.
-	WarmReuse bool
 }
 
 // matrixSeed derives unit i's sampling seed: the unit's fixed built-in
@@ -119,10 +111,6 @@ type Meter struct {
 	Inj *fault.Injector
 	// SimCycles accumulates the end times of every metered run.
 	SimCycles sim.Cycles
-	// warmPool retains snapshot storage across a unit's warm-reuse sweep
-	// families (RunWarm), so consecutive families of the same geometry
-	// recycle cache arrays instead of reallocating them.
-	warmPool []*machine.System
 }
 
 // meter builds the unit's Meter, consulting the Telemetry factory and

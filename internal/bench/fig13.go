@@ -32,9 +32,6 @@ type Fig13Options struct {
 	MaxVisits int
 	// Meter, when non-nil, threads telemetry through every system run.
 	Meter *Meter
-	// WarmReuse warms each working-set size once (direct accesses) and
-	// forks the snapshot across the direct/redirected cells.
-	WarmReuse bool
 }
 
 func (o *Fig13Options) defaults() {
@@ -54,32 +51,37 @@ func (o *Fig13Options) defaults() {
 // measuring the amount of data actually loaded relative to demand.
 func Fig13(o Fig13Options) []Fig13Point {
 	o.defaults()
+	cfg := o.Gen.Config(1)
 	points := make([]Fig13Point, 0, len(o.WSS))
+	// Every cell builds into the previous cell's finished system
+	// (machine.NewSystemReusing).
+	var sys *machine.System
 	for _, wss := range o.WSS {
-		base, opt := fig13Sweep(o, wss)
+		var c [2]trace.Counters // direct, redirected
+		for i := range c {
+			sys = machine.MustNewSystemReusing(cfg, sys)
+			c[i] = fig13Cell(o, sys, wss, i == 1)
+		}
 		points = append(points, Fig13Point{
 			WSSBytes: wss,
-			IMCRatio: base.IMCReadRatio(), PMRatio: base.PMReadRatio(),
-			OptimizedPM: opt.PMReadRatio(),
+			IMCRatio: c[0].IMCReadRatio(), PMRatio: c[0].PMReadRatio(),
+			OptimizedPM: c[1].PMReadRatio(),
 		})
 	}
 	return points
 }
 
-// fig13Sweep measures the direct and redirected cells of one working-set
-// size. Both cells share a warm prefix of direct accesses — the warmup
-// only exists to fill caches and on-DIMM buffers — so with WarmReuse the
-// runner warms once and forks the snapshot per cell. The workload RNG is
-// host state: it is saved after warming and restored per cell, and the
-// DRAM staging heap is rebuilt per cell, so each cell sees exactly the
-// state a cold warm+measure run would.
-func fig13Sweep(o Fig13Options, wss int) (direct, opt trace.Counters) {
-	cfg := o.Gen.Config(1)
+// fig13Cell measures one working-set size on a fresh system, with
+// direct or redirected (optimized) accesses after a warmup of direct
+// ones that only fills caches and on-DIMM buffers.
+func fig13Cell(o Fig13Options, sys *machine.System, wss int, optimized bool) trace.Counters {
 	nBlocks := wss / mem.XPLineSize
 	if nBlocks == 0 {
 		nBlocks = 1
 	}
 	base := mem.PMBase
+	rng := sim.NewRand(21)
+	dram := pmem.NewDRAMHeap(1 << 20)
 
 	visits := 3*nBlocks + 2000
 	if visits > o.MaxVisits {
@@ -87,48 +89,23 @@ func fig13Sweep(o Fig13Options, wss int) (direct, opt trace.Counters) {
 	}
 	warmup := visits / 4
 
-	var rng *sim.Rand
-	var dram *pmem.Heap
-	var out [2]trace.Counters
-
-	w := WarmSweep{
-		Name: "fig13",
-		Build: func(donor *machine.System) *machine.System {
-			sys := machine.MustNewSystemReusing(cfg, donor)
-			rng = sim.NewRand(21)
-			dram = pmem.NewDRAMHeap(1 << 20)
-			return sys
-		},
-		Warm: func(t *machine.Thread) {
-			for i := 0; i < warmup; i++ {
-				xpline.Direct(t, base+mem.Addr(rng.Intn(nBlocks)*mem.XPLineSize))
+	sys.Go("fig13", 0, false, func(t *machine.Thread) {
+		for i := 0; i < warmup; i++ {
+			xpline.Direct(t, base+mem.Addr(rng.Intn(nBlocks)*mem.XPLineSize))
+		}
+		st := xpline.NewStaging(dram)
+		sys.ResetCounters()
+		for v := 0; v < visits; v++ {
+			block := base + mem.Addr(rng.Intn(nBlocks)*mem.XPLineSize)
+			if optimized {
+				xpline.Redirected(t, block, st)
+			} else {
+				xpline.Direct(t, block)
 			}
-		},
-		Save: func() any { return rng.Clone() },
-		Restore: func(saved any) {
-			*rng = *(saved.(*sim.Rand))
-			dram = pmem.NewDRAMHeap(1 << 20)
-		},
-		NCells: 2,
-		Cell: func(i int, sys *machine.System) func(*machine.Thread) {
-			optimized := i == 1
-			return func(t *machine.Thread) {
-				st := xpline.NewStaging(dram)
-				sys.ResetCounters()
-				for v := 0; v < visits; v++ {
-					block := base + mem.Addr(rng.Intn(nBlocks)*mem.XPLineSize)
-					if optimized {
-						xpline.Redirected(t, block, st)
-					} else {
-						xpline.Direct(t, block)
-					}
-				}
-			}
-		},
-		Collect: func(i int, sys *machine.System) { out[i] = sys.PMCounters() },
-	}
-	o.Meter.RunWarm(o.WarmReuse, w)
-	return out[0], out[1]
+		}
+	})
+	o.Meter.Run(sys)
+	return sys.PMCounters()
 }
 
 // fig13Units returns one unit per generation.
@@ -138,7 +115,7 @@ func fig13Units(o Options) []Unit {
 		gen := gen
 		units = append(units, Unit{Experiment: "fig13", Name: gen.String(), Run: func() UnitResult {
 			m := o.meter("fig13/" + gen.String())
-			pts := Fig13(Fig13Options{Gen: gen, MaxVisits: o.scale(40000, 10000), Meter: m, WarmReuse: o.WarmReuse})
+			pts := Fig13(Fig13Options{Gen: gen, MaxVisits: o.scale(40000, 10000), Meter: m})
 			ur := UnitResult{
 				Experiment: "fig13", Unit: gen.String(), Data: pts,
 				Text: FormatFig13(gen, pts),

@@ -28,9 +28,6 @@ type Fig2Options struct {
 	Passes int
 	// Meter, when non-nil, threads telemetry through every system run.
 	Meter *Meter
-	// WarmReuse warms each working-set size once and forks the snapshot
-	// across the four CpX cells (see WarmSweep).
-	WarmReuse bool
 }
 
 func (o *Fig2Options) defaults() {
@@ -52,21 +49,25 @@ func (o *Fig2Options) defaults() {
 // working set grows.
 func Fig2(o Fig2Options) []Fig2Point {
 	o.defaults()
+	cfg := o.Gen.Config(1)
 	points := make([]Fig2Point, 0, len(o.WSS))
+	// Every cell builds into the previous cell's finished system
+	// (machine.NewSystemReusing): a fresh system without re-allocating
+	// the cache geometry.
+	var sys *machine.System
 	for _, wss := range o.WSS {
-		var p Fig2Point
-		p.WSSBytes = wss
-		fig2Sweep(o, wss, &p)
+		p := Fig2Point{WSSBytes: wss}
+		for cpx := 1; cpx <= mem.LinesPerXPLine; cpx++ {
+			sys = machine.MustNewSystemReusing(cfg, sys)
+			p.RA[cpx-1] = fig2Cell(o, sys, wss, cpx)
+		}
 		points = append(points, p)
 	}
 	return points
 }
 
-// fig2Sweep measures the four CpX cells of one working-set size. The
-// cells share a warm prefix — one full pass touching every cacheline of
-// every XPLine fills the caches and on-DIMM buffers — so with WarmReuse
-// the runner warms once and forks the snapshot per cell.
-func fig2Sweep(o Fig2Options, wss int, p *Fig2Point) {
+// fig2Cell measures RA for one (wss, cpx) cell on a fresh system.
+func fig2Cell(o Fig2Options, sys *machine.System, wss, cpx int) float64 {
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
 		nXPLines = 1
@@ -85,36 +86,20 @@ func fig2Sweep(o Fig2Options, wss int, p *Fig2Point) {
 		}
 	}
 
-	w := WarmSweep{
-		Name: "fig2",
-		Build: func(donor *machine.System) *machine.System {
-			return machine.MustNewSystemReusing(o.Gen.Config(1), donor)
-		},
-		Warm: func(t *machine.Thread) {
-			// One cacheline per XPLine creates every XPLine's buffer entry
-			// and trains the prefetchers without consuming the lines the
-			// higher-CpX cells will read.
-			onePass(t, 1)
-		},
-		NCells: mem.LinesPerXPLine,
-		Cell: func(i int, sys *machine.System) func(*machine.Thread) {
-			cpx := i + 1
-			return func(t *machine.Thread) {
-				// One settle pass in the cell's own pattern reaches its
-				// steady state (flushing warm residue for the lines this
-				// cell reads) before counters reset.
-				onePass(t, cpx)
-				sys.ResetCounters()
-				for pass := 0; pass < o.Passes; pass++ {
-					onePass(t, cpx)
-				}
-			}
-		},
-		Collect: func(i int, sys *machine.System) {
-			p.RA[i] = sys.PMCounters().RA()
-		},
-	}
-	o.Meter.RunWarm(o.WarmReuse, w)
+	sys.Go("fig2", 0, false, func(t *machine.Thread) {
+		// Warmup: one cacheline per XPLine creates every XPLine's buffer
+		// entry and trains the prefetchers; one settle pass in the
+		// cell's own pattern then reaches its steady state before
+		// counters reset.
+		onePass(t, 1)
+		onePass(t, cpx)
+		sys.ResetCounters()
+		for pass := 0; pass < o.Passes; pass++ {
+			onePass(t, cpx)
+		}
+	})
+	o.Meter.Run(sys)
+	return sys.PMCounters().RA()
 }
 
 // fig2Units returns one unit per generation.
@@ -124,7 +109,7 @@ func fig2Units(o Options) []Unit {
 		gen := gen
 		units = append(units, Unit{Experiment: "fig2", Name: gen.String(), Run: func() UnitResult {
 			m := o.meter("fig2/" + gen.String())
-			pts := Fig2(Fig2Options{Gen: gen, Passes: o.scale(8, 3), Meter: m, WarmReuse: o.WarmReuse})
+			pts := Fig2(Fig2Options{Gen: gen, Passes: o.scale(8, 3), Meter: m})
 			ur := UnitResult{
 				Experiment: "fig2", Unit: gen.String(), Data: pts,
 				Text: fmt.Sprintf("[%s] %s", gen, FormatFig2(pts)),

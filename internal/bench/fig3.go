@@ -30,9 +30,6 @@ type Fig3Options struct {
 	RandomOrder bool
 	// Meter, when non-nil, threads telemetry through every system run.
 	Meter *Meter
-	// WarmReuse warms each working-set size once and forks the snapshot
-	// across the four write-fraction cells (see WarmSweep).
-	WarmReuse bool
 }
 
 func (o *Fig3Options) defaults() {
@@ -52,22 +49,23 @@ func (o *Fig3Options) defaults() {
 // writes), bypassing the CPU caches, measuring media-vs-iMC write bytes.
 func Fig3(o Fig3Options) []Fig3Point {
 	o.defaults()
+	cfg := o.Gen.Config(1)
 	points := make([]Fig3Point, 0, len(o.WSS))
+	// As in Fig2, every cell builds into the previous cell's system.
+	var sys *machine.System
 	for _, wss := range o.WSS {
-		var p Fig3Point
-		p.WSSBytes = wss
-		fig3Sweep(o, wss, &p)
+		p := Fig3Point{WSSBytes: wss}
+		for lines := 1; lines <= mem.LinesPerXPLine; lines++ {
+			sys = machine.MustNewSystemReusing(cfg, sys)
+			p.WA[lines-1] = fig3Cell(o, sys, wss, lines)
+		}
 		points = append(points, p)
 	}
 	return points
 }
 
-// fig3Sweep measures the four write-fraction cells of one working-set
-// size. As with fig2, the cells share a warm prefix — one pass writing a
-// single cacheline per XPLine creates every XPLine's write-buffer entry
-// — so with WarmReuse the runner warms once and forks the snapshot per
-// cell.
-func fig3Sweep(o Fig3Options, wss int, p *Fig3Point) {
+// fig3Cell measures WA for one (wss, linesPerXPL) cell on a fresh system.
+func fig3Cell(o Fig3Options, sys *machine.System, wss, linesPerXPL int) float64 {
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
 		nXPLines = 1
@@ -92,40 +90,25 @@ func fig3Sweep(o Fig3Options, wss int, p *Fig3Point) {
 		t.SFence()
 	}
 
-	w := WarmSweep{
-		Name: "fig3",
-		Build: func(donor *machine.System) *machine.System {
-			return machine.MustNewSystemReusing(o.Gen.Config(1), donor)
-		},
-		Warm: func(t *machine.Thread) {
-			// One cacheline per XPLine creates every XPLine's write-buffer
-			// entry without committing any cell to a write fraction.
-			onePass(t, 1)
-		},
-		NCells: mem.LinesPerXPLine,
-		Cell: func(i int, sys *machine.System) func(*machine.Thread) {
-			linesPerXPL := i + 1
-			return func(t *machine.Thread) {
-				// One settle pass in the cell's own write fraction reaches
-				// its steady state before counters reset.
-				onePass(t, linesPerXPL)
-				sys.ResetCounters()
-				for pass := 0; pass < o.Passes; pass++ {
-					onePass(t, linesPerXPL)
-				}
-				// Let G1's periodic write-back drain before reading counters.
-				t.Compute(4 * 5000)
-				t.NTStore(base) // touch the DIMM so lazy write-back runs
-			}
-		},
-		Collect: func(i int, sys *machine.System) {
-			c := sys.PMCounters()
-			// Exclude the single drain-touch write from the denominator.
-			c.IMCWriteBytes -= mem.CachelineSize
-			p.WA[i] = c.WA()
-		},
-	}
-	o.Meter.RunWarm(o.WarmReuse, w)
+	sys.Go("fig3", 0, false, func(t *machine.Thread) {
+		// Warmup: one cacheline per XPLine creates every XPLine's
+		// write-buffer entry; one settle pass in the cell's own write
+		// fraction then reaches its steady state before counters reset.
+		onePass(t, 1)
+		onePass(t, linesPerXPL)
+		sys.ResetCounters()
+		for pass := 0; pass < o.Passes; pass++ {
+			onePass(t, linesPerXPL)
+		}
+		// Let G1's periodic write-back drain before reading counters.
+		t.Compute(4 * 5000)
+		t.NTStore(base) // touch the DIMM so lazy write-back runs
+	})
+	o.Meter.Run(sys)
+	c := sys.PMCounters()
+	// Exclude the single drain-touch write from the denominator.
+	c.IMCWriteBytes -= mem.CachelineSize
+	return c.WA()
 }
 
 // fig3Units returns one unit per generation.
@@ -135,7 +118,7 @@ func fig3Units(o Options) []Unit {
 		gen := gen
 		units = append(units, Unit{Experiment: "fig3", Name: gen.String(), Run: func() UnitResult {
 			m := o.meter("fig3/" + gen.String())
-			pts := Fig3(Fig3Options{Gen: gen, Passes: o.scale(12, 4), Meter: m, WarmReuse: o.WarmReuse})
+			pts := Fig3(Fig3Options{Gen: gen, Passes: o.scale(12, 4), Meter: m})
 			ur := UnitResult{
 				Experiment: "fig3", Unit: gen.String(), Data: pts,
 				Text: fmt.Sprintf("[%s] %s", gen, FormatFig3(pts)),

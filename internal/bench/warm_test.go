@@ -2,95 +2,139 @@ package bench_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"optanesim/internal/bench"
+	"optanesim/internal/runner"
 	"optanesim/internal/telemetry"
 )
 
-// warmOptInUnits returns the quick-scale units of the experiments that
-// honor Options.WarmReuse (fig2, fig3, fig13 — the sweep families whose
-// cells share a warm prefix).
-func warmOptInUnits(t *testing.T, o bench.Options) []bench.Unit {
+// reuseSweeps are the experiments whose every sweep cell builds into the
+// previous cell's finished system (machine.MustNewSystemReusing).
+var reuseSweeps = []string{"fig2", "fig3", "fig13"}
+
+// reuseSweepUnits returns the units of reuseSweeps in order, and how
+// many of them each experiment contributed.
+func reuseSweepUnits(t *testing.T, o bench.Options) ([]bench.Unit, []int) {
 	t.Helper()
 	var units []bench.Unit
-	for _, name := range []string{"fig2", "fig3", "fig13"} {
+	counts := make([]int, len(reuseSweeps))
+	for i, name := range reuseSweeps {
 		exp, ok := bench.ExperimentUnits(name, o)
 		if !ok {
 			t.Fatalf("experiment %q not registered", name)
 		}
 		units = append(units, exp...)
+		counts[i] = len(exp)
 	}
-	return units
+	return units, counts
 }
 
-// TestWarmReuseByteIdentical pins the PR's headline guarantee at the
-// experiment level: the structured JSONL of the warm-reuse opt-in
-// experiments is byte-identical between cold runs (WarmReuse false) and
-// warm-once-fork-per-cell runs (WarmReuse true), sequentially and on a
-// worker pool. A fork reconstitutes the exact machine state the cold
-// run reaches at the end of its warm prefix, so not a single simulated
-// cycle may differ. CI re-checks the same property on the optbench
-// binary with cmp.
+// checkQuickDigests splits structured (one JSONL line per unit, in
+// reuseSweepUnits order) into its experiments and checks each one's
+// sha256 against its line of testdata/quick.sha256 (sha256sum format,
+// "<digest>  <experiment>.jsonl").
+func checkQuickDigests(t *testing.T, label string, structured []byte, counts []int) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "quick.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	f := strings.Fields(string(data))
+	for i := 0; i+1 < len(f); i += 2 {
+		want[strings.TrimSuffix(f[i+1], ".jsonl")] = f[i]
+	}
+	lines := bytes.SplitAfter(structured, []byte("\n"))
+	for i, name := range reuseSweeps {
+		sum := sha256.Sum256(bytes.Join(lines[:counts[i]], nil))
+		lines = lines[counts[i]:]
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: %s.jsonl sha256 %s, want %s (testdata/quick.sha256)", label, name, got, want[name])
+		}
+	}
+}
+
+// TestWarmReuseByteIdentical pins that reusing a finished — warm —
+// system as the storage for the next sweep cell changes no result: each
+// fig2, fig3 and fig13 cell builds into the previous cell's system,
+// which NewSystemReusing resets to the fresh state, so the structured
+// JSONL must hash to the committed -quick digests (recorded from
+// fresh-system builds), sequentially and on a worker pool.
 func TestWarmReuseByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep; skipped in -short mode")
 	}
-	cold := runStructured(t, warmOptInUnits(t, bench.Options{Quick: true}), 1)
-	warm := runStructured(t, warmOptInUnits(t, bench.Options{Quick: true, WarmReuse: true}), 1)
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("results differ between -warm-reuse off and on:\n%s", firstLineDiff(cold, warm))
-	}
-	warmPar := runStructured(t, warmOptInUnits(t, bench.Options{Quick: true, WarmReuse: true}), 4)
-	if !bytes.Equal(cold, warmPar) {
-		t.Fatalf("results differ between cold -j1 and -warm-reuse -j4:\n%s", firstLineDiff(cold, warmPar))
+	units, counts := reuseSweepUnits(t, bench.Options{Quick: true})
+	seq := runStructured(t, units, 1)
+	checkQuickDigests(t, "j1", seq, counts)
+	units, _ = reuseSweepUnits(t, bench.Options{Quick: true})
+	par := runStructured(t, units, 4)
+	checkQuickDigests(t, "j4", par, counts)
+	if !bytes.Equal(seq, par) {
+		t.Fatalf("results differ between -j 1 and -j 4:\n%s", firstLineDiff(seq, par))
 	}
 }
 
-// TestWarmReuseTelemetryDegrades pins the auto-degrade contract: with a
-// telemetry recorder attached, RunWarm must take the cold path (the
-// recorder needs to observe the warm phase of every cell), so the
-// structured results and the telemetry JSONL are byte-identical whether
-// WarmReuse is requested or not.
+// TestWarmReuseTelemetryDegrades pins the reuse sweeps under a telemetry
+// recorder. Reuse never has to degrade: every cell runs its own warmup
+// on its own system, so the recorder observes each cell's warm phase.
+// With gauge sampling and the breakdown layer attached, every unit must
+// return its recording, the structured JSONL must still hash to the
+// committed -quick digests, and the telemetry JSONL (events, samples,
+// histograms) must be byte-identical between -j 1 and -j 2.
 func TestWarmReuseTelemetryDegrades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep; skipped in -short mode")
 	}
-	run := func(reuse bool) []byte {
-		o := bench.Options{
-			Quick:     true,
-			WarmReuse: reuse,
+	run := func(workers int) []byte {
+		units, counts := reuseSweepUnits(t, bench.Options{
+			Quick: true,
 			Telemetry: func(unit string) *telemetry.Recorder {
-				return telemetry.NewRecorder(unit, telemetry.Config{SampleEvery: 4096})
+				return telemetry.NewRecorder(unit, telemetry.Config{SampleEvery: 4096, Breakdown: true})
 			},
+		})
+		tasks := make([]runner.Task, len(units))
+		for i, u := range units {
+			u := u
+			tasks[i] = runner.Task{ID: u.ID(), Run: func() (any, error) { return u.Run(), nil }}
 		}
-		units := warmOptInUnits(t, o)
+		urs := make([]bench.UnitResult, len(units))
 		var out bytes.Buffer
-		for _, u := range units {
-			ur := u.Run()
-			data, err := bench.EncodeJSONL([]bench.UnitResult{ur})
-			if err != nil {
-				t.Fatalf("encoding %s: %v", u.ID(), err)
+		for i, r := range runner.Run(tasks, workers) {
+			if r.Err != nil {
+				t.Fatalf("unit %s: %v", r.ID, r.Err)
 			}
-			out.Write(data)
+			ur := r.Value.(bench.UnitResult)
+			urs[i] = ur
 			if ur.Telemetry == nil {
-				t.Fatalf("unit %s: no telemetry recording", u.ID())
+				t.Fatalf("unit %s: no telemetry recording", r.ID)
 			}
 			if err := telemetry.WriteEventsJSONL(&out, ur.Telemetry); err != nil {
-				t.Fatalf("unit %s: telemetry events: %v", u.ID(), err)
+				t.Fatalf("unit %s: telemetry events: %v", r.ID, err)
 			}
 			if err := telemetry.WriteSamplesJSONL(&out, ur.Telemetry); err != nil {
-				t.Fatalf("unit %s: telemetry samples: %v", u.ID(), err)
+				t.Fatalf("unit %s: telemetry samples: %v", r.ID, err)
 			}
 			if err := telemetry.WriteHistsJSONL(&out, ur.Telemetry); err != nil {
-				t.Fatalf("unit %s: telemetry hists: %v", u.ID(), err)
+				t.Fatalf("unit %s: telemetry hists: %v", r.ID, err)
 			}
 		}
+		structured, err := bench.EncodeJSONL(urs)
+		if err != nil {
+			t.Fatalf("encoding: %v", err)
+		}
+		checkQuickDigests(t, fmt.Sprintf("telemetry j%d", workers), structured, counts)
 		return out.Bytes()
 	}
-	cold := run(false)
-	warm := run(true)
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("telemetry-attached results differ with -warm-reuse requested:\n%s", firstLineDiff(cold, warm))
+	seq, par := run(1), run(2)
+	if !bytes.Equal(seq, par) {
+		t.Fatalf("telemetry differs between -j 1 and -j 2:\n%s", firstLineDiff(seq, par))
 	}
 }

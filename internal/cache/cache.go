@@ -150,9 +150,11 @@ func New(cfg Config) *Cache {
 // geometry, its arrays are reset in place and donor itself is returned
 // as the fresh level, so no allocation (and no allocator re-zeroing of
 // the multi-megabyte line array) happens. The reset is sparse — it
-// walks the compact tag mirror and clears only occupied frames, the
-// same invariant CloneInto exploits — so its cost is bounded by the
-// donor's touched footprint, not its geometry. A mismatched or nil
+// walks the compact tag mirror and clears only occupied frames, since
+// tags[i] != 0 exactly marks the nonzero frames (Insert fully
+// overwrites its slot, and Invalidate zeroes frame and tag together) —
+// so its cost is bounded by the donor's touched footprint, not its
+// geometry (28.8 MB of frames for G1's L3). A mismatched or nil
 // donor falls back to New. Ownership transfers: the donor must not be
 // used by its previous owner after this call.
 func NewReusing(cfg Config, donor *Cache) *Cache {
@@ -393,54 +395,6 @@ func (c *Cache) Invalidate(addr mem.Addr) (present, dirty bool) {
 	return false, false
 }
 
-// Clone returns an independent deep copy of the level: every line frame,
-// the compact tag mirror, the way predictor, LRU tick and statistics.
-// A forked cache answers every lookup exactly as the original would,
-// including predictor hits and LRU victim choice. Telemetry is not
-// carried over; attach a probe to the clone if needed.
-func (c *Cache) Clone() *Cache { return c.CloneInto(nil) }
-
-// CloneInto deep-copies the level into dst, reusing dst's frame, tag
-// and predictor arrays when dst has the same geometry (nil or a
-// mismatched dst allocates fresh ones). The copy is sparse: tags[i] != 0
-// exactly marks the nonzero frames — Insert fully overwrites its slot,
-// and Invalidate and Reset zero frame and tag together — so one walk of
-// the compact tag mirror touches only the union of both caches'
-// occupancy instead of memmoving the whole geometry (28.8 MB of frames
-// for G1's L3). That bounds a warm-state fork's cost by its touched
-// footprint, which is what makes snapshot reuse profitable for sweeps
-// whose warm state is far smaller than the cache. It returns dst.
-func (c *Cache) CloneInto(dst *Cache) *Cache {
-	if dst == nil || dst.cfg != c.cfg {
-		dst = &Cache{
-			cfg:        c.cfg,
-			nsets:      c.nsets,
-			ways:       make([]Line, len(c.ways)),
-			tags:       make([]uint64, len(c.tags)),
-			pred:       make([]int32, len(c.pred)),
-			setMask:    c.setMask,
-			setPow2:    c.setPow2,
-			fastmodM:   c.fastmodM,
-			fastmodMax: c.fastmodMax,
-		}
-	}
-	dst.tick = c.tick
-	dst.occupied = c.occupied
-	dst.hits, dst.misses = c.hits, c.misses
-	dst.predHits, dst.predMisses = c.predHits, c.predMisses
-	dst.tel = nil
-	copy(dst.pred, c.pred)
-	st, dt := c.tags, dst.tags
-	ways := c.ways
-	for i := range st {
-		if st[i] != 0 || dt[i] != 0 {
-			dst.ways[i] = ways[i]
-			dt[i] = st[i]
-		}
-	}
-	return dst
-}
-
 // Stats reports accumulated hits and misses.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
@@ -450,14 +404,3 @@ func (c *Cache) PredStats() (hits, misses uint64) { return c.predHits, c.predMis
 
 // SetTelemetry attaches (or, with nil, detaches) the level's event probe.
 func (c *Cache) SetTelemetry(p *telemetry.Probe) { c.tel = p }
-
-// Reset invalidates every line and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.ways {
-		c.ways[i] = Line{}
-		c.tags[i] = 0
-	}
-	c.tick, c.hits, c.misses = 0, 0, 0
-	c.predHits, c.predMisses = 0, 0
-	c.occupied = 0
-}

@@ -103,16 +103,46 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := small()
-	c.Insert(0, true, false, 0)
-	c.Lookup(0)
-	c.Reset()
-	if c.Peek(0) != nil {
-		t.Fatal("reset left lines")
+// dirty fills a level with every other line dirty and looks each up, so
+// frames, tags, the way predictor and the statistics are all non-zero.
+func dirty(c *Cache, lines int) {
+	for i := 0; i < lines; i++ {
+		a := mem.Addr(i * mem.CachelineSize)
+		c.Insert(a, i%2 == 0, false, 0)
+		c.Lookup(a)
+	}
+}
+
+func TestNewReusingResets(t *testing.T) {
+	donor := small()
+	dirty(donor, 8)
+	c := NewReusing(donor.Config(), donor)
+	if c != donor {
+		t.Fatal("same-geometry donor was not reused")
 	}
 	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatal("reset left stats")
+		t.Fatalf("reused level kept stats (%d,%d)", h, m)
+	}
+	if h, m := c.PredStats(); h != 0 || m != 0 {
+		t.Fatalf("reused level kept predictor stats (%d,%d)", h, m)
+	}
+	// One fresh line lifts the empty-level fast path, so the probes
+	// below really scan the reused tags.
+	c.Insert(0x10000, false, false, 0)
+	for i := 0; i < 8; i++ {
+		if l := c.Peek(mem.Addr(i * mem.CachelineSize)); l != nil {
+			t.Fatalf("reused level kept line %v", l.Addr())
+		}
+	}
+
+	other := small()
+	dirty(other, 8)
+	bigger := NewReusing(Config{Name: "t", Size: 1024, Assoc: 2, HitCycles: 4}, other)
+	if bigger == other {
+		t.Fatal("mismatched donor was reused")
+	}
+	if h, _ := other.Stats(); h != 8 || other.Peek(0) == nil {
+		t.Fatal("mismatched donor was reset")
 	}
 }
 

@@ -63,13 +63,6 @@ func NewDIMM(prof Profile) *DIMM {
 // Profile returns the DIMM's configuration.
 func (d *DIMM) Profile() Profile { return d.prof }
 
-// Clone returns an independent copy of the DIMM: port next-free times and
-// traffic counters carry over, so a forked simulation observes identical
-// queueing. Attribution is not carried; attach it to the clone if needed.
-func (d *DIMM) Clone() *DIMM {
-	return &DIMM{prof: d.prof, ports: d.ports.Clone(), c: d.c}
-}
-
 // Counters exposes the DIMM's traffic counters. DRAM has no separate
 // media boundary, so media counters mirror iMC counters.
 func (d *DIMM) Counters() *trace.Counters { return &d.c }

@@ -90,11 +90,6 @@ type System struct {
 	dramDemand trace.Counters
 
 	threads []*Thread
-	// carry holds the threads of the last RunPhase (or the revived
-	// threads of a Snapshot fork), with their full carry state — clocks,
-	// store queues, flush rings, tag accounting — intact. Continue
-	// re-registers one for another phase (see snapshot.go).
-	carry   []*Thread
 	nextTID int
 	running bool
 	done    chan struct{}
@@ -143,7 +138,7 @@ func NewSystem(cfg Config) (*System, error) { return NewSystemReusing(cfg, nil) 
 // arrays — the bulk of a System's footprint (a G1 L3 alone is 28.8 MB
 // of line frames) — are sparsely reset in place (cache.NewReusing) and
 // reused instead of allocated, so a sweep that builds one system per
-// family recycles geometry instead of paying the allocator's full
+// cell recycles geometry instead of paying the allocator's full
 // re-zeroing each time. Every other component is built fresh; the
 // resulting system is observably identical to NewSystem's. Ownership
 // transfers: the donor must not be used after this call.
@@ -477,17 +472,7 @@ func (s *System) internTag(name string) int {
 // check. With two or more threads the coroutine baton passes only when
 // a thread's clock crosses its grant horizon, preserving the exact
 // min-time contention order of the classic per-op scheduler.
-func (s *System) Run() sim.Cycles { return s.run(false) }
-
-// RunPhase is Run, except the finished threads are retained in the
-// system's carry list instead of being dropped: their clocks, pending
-// store queues, flush rings and tag accounting stay live, so a later
-// Continue + Run picks up exactly where the phase left off, and
-// Snapshot can capture the warmed state between phases. Each
-// RunPhase/Run replaces the previous carry list.
-func (s *System) RunPhase() sim.Cycles { return s.run(true) }
-
-func (s *System) run(retain bool) sim.Cycles {
+func (s *System) Run() sim.Cycles {
 	if len(s.threads) == 0 {
 		return 0
 	}
@@ -521,7 +506,8 @@ func (s *System) run(retain bool) sim.Cycles {
 		s.live = 0
 		end := t.now
 		s.noteRunEnd(end)
-		s.finishRun(retain)
+		s.threads = s.threads[:0]
+		s.running = false
 		return end
 	}
 
@@ -547,18 +533,9 @@ func (s *System) run(retain bool) sim.Cycles {
 		}
 	}
 	s.noteRunEnd(end)
-	s.finishRun(retain)
-	return end
-}
-
-// finishRun clears the thread list, retaining the finished threads in
-// the carry list when asked (RunPhase).
-func (s *System) finishRun(retain bool) {
-	if retain {
-		s.carry = append(s.carry[:0], s.threads...)
-	}
 	s.threads = s.threads[:0]
 	s.running = false
+	return end
 }
 
 // CyclesToSeconds converts a simulated cycle count to seconds using the

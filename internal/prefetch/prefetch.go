@@ -86,18 +86,6 @@ func NewUnit(cfg Config) *Unit { return &Unit{cfg: cfg} }
 // Config returns the unit's configuration.
 func (u *Unit) Config() Config { return u.cfg }
 
-// Clone returns an independent copy of the engine with the stream table,
-// throttle counter and statistics intact, so a forked simulation issues
-// the exact same prefetch candidates. The scratch buffer is re-allocated
-// at the same capacity (its contents never survive an OnAccess call).
-func (u *Unit) Clone() *Unit {
-	n := &Unit{}
-	*n = *u
-	n.buf = make([]mem.Addr, len(u.buf), cap(u.buf))
-	copy(n.buf, u.buf)
-	return n
-}
-
 // Issued reports how many prefetch candidates the unit has proposed.
 func (u *Unit) Issued() uint64 { return u.issued }
 

@@ -17,13 +17,6 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// Clone returns an independent generator that continues the same
-// pseudo-random sequence from the current state.
-func (r *Rand) Clone() *Rand {
-	c := *r
-	return &c
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Rand) Uint64() uint64 {
 	x := r.state

@@ -85,15 +85,6 @@ func (p *Ports) Reset() {
 	p.busy = 0
 }
 
-// Clone returns an independent copy of the resource, preserving every
-// server's next-free time and the utilization counter, so a forked
-// simulation observes identical queueing from the first Acquire on.
-func (p *Ports) Clone() *Ports {
-	n := &Ports{free: make([]Cycles, len(p.free)), busy: p.busy}
-	copy(n.free, p.free)
-	return n
-}
-
 // Max returns the later of two instants.
 func Max(a, b Cycles) Cycles {
 	if a > b {

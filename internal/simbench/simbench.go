@@ -235,87 +235,37 @@ func FlushFenceTelemetry(b *testing.B) {
 	sys.Run()
 }
 
-// snapWarmSystem builds a single-thread system and drives the mixed
-// persist-heavy warmup over the working set — the same loop the alloc
-// test uses — so caches, WPQ rings, the hazard table and on-DIMM
-// buffers reach steady-state occupancy, then stops at a phase boundary
-// so the finished thread can be continued from a snapshot.
-func snapWarmSystem() *machine.System {
-	sys := machine.MustNewSystem(machine.G1Config(1))
-	sys.Go("bench-snap", 0, false, func(t *machine.Thread) {
-		for i := 0; i < 4*workingLines; i++ {
-			a := line(i)
-			t.Store(a)
-			t.CLWB(a)
-			t.SFence()
-			t.NTStore(a)
-			t.SFence()
-			t.Load(a)
-		}
-	})
-	sys.RunPhase()
-	return sys
-}
-
-// snapSink keeps benchmarked snapshot results live so the compiler
-// cannot elide the deep copies under test.
-var snapSink interface{}
-
-// SnapshotSmall measures System.Snapshot on a freshly built,
-// never-run system: the floor cost of the deep state copy (cache
-// arrays, WPQ rings, buffer free lists at their initial sizes) with no
-// workload-grown state on top. The reported B/op is the resident cost
-// of holding one cold snapshot.
-func SnapshotSmall(b *testing.B) {
-	sys := machine.MustNewSystem(machine.G1Config(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snapSink = sys.Snapshot()
+// warm drives the mixed persist-heavy loop over the working set until
+// caches, WPQ rings, the hazard table and on-DIMM buffers reach
+// steady-state occupancy, and the thread's store queue and flush ring
+// their steady-state capacity.
+func warm(t *machine.Thread) {
+	for i := 0; i < 4*workingLines; i++ {
+		a := line(i)
+		t.Store(a)
+		t.CLWB(a)
+		t.SFence()
+		t.NTStore(a)
+		t.SFence()
+		t.Load(a)
 	}
 }
 
-// SnapshotWarm measures System.Snapshot on a system warmed to steady
-// state by the persist-heavy working-set loop: the realistic capture
-// cost a warm-reuse sweep pays once per family. The reported B/op is
-// the memory cost of holding one warm snapshot.
-func SnapshotWarm(b *testing.B) {
-	sys := snapWarmSystem()
+// BuildReusing measures a donor-backed system build: MustNewSystemReusing
+// into a G1 system warmed by the persist-heavy working-set loop, the
+// per-cell cost of a sweep that builds every cell into the previous
+// cell's finished system (fig2, fig3, fig13). Warming the donor is not
+// timed.
+func BuildReusing(b *testing.B) {
+	cfg := machine.G1Config(1)
+	sys := machine.MustNewSystem(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snapSink = sys.Snapshot()
+		b.StopTimer()
+		sys.Go("bench-build", 0, false, warm)
+		sys.Run()
+		b.StartTimer()
+		sys = machine.MustNewSystemReusing(cfg, sys)
 	}
-}
-
-// RestoreWarm measures Snapshot.Fork on a warm snapshot: the
-// per-cell reconstitution cost a warm-reuse sweep pays instead of
-// re-simulating the warm phase. Fork both re-clones the frozen state
-// and revives the carried threads, so this is the complete restore
-// path; Continue afterwards is O(1).
-func RestoreWarm(b *testing.B) {
-	snap := snapWarmSystem().Snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snapSink = snap.Fork()
-	}
-}
-
-// RestoreWarmRecycled measures Fork with donor recycling — the warm
-// sweep's steady-state per-cell cost: each finished fork hands its
-// cache arrays back (Snapshot.Recycle), so the next fork copies only
-// the touched footprint instead of allocating and re-zeroing full
-// geometry. The gap to RestoreWarm is the allocator cost warm-state
-// reuse avoids per cell.
-func RestoreWarmRecycled(b *testing.B) {
-	snap := snapWarmSystem().Snapshot()
-	fork := snap.Fork()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap.Recycle(fork)
-		fork = snap.Fork()
-	}
-	snapSink = fork
 }

@@ -38,13 +38,9 @@ func BenchmarkSimCoreMultiDIMM8(b *testing.B) { MultiDIMM8(b) }
 func BenchmarkSimCoreLoadTelemetry(b *testing.B)       { LoadTelemetry(b) }
 func BenchmarkSimCoreFlushFenceTelemetry(b *testing.B) { FlushFenceTelemetry(b) }
 
-// The Snapshot*/Restore* variants time the warm-reuse machinery: the
-// deep state capture on cold and warmed systems, and the per-fork
-// reconstitution a sweep pays in place of re-simulating its warm phase.
-func BenchmarkSimCoreSnapshotSmall(b *testing.B)       { SnapshotSmall(b) }
-func BenchmarkSimCoreSnapshotWarm(b *testing.B)        { SnapshotWarm(b) }
-func BenchmarkSimCoreRestoreWarm(b *testing.B)         { RestoreWarm(b) }
-func BenchmarkSimCoreRestoreWarmRecycled(b *testing.B) { RestoreWarmRecycled(b) }
+// BuildReusing times a donor-backed build, the per-cell system cost of
+// the fig2/fig3/fig13 sweeps.
+func BenchmarkSimCoreBuildReusing(b *testing.B) { BuildReusing(b) }
 
 // TestHotPathAllocs pins the zero-allocation guarantee: once a
 // single-thread workload reaches steady state, the Load, Store,
@@ -67,21 +63,25 @@ func BenchmarkSimCoreRestoreWarmRecycled(b *testing.B) { RestoreWarmRecycled(b) 
 // charges components into the shared scratchpad and records into
 // preallocated histograms, so steady state must still be allocation-free
 // (tenant interning happens once, inside the warmup run).
-// The restored subtest runs the probes on a Snapshot().Fork() of the
-// warmed system instead of in the warming run itself: every clone in
-// the restore path is capacity-preserving, so a forked system must be
-// just as allocation-free at steady state as the original. It runs
-// plain only, because Snapshot forbids attached observers.
+// The reused subtest runs on a system built into a warmed donor
+// (machine.MustNewSystemReusing, the build every fig2/fig3/fig13 cell
+// uses): recycled cache storage must be just as allocation-free at
+// steady state as a fresh build.
 func TestHotPathAllocs(t *testing.T) {
 	t.Run("plain", func(t *testing.T) { testHotPathAllocs(t, false, false, false, false) })
 	t.Run("telemetry", func(t *testing.T) { testHotPathAllocs(t, true, false, false, false) })
 	t.Run("faults-idle", func(t *testing.T) { testHotPathAllocs(t, false, true, false, false) })
 	t.Run("breakdown", func(t *testing.T) { testHotPathAllocs(t, true, false, true, false) })
-	t.Run("restored", func(t *testing.T) { testHotPathAllocs(t, false, false, false, true) })
+	t.Run("reused", func(t *testing.T) { testHotPathAllocs(t, false, false, false, true) })
 }
 
-func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, restored bool) {
+func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, reused bool) {
 	sys := machine.MustNewSystem(machine.G1Config(1))
+	if reused {
+		sys.Go("donor", 0, false, warm)
+		sys.Run()
+		sys = machine.MustNewSystemReusing(machine.G1Config(1), sys)
+	}
 	if faultsOn {
 		sys.AttachFaults(fault.New(fault.Config{}))
 	}
@@ -92,19 +92,6 @@ func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, restore
 	type probe struct {
 		name string
 		ops  func(th *machine.Thread)
-	}
-	// Warm up: grow pending/flushRing to capacity, populate caches,
-	// WPQ rings, and hazard map to steady-state size.
-	warm := func(th *machine.Thread) {
-		for k := 0; k < 4*workingLines; k++ {
-			a := line(k)
-			th.Store(a)
-			th.CLWB(a)
-			th.SFence()
-			th.NTStore(a)
-			th.SFence()
-			th.Load(a)
-		}
 	}
 	var got map[string]float64
 	probeBody := func(th *machine.Thread) {
@@ -161,22 +148,13 @@ func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, restore
 			got[p.name] = testing.AllocsPerRun(50, func() { p.ops(th) })
 		}
 	}
-	if restored {
-		// Warm in one phase, snapshot, and probe inside a fork: the
-		// probes revisit the same working set the warmup touched, so a
-		// capacity-preserving restore leaves nothing left to grow.
-		sys.Go("alloc-probe", 0, false, warm)
-		sys.RunPhase()
-		fork := sys.Snapshot().Fork()
-		fork.Continue(0, probeBody)
-		fork.Run()
-	} else {
-		sys.Go("alloc-probe", 0, false, func(th *machine.Thread) {
-			warm(th)
-			probeBody(th)
-		})
-		sys.Run()
-	}
+	// Warm up (grow pending/flushRing to capacity, populate caches, WPQ
+	// rings and the hazard map to steady-state size), then probe.
+	sys.Go("alloc-probe", 0, false, func(th *machine.Thread) {
+		warm(th)
+		probeBody(th)
+	})
+	sys.Run()
 	for name, allocs := range got {
 		if allocs != 0 {
 			t.Errorf("steady-state %s path allocates: %.1f allocs per batch (want 0)", name, allocs)
