@@ -23,11 +23,12 @@
 // (crashmatrix, faultmatrix): unit i derives N+i, so a sampled failure
 // is reproducible. -fault SPEC (see internal/fault.ParseSpec, e.g.
 // 'poison=64,thermal=400000/200000/150') degrades the PM module of
-// every metered experiment system — the faultmatrix experiment ignores
-// it and builds its own per-cell injectors. After the run, one stderr
-// line per requested -fault or telemetry sink names the experiments it
-// did not reach: those with an unmetered unit, plus faultmatrix and
-// tenants for -fault.
+// every system a timed experiment runs; faultmatrix builds its own
+// per-cell injectors and tenants its own meter. After the run, one
+// stderr line per requested -fault or telemetry sink names the
+// experiments it did not reach: those with a unit that runs no timed
+// system (crashmatrix, and faultmatrix's poison and control cells),
+// plus faultmatrix and tenants for -fault.
 //
 // Independent experiment units (e.g. the two generations of fig2, the
 // eight panels of fig8) execute concurrently on a pool of -j workers,

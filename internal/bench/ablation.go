@@ -22,23 +22,25 @@ type AblationResult struct {
 }
 
 // Ablations runs all design-choice ablations from DESIGN.md.
-func Ablations() []AblationResult {
+func Ablations() []AblationResult { return ablations(new(Meter)) }
+
+func ablations(m *Meter) []AblationResult {
 	return []AblationResult{
-		ablationReadBufferExclusivity(),
-		ablationPeriodicWriteback(),
-		ablationBatchEviction(),
-		ablationEADR(),
+		ablationReadBufferExclusivity(m),
+		ablationPeriodicWriteback(m),
+		ablationBatchEviction(m),
+		ablationEADR(m),
 	}
 }
 
 // ablationReadBufferExclusivity: without cache-exclusive consumption,
 // Fig. 2's repeated reads would hit the read buffer forever and RA would
 // collapse toward 0 instead of flooring at 1 — the paper's C1 evidence.
-func ablationReadBufferExclusivity() AblationResult {
+func ablationReadBufferExclusivity(m *Meter) AblationResult {
 	run := func(retain bool) float64 {
 		cfg := G1.Config(1)
 		cfg.PM.ReadBufRetainsServedLines = retain
-		sys := machine.MustNewSystem(cfg)
+		sys := m.System(cfg)
 		const wss = 8 * KB
 		nXPLines := wss / mem.XPLineSize
 		sys.Go("a", 0, false, func(t *machine.Thread) {
@@ -55,7 +57,7 @@ func ablationReadBufferExclusivity() AblationResult {
 				pass()
 			}
 		})
-		sys.Run()
+		m.Run(sys)
 		return sys.PMCounters().RA()
 	}
 	return AblationResult{
@@ -70,7 +72,7 @@ func ablationReadBufferExclusivity() AblationResult {
 // ablationPeriodicWriteback: disabling G1's ~5000-cycle full-line
 // write-back makes small full writes coalesce in the buffer (WA -> 0),
 // contradicting Fig. 3's full-write curve that sits at 1.
-func ablationPeriodicWriteback() AblationResult {
+func ablationPeriodicWriteback(m *Meter) AblationResult {
 	run := func(disable bool) float64 {
 		o := Fig3Options{Gen: G1, WSS: []int{8 * KB}, Passes: 10}
 		o.defaults()
@@ -78,7 +80,7 @@ func ablationPeriodicWriteback() AblationResult {
 		if disable {
 			cfg.PM.PeriodicWritebackCycles = 0
 		}
-		return fig3RunWithConfig(cfg, 8*KB, 4, o.Passes, false)
+		return fig3RunWithConfig(m, cfg, 8*KB, 4, o.Passes)
 	}
 	return AblationResult{
 		Name:    "periodic full-line write-back (G1)",
@@ -91,11 +93,11 @@ func ablationPeriodicWriteback() AblationResult {
 
 // ablationBatchEviction: replacing G1's batch eviction with G2-style
 // single-victim eviction softens Fig. 4's sharp 12 KB knee.
-func ablationBatchEviction() AblationResult {
+func ablationBatchEviction(m *Meter) AblationResult {
 	run := func(batch int) float64 {
 		cfg := G1.Config(1)
 		cfg.PM.WriteBufBatchEvict = batch
-		sys := machine.MustNewSystem(cfg)
+		sys := m.System(cfg)
 		rng := sim.NewRand(7)
 		const nXPLines = 14 * KB / mem.XPLineSize
 		sys.Go("a", 0, false, func(t *machine.Thread) {
@@ -115,7 +117,7 @@ func ablationBatchEviction() AblationResult {
 			}
 			t.SFence()
 		})
-		sys.Run()
+		m.Run(sys)
 		return sys.PMCounters().WriteBufferHitRatio()
 	}
 	return AblationResult{
@@ -130,11 +132,11 @@ func ablationBatchEviction() AblationResult {
 // ablationEADR: with the §6 extended-ADR platform, cacheline flushes are
 // unnecessary and the strict-persistency element update gets much
 // cheaper — the forward-looking platform change the paper discusses.
-func ablationEADR() AblationResult {
+func ablationEADR(m *Meter) AblationResult {
 	run := func(eadr bool) float64 {
 		cfg := G2.Config(1)
 		cfg.CPU.EADR = eadr
-		sys := machine.MustNewSystem(cfg)
+		sys := m.System(cfg)
 		heapBase := mem.PMBase
 		var perElem float64
 		sys.Go("a", 0, false, func(t *machine.Thread) {
@@ -155,7 +157,7 @@ func ablationEADR() AblationResult {
 			total := t.Now() - start
 			perElem = float64(total) / float64(32*elems)
 		})
-		sys.Run()
+		m.Run(sys)
 		return perElem
 	}
 
@@ -170,8 +172,8 @@ func ablationEADR() AblationResult {
 
 // fig3RunWithConfig is fig3Run with an explicit machine configuration
 // (for ablations that tweak the DIMM profile).
-func fig3RunWithConfig(cfg machine.Config, wss, linesPerXPL, passes int, random bool) float64 {
-	sys := machine.MustNewSystem(cfg)
+func fig3RunWithConfig(m *Meter, cfg machine.Config, wss, linesPerXPL, passes int) float64 {
+	sys := m.System(cfg)
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
 		nXPLines = 1
@@ -195,7 +197,7 @@ func fig3RunWithConfig(cfg machine.Config, wss, linesPerXPL, passes int, random 
 		t.Compute(4 * 5000)
 		t.NTStore(base)
 	})
-	sys.Run()
+	m.Run(sys)
 	c := sys.PMCounters()
 	c.IMCWriteBytes -= mem.CachelineSize
 	return c.WA()
@@ -203,11 +205,11 @@ func fig3RunWithConfig(cfg machine.Config, wss, linesPerXPL, passes int, random 
 
 // ablationUnits returns the experiment's single unit; the individual
 // ablations are quick enough that fan-out is not worth the panel split.
-func ablationUnits(Options) []Unit {
-	return []Unit{{Experiment: "ablation", Run: func() UnitResult {
-		results := Ablations()
-		return UnitResult{Experiment: "ablation", Data: results, Text: FormatAblations(results)}
-	}}}
+func ablationUnits(o Options) []Unit {
+	return []Unit{o.unit("ablation", "", func(m *Meter) UnitResult {
+		results := ablations(m)
+		return UnitResult{Data: results, Text: FormatAblations(results)}
+	})}
 }
 
 // FormatAblations renders the ablation table.

@@ -5,7 +5,7 @@ import "testing"
 // Each ablation must show its mechanism is load-bearing: disabling it
 // moves the figure's metric in the predicted direction.
 func TestAblationReadBufferExclusivity(t *testing.T) {
-	r := ablationReadBufferExclusivity()
+	r := ablationReadBufferExclusivity(new(Meter))
 	if r.AsPaper < 3.5 {
 		t.Errorf("as-characterized RA = %.2f, want ~4 (floor never below 1)", r.AsPaper)
 	}
@@ -15,7 +15,7 @@ func TestAblationReadBufferExclusivity(t *testing.T) {
 }
 
 func TestAblationPeriodicWriteback(t *testing.T) {
-	r := ablationPeriodicWriteback()
+	r := ablationPeriodicWriteback(new(Meter))
 	if r.AsPaper < 0.7 {
 		t.Errorf("full-write WA with periodic write-back = %.2f, want ~1", r.AsPaper)
 	}
@@ -25,7 +25,7 @@ func TestAblationPeriodicWriteback(t *testing.T) {
 }
 
 func TestAblationBatchEviction(t *testing.T) {
-	r := ablationBatchEviction()
+	r := ablationBatchEviction(new(Meter))
 	if r.Ablated <= r.AsPaper {
 		t.Errorf("single-victim eviction should keep a higher hit ratio past the knee: batch=%.2f single=%.2f",
 			r.AsPaper, r.Ablated)
@@ -33,7 +33,7 @@ func TestAblationBatchEviction(t *testing.T) {
 }
 
 func TestAblationEADR(t *testing.T) {
-	r := ablationEADR()
+	r := ablationEADR(new(Meter))
 	if r.Ablated >= r.AsPaper {
 		t.Errorf("eADR should remove the flush tax: with=%.0f without=%.0f", r.Ablated, r.AsPaper)
 	}

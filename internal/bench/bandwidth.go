@@ -48,23 +48,25 @@ func (o *BandwidthOptions) defaults() {
 // builds on: read bandwidth far exceeds write bandwidth (~3x at the
 // device level), and write bandwidth stops scaling after a handful of
 // threads while reads keep scaling.
-func Bandwidth(o BandwidthOptions) []BandwidthPoint {
+func Bandwidth(o BandwidthOptions) []BandwidthPoint { return bandwidth(new(Meter), o) }
+
+func bandwidth(m *Meter, o BandwidthOptions) []BandwidthPoint {
 	o.defaults()
 	points := make([]BandwidthPoint, 0, len(o.Threads))
 	for _, th := range o.Threads {
 		points = append(points, BandwidthPoint{
 			Threads:  th,
-			ReadGBs:  bandwidthRun(o, th, false),
-			WriteGBs: bandwidthRun(o, th, true),
+			ReadGBs:  bandwidthRun(m, o, th, false),
+			WriteGBs: bandwidthRun(m, o, th, true),
 		})
 	}
 	return points
 }
 
-func bandwidthRun(o BandwidthOptions, threads int, write bool) float64 {
+func bandwidthRun(m *Meter, o BandwidthOptions, threads int, write bool) float64 {
 	cfg := o.Gen.Config(threads)
 	cfg.PMDIMMs = o.DIMMs
-	sys := machine.MustNewSystem(cfg)
+	sys := m.System(cfg)
 	// The thread bodies below share only `end`, a commutative max
 	// accumulator read after Run, so the lookahead scheduler may run
 	// core-local operations past the grant horizon (sched.go).
@@ -105,7 +107,7 @@ func bandwidthRun(o BandwidthOptions, threads int, write bool) float64 {
 			}
 		})
 	}
-	sys.Run()
+	m.Run(sys)
 	secs := sys.CyclesToSeconds(end)
 	if secs == 0 {
 		return 0
@@ -117,15 +119,11 @@ func bandwidthRun(o BandwidthOptions, threads int, write bool) float64 {
 func bandwidthUnits(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		gen := gen
-		units = append(units, Unit{Experiment: "bandwidth", Name: gen.String(), Run: func() UnitResult {
+		units = append(units, o.unit("bandwidth", gen.String(), func(m *Meter) UnitResult {
 			opts := BandwidthOptions{Gen: gen, BytesPerThread: o.scale(2*MB, 512*KB)}
-			pts := Bandwidth(opts)
-			return UnitResult{
-				Experiment: "bandwidth", Unit: gen.String(), Data: pts,
-				Text: FormatBandwidth(opts, pts),
-			}
-		}})
+			pts := bandwidth(m, opts)
+			return UnitResult{Data: pts, Text: FormatBandwidth(opts, pts)}
+		}))
 	}
 	return units
 }

@@ -124,7 +124,7 @@ func runCrashUnit(structure string, seed uint64, ops int, outcome crash.Outcome)
 	var b strings.Builder
 	fmt.Fprintf(&b, "crashmatrix %-8s  %5d ops  %6d events  %4d crash points  %5d states  0 violations  (seed %d)",
 		structure, rec.Ops, rec.Events, rec.Points, rec.States, rec.Seed)
-	return UnitResult{Experiment: "crashmatrix", Unit: structure, Data: rec, Text: b.String()}
+	return UnitResult{Data: rec, Text: b.String()}
 }
 
 func crashmatrixUnits(o Options) []Unit {
@@ -134,7 +134,7 @@ func crashmatrixUnits(o Options) []Unit {
 		o.matrixSeed(11, 0), o.matrixSeed(12, 1), o.matrixSeed(13, 2), o.matrixSeed(14, 3),
 	}
 	return []Unit{
-		{Experiment: "crashmatrix", Name: "btree", Run: func() UnitResult {
+		{Experiment: "crashmatrix", Name: "btree", body: func(*Meter) UnitResult {
 			ops := crashTrace(41, nOps, 150, 5)
 			h := pmem.NewPMHeap(1 << 20)
 			s := pmem.NewFreeSession(h)
@@ -167,7 +167,7 @@ func crashmatrixUnits(o Options) []Unit {
 				})
 			return runCrashUnit("btree", seeds[0], len(ops), out)
 		}},
-		{Experiment: "crashmatrix", Name: "cceh", Run: func() UnitResult {
+		{Experiment: "crashmatrix", Name: "cceh", body: func(*Meter) UnitResult {
 			ops := crashTrace(42, nOps*3, nOps*2, 8)
 			h := pmem.NewPMHeap(1 << 21)
 			s := pmem.NewFreeSession(h)
@@ -198,7 +198,7 @@ func crashmatrixUnits(o Options) []Unit {
 				})
 			return runCrashUnit("cceh", seeds[1], len(ops), out)
 		}},
-		{Experiment: "crashmatrix", Name: "radix", Run: func() UnitResult {
+		{Experiment: "crashmatrix", Name: "radix", body: func(*Meter) UnitResult {
 			ops := crashTrace(43, nOps, 300, 6)
 			h := pmem.NewPMHeap(1 << 22)
 			s := pmem.NewFreeSession(h)
@@ -228,7 +228,7 @@ func crashmatrixUnits(o Options) []Unit {
 				})
 			return runCrashUnit("radix", seeds[2], len(ops), out)
 		}},
-		{Experiment: "crashmatrix", Name: "kvstore", Run: func() UnitResult {
+		{Experiment: "crashmatrix", Name: "kvstore", body: func(*Meter) UnitResult {
 			ops := crashTrace(44, nOps, 200, 0) // puts only
 			h := pmem.NewPMHeap(1 << 22)
 			s := pmem.NewFreeSession(h)

@@ -17,8 +17,8 @@ import (
 type Options struct {
 	// Quick runs each experiment at reduced scale (smoke-test sized).
 	Quick bool
-	// Telemetry, when non-nil, supplies a per-unit recorder: instrumented
-	// experiments attach it to every machine system they build and hand
+	// Telemetry, when non-nil, supplies a per-unit recorder: every unit
+	// attaches it to each machine system it runs (Meter.Run) and hands
 	// the frozen Recording back in UnitResult.Telemetry. The factory is
 	// called from the unit's own goroutine, once per unit.
 	Telemetry func(unit string) *telemetry.Recorder
@@ -28,11 +28,11 @@ type Options struct {
 	// reproducible from the CLI (-seed). Zero keeps each unit's fixed
 	// built-in seed — the golden configuration.
 	Seed uint64
-	// Fault, when non-nil, attaches a fresh fault.Injector built from
-	// this config to every metered machine system (Meter.Run), degrading
-	// the experiments' PM path. The faultmatrix and tenants experiments
-	// ignore it: faultmatrix units construct their own injectors, and
-	// tenants its own meter.
+	// Fault, when non-nil, attaches a fresh per-unit fault.Injector built
+	// from this config to every machine system a unit runs (Meter.Run),
+	// degrading the experiments' PM path. Three experiments do not take
+	// it: crashmatrix runs no timed system, faultmatrix cells construct
+	// their own injectors, and tenants builds its own meter.
 	Fault *fault.Config
 }
 
@@ -64,8 +64,30 @@ type Unit struct {
 	// Name distinguishes the unit within its experiment, e.g. "G1" or
 	// "G1 local PM". Empty for single-unit experiments.
 	Name string
-	// Run computes the unit's structured result.
-	Run func() UnitResult
+	// opts supplies the telemetry factory and fault config of the meter
+	// body runs under (Run); units not built by Options.unit carry none.
+	opts Options
+	body func(*Meter) UnitResult
+}
+
+// Run computes the unit's structured result: the body runs under a meter
+// built from the unit's ID, the Telemetry factory and the fault config,
+// and the meter's simulated cycles and frozen recording are stamped into
+// the result together with the unit's identity.
+func (u Unit) Run() UnitResult {
+	m := &Meter{}
+	if u.opts.Telemetry != nil {
+		m.Rec = u.opts.Telemetry(u.ID())
+	}
+	if u.opts.Fault != nil {
+		m.Inj = fault.New(*u.opts.Fault)
+	}
+	ur := u.body(m)
+	ur.Experiment, ur.Unit, ur.SimCycles = u.Experiment, u.Name, m.SimCycles
+	if m.Rec != nil {
+		ur.Telemetry = m.Rec.Snapshot()
+	}
+	return ur
 }
 
 // ID names the unit for task tracking: "fig2/G1", or just "table1" for
@@ -93,15 +115,16 @@ type UnitResult struct {
 	// from JSON so -json output is byte-identical with telemetry on.
 	Telemetry *telemetry.Recording `json:"-"`
 	// SimCycles totals the simulated cycles of the unit's machine runs
-	// (0 for experiments without a meter). Excluded from JSON.
+	// (0 for units that run no timed system). Excluded from JSON.
 	SimCycles sim.Cycles `json:"-"`
 }
 
-// Meter threads one unit's telemetry through the machine systems it
-// builds: experiments route every sys.Run() through Meter.Run, which
-// attaches the recorder (when telemetry is on) and accumulates simulated
-// cycles. A nil *Meter is valid and just runs the system, so direct
-// library callers (Fig2(Fig2Options{...}) etc.) need not construct one.
+// Meter is the one way the bench layer builds and runs machine systems:
+// every experiment takes its unit's Meter, builds each system with
+// Meter.System and runs it with Meter.Run, which attaches the unit's
+// fault injector and telemetry recorder and accumulates simulated
+// cycles. The exported drivers (Fig2 etc.) run under a zero Meter,
+// which only builds and runs.
 type Meter struct {
 	// Rec is the unit's recorder, nil when telemetry is off.
 	Rec *telemetry.Recorder
@@ -111,27 +134,27 @@ type Meter struct {
 	Inj *fault.Injector
 	// SimCycles accumulates the end times of every metered run.
 	SimCycles sim.Cycles
+	// last is the previous system System built: the donor of the next.
+	last *machine.System
 }
 
-// meter builds the unit's Meter, consulting the Telemetry factory and
-// the fault config.
-func (o Options) meter(unitID string) *Meter {
-	m := &Meter{}
-	if o.Telemetry != nil {
-		m.Rec = o.Telemetry(unitID)
-	}
-	if o.Fault != nil {
-		m.Inj = fault.New(*o.Fault)
-	}
-	return m
+// System builds a fresh system for cfg into the storage of the previous
+// system this meter built (machine.NewSystemReusing), so a sweep's cells
+// recycle the cache geometry instead of re-allocating it. The result is
+// observably identical to machine.NewSystem's, and valid until the next
+// call: its storage then passes to the next system.
+func (m *Meter) System(cfg machine.Config) *machine.System {
+	donor := m.last
+	// Drop the field first: a donor of another geometry (fig4 alternates
+	// G1 and G2) must be collectable while its replacement allocates.
+	m.last = nil
+	m.last = machine.MustNewSystemReusing(cfg, donor)
+	return m.last
 }
 
-// Run executes sys to completion under the meter (nil-safe). Faults
-// attach before telemetry so the recorder registers the fault gauges.
+// Run executes sys to completion under the meter. Faults attach before
+// telemetry so the recorder registers the fault gauges.
 func (m *Meter) Run(sys *machine.System) sim.Cycles {
-	if m == nil {
-		return sys.Run()
-	}
 	if m.Inj != nil {
 		sys.AttachFaults(m.Inj)
 	}
@@ -143,15 +166,10 @@ func (m *Meter) Run(sys *machine.System) sim.Cycles {
 	return end
 }
 
-// finish stamps the meter's accumulated state into the unit result.
-func (m *Meter) finish(ur *UnitResult) {
-	if m == nil {
-		return
-	}
-	ur.SimCycles = m.SimCycles
-	if m.Rec != nil {
-		ur.Telemetry = m.Rec.Snapshot()
-	}
+// unit builds the registry unit exp/name, whose body runs under a meter
+// built from these options (Unit.Run).
+func (o Options) unit(exp, name string, body func(*Meter) UnitResult) Unit {
+	return Unit{Experiment: exp, Name: name, opts: o, body: body}
 }
 
 // experimentSpec ties a registry name to its unit constructor.

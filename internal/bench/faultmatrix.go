@@ -158,30 +158,27 @@ func runPoisonUnit(workload string, seed uint64, n, nPoison int,
 		Injected: injected, Hits: st.PoisonHits, Reported: reported,
 		Repaired: st.Scrubbed, Unreported: st.UnreportedHits,
 	}
-	return faultResult(rec, fmt.Sprintf(
+	return UnitResult{Data: rec, Text: fmt.Sprintf(
 		"faultmatrix poison   %-10s %5d keys  %3d injected  %4d hits  %3d reported  %3d repaired  0 unreported  (seed %d)",
-		workload, n, rec.Injected, rec.Hits, rec.Reported, rec.Repaired, seed))
-}
-
-// faultResult wraps one cell's record for the collector.
-func faultResult(rec FaultMatrixRecord, text string) UnitResult {
-	return UnitResult{Experiment: "faultmatrix", Unit: rec.Class + "/" + rec.Workload, Data: rec, Text: text}
+		workload, n, rec.Injected, rec.Hits, rec.Reported, rec.Repaired, seed)}
 }
 
 // timedPair runs the same single-thread workload on a healthy system
 // and on one degraded by cfg, returning both end times and the
-// degraded run's injector. Faults attach before the meter so telemetry
+// degraded run's injector. The cell owns its injectors, so the meter's
+// run-wide one is dropped; faults attach before the meter so telemetry
 // (when on) registers the fault gauges.
-func timedPair(mtr *Meter, workload func(*machine.Thread), cfg fault.Config) (base, faulted sim.Cycles, inj *fault.Injector) {
-	sysB := machine.MustNewSystem(machine.G1Config(1))
+func timedPair(m *Meter, workload func(*machine.Thread), cfg fault.Config) (base, faulted sim.Cycles, inj *fault.Injector) {
+	m.Inj = nil
+	sysB := m.System(machine.G1Config(1))
 	sysB.Go("healthy", 0, false, workload)
-	base = mtr.Run(sysB)
+	base = m.Run(sysB)
 
-	sysF := machine.MustNewSystem(machine.G1Config(1))
+	sysF := m.System(machine.G1Config(1))
 	inj = fault.New(cfg)
 	sysF.AttachFaults(inj)
 	sysF.Go("degraded", 0, false, workload)
-	faulted = mtr.Run(sysF)
+	faulted = m.Run(sysF)
 	return base, faulted, inj
 }
 
@@ -205,7 +202,7 @@ func faultmatrixUnits(o Options) []Unit {
 	const window = 8 << 20 // cold-read aperture, larger than any cache
 
 	units := []Unit{
-		{Experiment: "faultmatrix", Name: "poison/btree", Run: func() UnitResult {
+		{Experiment: "faultmatrix", Name: "poison/btree", body: func(*Meter) UnitResult {
 			return runPoisonUnit("btree", seeds[0], nKeys, nPoison, func(s *pmem.Session, h *pmem.Heap) faultIndex {
 				tr := btree.New(s, h, btree.RedoLog)
 				w := tr.NewWriter(s, nil)
@@ -222,7 +219,7 @@ func faultmatrixUnits(o Options) []Unit {
 				}
 			})
 		}},
-		{Experiment: "faultmatrix", Name: "poison/cceh", Run: func() UnitResult {
+		{Experiment: "faultmatrix", Name: "poison/cceh", body: func(*Meter) UnitResult {
 			return runPoisonUnit("cceh", seeds[1], nKeys, nPoison, func(s *pmem.Session, h *pmem.Heap) faultIndex {
 				tb := cceh.New(s, h, 0)
 				for k := uint64(1); k <= uint64(nKeys); k++ {
@@ -238,7 +235,7 @@ func faultmatrixUnits(o Options) []Unit {
 				}
 			})
 		}},
-		{Experiment: "faultmatrix", Name: "poison/radix", Run: func() UnitResult {
+		{Experiment: "faultmatrix", Name: "poison/radix", body: func(*Meter) UnitResult {
 			return runPoisonUnit("radix", seeds[2], nKeys, nPoison, func(s *pmem.Session, h *pmem.Heap) faultIndex {
 				tr := radix.New(s, h)
 				for k := uint64(1); k <= uint64(nKeys); k++ {
@@ -254,7 +251,7 @@ func faultmatrixUnits(o Options) []Unit {
 				}
 			})
 		}},
-		{Experiment: "faultmatrix", Name: "poison/kvstore", Run: func() UnitResult {
+		{Experiment: "faultmatrix", Name: "poison/kvstore", body: func(*Meter) UnitResult {
 			return runPoisonUnit("kvstore", seeds[3], nKeys, nPoison, func(s *pmem.Session, h *pmem.Heap) faultIndex {
 				st := kvstore.New(s, h, kvstore.Batched, 1<<18)
 				for k := uint64(1); k <= uint64(nKeys); k++ {
@@ -275,7 +272,7 @@ func faultmatrixUnits(o Options) []Unit {
 		// the UNHARDENED path. The injector must flag every one of those
 		// reads as silent absorption — if it does not, poison slipped
 		// through the stack undetected and the matrix fails.
-		{Experiment: "faultmatrix", Name: "control/unhardened-btree", Run: func() UnitResult {
+		{Experiment: "faultmatrix", Name: "control/unhardened-btree", body: func(*Meter) UnitResult {
 			seed := seeds[4]
 			h := pmem.NewPMHeap(1 << 23)
 			s := pmem.NewFreeSession(h)
@@ -318,15 +315,13 @@ func faultmatrixUnits(o Options) []Unit {
 				Injected: st.PoisonArmed, Hits: st.PoisonHits,
 				Repaired: st.Scrubbed, Unreported: absorbed,
 			}
-			return faultResult(rec, fmt.Sprintf(
+			return UnitResult{Data: rec, Text: fmt.Sprintf(
 				"faultmatrix control  %-10s %5d keys  %3d injected  %4d unreported hits detected  %3d repaired  (seed %d)",
-				"btree", nKeys, rec.Injected, rec.Unreported, rec.Repaired, seed))
+				"btree", nKeys, rec.Injected, rec.Unreported, rec.Repaired, seed)}
 		}},
 
-		{Experiment: "faultmatrix", Name: "thermal/seq-write", Run: func() UnitResult {
+		o.unit("faultmatrix", "thermal/seq-write", func(m *Meter) UnitResult {
 			seed := seeds[5]
-			mtr := o.meter("faultmatrix/thermal/seq-write")
-			mtr.Inj = nil // matrix cells own their injectors
 			// One line per XPLine: partial entries take the eviction RMW
 			// path, so derated media ports backpressure the store stream
 			// (full XPLines would drain through the fire-and-forget
@@ -340,7 +335,7 @@ func faultmatrixUnits(o Options) []Unit {
 				}
 				t.Apply(mem.OpSFence, 0)
 			}
-			base, faulted, inj := timedPair(mtr, wl, fault.Config{
+			base, faulted, inj := timedPair(m, wl, fault.Config{
 				Seed:    seed,
 				Thermal: fault.ThermalProfile{Period: 400000, Window: 200000, DeratePct: 150},
 			})
@@ -353,16 +348,12 @@ func faultmatrixUnits(o Options) []Unit {
 				Class: "thermal", Workload: "seq-write", Seed: seed, Ops: nOps,
 				BaseCycles: base, FaultCycles: faulted, ThrottledOps: st.ThrottledOps,
 			}
-			ur := faultResult(rec, fmt.Sprintf(
+			return UnitResult{Data: rec, Text: fmt.Sprintf(
 				"faultmatrix thermal  %-10s %5d ops   %9dc healthy  %9dc throttled  (+%.1f%%, %d throttled ops, seed %d)",
-				"seq-write", nOps, base, faulted, pctSlower(base, faulted), st.ThrottledOps, seed))
-			mtr.finish(&ur)
-			return ur
-		}},
-		{Experiment: "faultmatrix", Name: "thermal/rand-read", Run: func() UnitResult {
+				"seq-write", nOps, base, faulted, pctSlower(base, faulted), st.ThrottledOps, seed)}
+		}),
+		o.unit("faultmatrix", "thermal/rand-read", func(m *Meter) UnitResult {
 			seed := seeds[6]
-			mtr := o.meter("faultmatrix/thermal/rand-read")
-			mtr.Inj = nil
 			r := sim.NewRand(seed)
 			addrs := make([]mem.Addr, nOps)
 			for i := range addrs {
@@ -373,7 +364,7 @@ func faultmatrixUnits(o Options) []Unit {
 					t.Apply(mem.OpLoad, a)
 				}
 			}
-			base, faulted, inj := timedPair(mtr, wl, fault.Config{
+			base, faulted, inj := timedPair(m, wl, fault.Config{
 				Seed:    seed,
 				Thermal: fault.ThermalProfile{Period: 400000, Window: 200000, DeratePct: 150},
 			})
@@ -386,16 +377,12 @@ func faultmatrixUnits(o Options) []Unit {
 				Class: "thermal", Workload: "rand-read", Seed: seed, Ops: nOps,
 				BaseCycles: base, FaultCycles: faulted, ThrottledOps: st.ThrottledOps,
 			}
-			ur := faultResult(rec, fmt.Sprintf(
+			return UnitResult{Data: rec, Text: fmt.Sprintf(
 				"faultmatrix thermal  %-10s %5d ops   %9dc healthy  %9dc throttled  (+%.1f%%, %d throttled ops, seed %d)",
-				"rand-read", nOps, base, faulted, pctSlower(base, faulted), st.ThrottledOps, seed))
-			mtr.finish(&ur)
-			return ur
-		}},
-		{Experiment: "faultmatrix", Name: "stall/nt-store", Run: func() UnitResult {
+				"rand-read", nOps, base, faulted, pctSlower(base, faulted), st.ThrottledOps, seed)}
+		}),
+		o.unit("faultmatrix", "stall/nt-store", func(m *Meter) UnitResult {
 			seed := seeds[7]
-			mtr := o.meter("faultmatrix/stall/nt-store")
-			mtr.Inj = nil
 			wl := func(t *machine.Thread) {
 				for i := 0; i < nOps; i++ {
 					t.Apply(mem.OpNTStore, mem.PMBase+mem.Addr(i*mem.CachelineSize%window))
@@ -405,7 +392,7 @@ func faultmatrixUnits(o Options) []Unit {
 				}
 				t.Apply(mem.OpSFence, 0)
 			}
-			base, faulted, inj := timedPair(mtr, wl, fault.Config{
+			base, faulted, inj := timedPair(m, wl, fault.Config{
 				Seed:  seed,
 				Stall: fault.StallProfile{Period: 200000, Window: 40000},
 			})
@@ -418,16 +405,12 @@ func faultmatrixUnits(o Options) []Unit {
 				Class: "stall", Workload: "nt-store", Seed: seed, Ops: nOps,
 				BaseCycles: base, FaultCycles: faulted, Stalls: st.Stalls,
 			}
-			ur := faultResult(rec, fmt.Sprintf(
+			return UnitResult{Data: rec, Text: fmt.Sprintf(
 				"faultmatrix stall    %-10s %5d ops   %9dc healthy  %9dc stalled    (+%.1f%%, %d stalled writes, seed %d)",
-				"nt-store", nOps, base, faulted, pctSlower(base, faulted), st.Stalls, seed))
-			mtr.finish(&ur)
-			return ur
-		}},
-		{Experiment: "faultmatrix", Name: "media/wear-rw", Run: func() UnitResult {
+				"nt-store", nOps, base, faulted, pctSlower(base, faulted), st.Stalls, seed)}
+		}),
+		o.unit("faultmatrix", "media/wear-rw", func(m *Meter) UnitResult {
 			seed := seeds[8]
-			mtr := o.meter("faultmatrix/media/wear-rw")
-			mtr.Inj = nil
 			wl := func(t *machine.Thread) {
 				// Write sweep: fill whole XPLines so WCB evictions drive
 				// media writes (each a chance to arm a wear-induced UE)...
@@ -447,7 +430,7 @@ func faultmatrixUnits(o Options) []Unit {
 					t.Apply(mem.OpLoad, mem.PMBase+mem.Addr(i*mem.XPLineSize))
 				}
 			}
-			base, faulted, inj := timedPair(mtr, wl, fault.Config{
+			base, faulted, inj := timedPair(m, wl, fault.Config{
 				Seed:   seed,
 				Poison: fault.PoisonProfile{WriteOneIn: 16, ReadExtraCycles: 500},
 			})
@@ -461,12 +444,10 @@ func faultmatrixUnits(o Options) []Unit {
 				Injected: st.PoisonArmed, Hits: st.MediaPoisonReads,
 				BaseCycles: base, FaultCycles: faulted,
 			}
-			ur := faultResult(rec, fmt.Sprintf(
+			return UnitResult{Data: rec, Text: fmt.Sprintf(
 				"faultmatrix media    %-10s %5d ops   %9dc healthy  %9dc degraded   (+%.1f%%, %d UEs armed, %d poisoned media reads, seed %d)",
-				"wear-rw", rec.Ops, base, faulted, pctSlower(base, faulted), st.PoisonArmed, st.MediaPoisonReads, seed))
-			mtr.finish(&ur)
-			return ur
-		}},
+				"wear-rw", rec.Ops, base, faulted, pctSlower(base, faulted), st.PoisonArmed, st.MediaPoisonReads, seed)}
+		}),
 	}
 	return units
 }

@@ -60,12 +60,14 @@ func (o *Fig10Options) defaults() {
 // Fig10 reproduces §4.1's Fig. 10: CCEH insert latency and throughput
 // versus worker count, with and without a speculative helper thread
 // bound to each worker's sibling hyperthread, on PM or DRAM.
-func Fig10(o Fig10Options) []Fig10Point {
+func Fig10(o Fig10Options) []Fig10Point { return fig10(new(Meter), o) }
+
+func fig10(m *Meter, o Fig10Options) []Fig10Point {
 	o.defaults()
 	points := make([]Fig10Point, 0, len(o.Workers))
 	for _, w := range o.Workers {
-		baseCyc, baseMops := fig10Run(o, w, false)
-		helpCyc, helpMops := fig10Run(o, w, true)
+		baseCyc, baseMops := fig10Run(m, o, w, false)
+		helpCyc, helpMops := fig10Run(m, o, w, true)
 		points = append(points, Fig10Point{
 			Workers:    w,
 			BaseCycles: baseCyc, HelpCycles: helpCyc,
@@ -75,10 +77,10 @@ func Fig10(o Fig10Options) []Fig10Point {
 	return points
 }
 
-func fig10Run(o Fig10Options, workers int, helper bool) (cyclesPerInsert, mops float64) {
+func fig10Run(m *Meter, o Fig10Options, workers int, helper bool) (cyclesPerInsert, mops float64) {
 	mcfg := o.Gen.Config(workers)
 	mcfg.PMDIMMs = o.DIMMs
-	sys := machine.MustNewSystem(mcfg)
+	sys := m.System(mcfg)
 	// Each worker owns a private table shard carved from one parent heap
 	// (disjoint address ranges, private bump pointers — segment splits
 	// mid-run allocate without touching shared host state), and the
@@ -142,7 +144,7 @@ func fig10Run(o Fig10Options, workers int, helper bool) (cyclesPerInsert, mops f
 			})
 		}
 	}
-	sys.Run()
+	m.Run(sys)
 
 	cyclesPerInsert = float64(busy) / float64(inserted)
 	secs := sys.CyclesToSeconds(endMax)
@@ -176,17 +178,13 @@ func fig10Units(o Options) []Unit {
 	}
 	units := make([]Unit, 0, len(cells))
 	for _, cell := range cells {
-		cell := cell
-		units = append(units, Unit{Experiment: "fig10", Name: cell.name, Run: func() UnitResult {
+		units = append(units, o.unit("fig10", cell.name, func(m *Meter) UnitResult {
 			opts := base
 			opts.OnDRAM = cell.onDRAM
 			opts.DIMMs = cell.dimms
-			pts := Fig10(opts)
-			return UnitResult{
-				Experiment: "fig10", Unit: cell.name, Data: pts,
-				Text: cell.prefix + FormatFig10(opts, pts),
-			}
-		}})
+			pts := fig10(m, opts)
+			return UnitResult{Data: pts, Text: cell.prefix + FormatFig10(opts, pts)}
+		}))
 	}
 	return units
 }

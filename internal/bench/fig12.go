@@ -50,12 +50,14 @@ func (o *Fig12Options) defaults() {
 // Fig12 reproduces §4.2's Fig. 12: insert latency and throughput of the
 // FAST & FAIR-style B+-tree with in-place (per-shift persistence
 // barrier) versus out-of-place (redo-log) updates, on a single DIMM.
-func Fig12(o Fig12Options) []Fig12Point {
+func Fig12(o Fig12Options) []Fig12Point { return fig12(new(Meter), o) }
+
+func fig12(m *Meter, o Fig12Options) []Fig12Point {
 	o.defaults()
 	points := make([]Fig12Point, 0, len(o.Threads))
 	for _, th := range o.Threads {
-		inCyc, inMops := fig12Run(o, th, btree.InPlace)
-		rdCyc, rdMops := fig12Run(o, th, btree.RedoLog)
+		inCyc, inMops := fig12Run(m, o, th, btree.InPlace)
+		rdCyc, rdMops := fig12Run(m, o, th, btree.RedoLog)
 		points = append(points, Fig12Point{
 			Threads:       th,
 			InPlaceCycles: inCyc, RedoCycles: rdCyc,
@@ -65,8 +67,8 @@ func Fig12(o Fig12Options) []Fig12Point {
 	return points
 }
 
-func fig12Run(o Fig12Options, threads int, mode btree.Mode) (cyclesPerInsert, mops float64) {
-	sys := machine.MustNewSystem(o.Gen.Config(threads))
+func fig12Run(m *Meter, o Fig12Options, threads int, mode btree.Mode) (cyclesPerInsert, mops float64) {
+	sys := m.System(o.Gen.Config(threads))
 
 	total := o.PrebuildKeys + threads*o.InsertsPerThread
 	// ~14 keys per 512 B node at steady state, plus log regions.
@@ -102,7 +104,7 @@ func fig12Run(o Fig12Options, threads int, mode btree.Mode) (cyclesPerInsert, mo
 			inserted += len(keys)
 		})
 	}
-	sys.Run()
+	m.Run(sys)
 
 	cyclesPerInsert = float64(busy) / float64(inserted)
 	secs := sys.CyclesToSeconds(endMax)
@@ -116,18 +118,14 @@ func fig12Run(o Fig12Options, threads int, mode btree.Mode) (cyclesPerInsert, mo
 func fig12Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		gen := gen
-		units = append(units, Unit{Experiment: "fig12", Name: gen.String(), Run: func() UnitResult {
-			pts := Fig12(Fig12Options{
+		units = append(units, o.unit("fig12", gen.String(), func(m *Meter) UnitResult {
+			pts := fig12(m, Fig12Options{
 				Gen:              gen,
 				PrebuildKeys:     o.scale(800_000, 300_000),
 				InsertsPerThread: o.scale(4_000, 1_500),
 			})
-			return UnitResult{
-				Experiment: "fig12", Unit: gen.String(), Data: pts,
-				Text: FormatFig12(gen, pts),
-			}
-		}})
+			return UnitResult{Data: pts, Text: FormatFig12(gen, pts)}
+		}))
 	}
 	return units
 }

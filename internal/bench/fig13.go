@@ -30,8 +30,6 @@ type Fig13Options struct {
 	WSS []int
 	// MaxVisits caps the number of block visits per cell.
 	MaxVisits int
-	// Meter, when non-nil, threads telemetry through every system run.
-	Meter *Meter
 }
 
 func (o *Fig13Options) defaults() {
@@ -49,18 +47,15 @@ func (o *Fig13Options) defaults() {
 // Fig13 reproduces §4.3's Fig. 13: the §3.4 random-block benchmark with
 // all CPU prefetchers enabled, versus the AVX redirection optimization,
 // measuring the amount of data actually loaded relative to demand.
-func Fig13(o Fig13Options) []Fig13Point {
+func Fig13(o Fig13Options) []Fig13Point { return fig13(new(Meter), o) }
+
+func fig13(m *Meter, o Fig13Options) []Fig13Point {
 	o.defaults()
-	cfg := o.Gen.Config(1)
 	points := make([]Fig13Point, 0, len(o.WSS))
-	// Every cell builds into the previous cell's finished system
-	// (machine.NewSystemReusing).
-	var sys *machine.System
 	for _, wss := range o.WSS {
 		var c [2]trace.Counters // direct, redirected
 		for i := range c {
-			sys = machine.MustNewSystemReusing(cfg, sys)
-			c[i] = fig13Cell(o, sys, wss, i == 1)
+			c[i] = fig13Cell(m, o, wss, i == 1)
 		}
 		points = append(points, Fig13Point{
 			WSSBytes: wss,
@@ -74,7 +69,8 @@ func Fig13(o Fig13Options) []Fig13Point {
 // fig13Cell measures one working-set size on a fresh system, with
 // direct or redirected (optimized) accesses after a warmup of direct
 // ones that only fills caches and on-DIMM buffers.
-func fig13Cell(o Fig13Options, sys *machine.System, wss int, optimized bool) trace.Counters {
+func fig13Cell(m *Meter, o Fig13Options, wss int, optimized bool) trace.Counters {
+	sys := m.System(o.Gen.Config(1))
 	nBlocks := wss / mem.XPLineSize
 	if nBlocks == 0 {
 		nBlocks = 1
@@ -104,7 +100,7 @@ func fig13Cell(o Fig13Options, sys *machine.System, wss int, optimized bool) tra
 			}
 		}
 	})
-	o.Meter.Run(sys)
+	m.Run(sys)
 	return sys.PMCounters()
 }
 
@@ -112,17 +108,10 @@ func fig13Cell(o Fig13Options, sys *machine.System, wss int, optimized bool) tra
 func fig13Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		gen := gen
-		units = append(units, Unit{Experiment: "fig13", Name: gen.String(), Run: func() UnitResult {
-			m := o.meter("fig13/" + gen.String())
-			pts := Fig13(Fig13Options{Gen: gen, MaxVisits: o.scale(40000, 10000), Meter: m})
-			ur := UnitResult{
-				Experiment: "fig13", Unit: gen.String(), Data: pts,
-				Text: FormatFig13(gen, pts),
-			}
-			m.finish(&ur)
-			return ur
-		}})
+		units = append(units, o.unit("fig13", gen.String(), func(m *Meter) UnitResult {
+			pts := fig13(m, Fig13Options{Gen: gen, MaxVisits: o.scale(40000, 10000)})
+			return UnitResult{Data: pts, Text: FormatFig13(gen, pts)}
+		}))
 	}
 	return units
 }

@@ -57,12 +57,14 @@ func (o *Fig14Options) defaults() {
 // redirecting XPLine-aligned random accesses through a DRAM staging
 // buffer. The extra copy hurts at small thread counts; once
 // misprefetching saturates the PM bandwidth, the redirected path wins.
-func Fig14(o Fig14Options) []Fig14Point {
+func Fig14(o Fig14Options) []Fig14Point { return fig14(new(Meter), o) }
+
+func fig14(m *Meter, o Fig14Options) []Fig14Point {
 	o.defaults()
 	points := make([]Fig14Point, 0, len(o.Threads))
 	for _, th := range o.Threads {
-		baseCyc, baseGBs := fig14Run(o, th, false)
-		optCyc, optGBs := fig14Run(o, th, true)
+		baseCyc, baseGBs := fig14Run(m, o, th, false)
+		optCyc, optGBs := fig14Run(m, o, th, true)
 		points = append(points, Fig14Point{
 			Threads:    th,
 			BaseCycles: baseCyc, OptCycles: optCyc,
@@ -72,8 +74,8 @@ func Fig14(o Fig14Options) []Fig14Point {
 	return points
 }
 
-func fig14Run(o Fig14Options, threads int, optimized bool) (cyclesPerBlock, gbs float64) {
-	sys := machine.MustNewSystem(o.Gen.Config(threads))
+func fig14Run(m *Meter, o Fig14Options, threads int, optimized bool) (cyclesPerBlock, gbs float64) {
+	sys := m.System(o.Gen.Config(threads))
 	// Thread bodies share only commutative accumulators (busy, blocks,
 	// endMax) read after Run, plus the DRAM staging heap — allocated once
 	// per body at start, and bodies always start in registration order —
@@ -113,7 +115,7 @@ func fig14Run(o Fig14Options, threads int, optimized bool) (cyclesPerBlock, gbs 
 			blocks += o.BlocksPerThread
 		})
 	}
-	sys.Run()
+	m.Run(sys)
 
 	cyclesPerBlock = float64(busy) / float64(blocks)
 	secs := sys.CyclesToSeconds(endMax)
@@ -127,18 +129,14 @@ func fig14Run(o Fig14Options, threads int, optimized bool) (cyclesPerBlock, gbs 
 func fig14Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		gen := gen
-		units = append(units, Unit{Experiment: "fig14", Name: gen.String(), Run: func() UnitResult {
+		units = append(units, o.unit("fig14", gen.String(), func(m *Meter) UnitResult {
 			opts := Fig14Options{Gen: gen, BlocksPerThread: o.scale(6000, 2000)}
 			if o.Quick {
 				opts.Threads = []int{1, 2, 4, 8, 12, 16}
 			}
-			pts := Fig14(opts)
-			return UnitResult{
-				Experiment: "fig14", Unit: gen.String(), Data: pts,
-				Text: FormatFig14(gen, pts),
-			}
-		}})
+			pts := fig14(m, opts)
+			return UnitResult{Data: pts, Text: FormatFig14(gen, pts)}
+		}))
 	}
 	return units
 }

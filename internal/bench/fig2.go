@@ -26,8 +26,6 @@ type Fig2Options struct {
 	// Passes is the number of measured full passes over the working set
 	// per CpX configuration.
 	Passes int
-	// Meter, when non-nil, threads telemetry through every system run.
-	Meter *Meter
 }
 
 func (o *Fig2Options) defaults() {
@@ -47,19 +45,15 @@ func (o *Fig2Options) defaults() {
 // every cacheline flushed (clflushopt) immediately after it is read so
 // all traffic reaches the DIMM. It reports read amplification as the
 // working set grows.
-func Fig2(o Fig2Options) []Fig2Point {
+func Fig2(o Fig2Options) []Fig2Point { return fig2(new(Meter), o) }
+
+func fig2(m *Meter, o Fig2Options) []Fig2Point {
 	o.defaults()
-	cfg := o.Gen.Config(1)
 	points := make([]Fig2Point, 0, len(o.WSS))
-	// Every cell builds into the previous cell's finished system
-	// (machine.NewSystemReusing): a fresh system without re-allocating
-	// the cache geometry.
-	var sys *machine.System
 	for _, wss := range o.WSS {
 		p := Fig2Point{WSSBytes: wss}
 		for cpx := 1; cpx <= mem.LinesPerXPLine; cpx++ {
-			sys = machine.MustNewSystemReusing(cfg, sys)
-			p.RA[cpx-1] = fig2Cell(o, sys, wss, cpx)
+			p.RA[cpx-1] = fig2Cell(m, o, wss, cpx)
 		}
 		points = append(points, p)
 	}
@@ -67,7 +61,8 @@ func Fig2(o Fig2Options) []Fig2Point {
 }
 
 // fig2Cell measures RA for one (wss, cpx) cell on a fresh system.
-func fig2Cell(o Fig2Options, sys *machine.System, wss, cpx int) float64 {
+func fig2Cell(m *Meter, o Fig2Options, wss, cpx int) float64 {
+	sys := m.System(o.Gen.Config(1))
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
 		nXPLines = 1
@@ -98,7 +93,7 @@ func fig2Cell(o Fig2Options, sys *machine.System, wss, cpx int) float64 {
 			onePass(t, cpx)
 		}
 	})
-	o.Meter.Run(sys)
+	m.Run(sys)
 	return sys.PMCounters().RA()
 }
 
@@ -106,17 +101,10 @@ func fig2Cell(o Fig2Options, sys *machine.System, wss, cpx int) float64 {
 func fig2Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		gen := gen
-		units = append(units, Unit{Experiment: "fig2", Name: gen.String(), Run: func() UnitResult {
-			m := o.meter("fig2/" + gen.String())
-			pts := Fig2(Fig2Options{Gen: gen, Passes: o.scale(8, 3), Meter: m})
-			ur := UnitResult{
-				Experiment: "fig2", Unit: gen.String(), Data: pts,
-				Text: fmt.Sprintf("[%s] %s", gen, FormatFig2(pts)),
-			}
-			m.finish(&ur)
-			return ur
-		}})
+		units = append(units, o.unit("fig2", gen.String(), func(m *Meter) UnitResult {
+			pts := fig2(m, Fig2Options{Gen: gen, Passes: o.scale(8, 3)})
+			return UnitResult{Data: pts, Text: fmt.Sprintf("[%s] %s", gen, FormatFig2(pts))}
+		}))
 	}
 	return units
 }

@@ -28,8 +28,6 @@ type Fig3Options struct {
 	// RandomOrder shuffles the across-XPLine visit order. The paper
 	// finds WA independent of it; both orders are exposed for tests.
 	RandomOrder bool
-	// Meter, when non-nil, threads telemetry through every system run.
-	Meter *Meter
 }
 
 func (o *Fig3Options) defaults() {
@@ -47,17 +45,15 @@ func (o *Fig3Options) defaults() {
 // Fig3 reproduces §3.2's write-amplification experiment: non-temporal
 // stores writing 1..4 cachelines of each XPLine (partial vs full
 // writes), bypassing the CPU caches, measuring media-vs-iMC write bytes.
-func Fig3(o Fig3Options) []Fig3Point {
+func Fig3(o Fig3Options) []Fig3Point { return fig3(new(Meter), o) }
+
+func fig3(m *Meter, o Fig3Options) []Fig3Point {
 	o.defaults()
-	cfg := o.Gen.Config(1)
 	points := make([]Fig3Point, 0, len(o.WSS))
-	// As in Fig2, every cell builds into the previous cell's system.
-	var sys *machine.System
 	for _, wss := range o.WSS {
 		p := Fig3Point{WSSBytes: wss}
 		for lines := 1; lines <= mem.LinesPerXPLine; lines++ {
-			sys = machine.MustNewSystemReusing(cfg, sys)
-			p.WA[lines-1] = fig3Cell(o, sys, wss, lines)
+			p.WA[lines-1] = fig3Cell(m, o, wss, lines)
 		}
 		points = append(points, p)
 	}
@@ -65,7 +61,8 @@ func Fig3(o Fig3Options) []Fig3Point {
 }
 
 // fig3Cell measures WA for one (wss, linesPerXPL) cell on a fresh system.
-func fig3Cell(o Fig3Options, sys *machine.System, wss, linesPerXPL int) float64 {
+func fig3Cell(m *Meter, o Fig3Options, wss, linesPerXPL int) float64 {
+	sys := m.System(o.Gen.Config(1))
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
 		nXPLines = 1
@@ -104,7 +101,7 @@ func fig3Cell(o Fig3Options, sys *machine.System, wss, linesPerXPL int) float64 
 		t.Compute(4 * 5000)
 		t.NTStore(base) // touch the DIMM so lazy write-back runs
 	})
-	o.Meter.Run(sys)
+	m.Run(sys)
 	c := sys.PMCounters()
 	// Exclude the single drain-touch write from the denominator.
 	c.IMCWriteBytes -= mem.CachelineSize
@@ -115,17 +112,10 @@ func fig3Cell(o Fig3Options, sys *machine.System, wss, linesPerXPL int) float64 
 func fig3Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		gen := gen
-		units = append(units, Unit{Experiment: "fig3", Name: gen.String(), Run: func() UnitResult {
-			m := o.meter("fig3/" + gen.String())
-			pts := Fig3(Fig3Options{Gen: gen, Passes: o.scale(12, 4), Meter: m})
-			ur := UnitResult{
-				Experiment: "fig3", Unit: gen.String(), Data: pts,
-				Text: fmt.Sprintf("[%s] %s", gen, FormatFig3(pts)),
-			}
-			m.finish(&ur)
-			return ur
-		}})
+		units = append(units, o.unit("fig3", gen.String(), func(m *Meter) UnitResult {
+			pts := fig3(m, Fig3Options{Gen: gen, Passes: o.scale(12, 4)})
+			return UnitResult{Data: pts, Text: fmt.Sprintf("[%s] %s", gen, FormatFig3(pts))}
+		}))
 	}
 	return units
 }

@@ -22,8 +22,6 @@ type Fig4Options struct {
 	WSS []int
 	// Writes is the number of measured random partial writes per cell.
 	Writes int
-	// Meter, when non-nil, threads telemetry through every system run.
-	Meter *Meter
 }
 
 func (o *Fig4Options) defaults() {
@@ -40,21 +38,23 @@ func (o *Fig4Options) defaults() {
 // absorbed by the write buffer, on both generations. G1's batch eviction
 // at its 12 KB high watermark produces the sharp knee; G2's single
 // random-victim eviction declines gracefully past a larger knee.
-func Fig4(o Fig4Options) []Fig4Point {
+func Fig4(o Fig4Options) []Fig4Point { return fig4(new(Meter), o) }
+
+func fig4(m *Meter, o Fig4Options) []Fig4Point {
 	o.defaults()
 	points := make([]Fig4Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
 		p := Fig4Point{WSSBytes: wss, HitRatio: make(map[Gen]float64, 2)}
 		for _, gen := range []Gen{G1, G2} {
-			p.HitRatio[gen] = fig4Run(gen, wss, o.Writes, o.Meter)
+			p.HitRatio[gen] = fig4Run(m, gen, wss, o.Writes)
 		}
 		points = append(points, p)
 	}
 	return points
 }
 
-func fig4Run(gen Gen, wss, writes int, m *Meter) float64 {
-	sys := machine.MustNewSystem(gen.Config(1))
+func fig4Run(m *Meter, gen Gen, wss, writes int) float64 {
+	sys := m.System(gen.Config(1))
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
 		nXPLines = 1
@@ -89,13 +89,10 @@ func fig4Run(gen Gen, wss, writes int, m *Meter) float64 {
 // fig4Units returns the experiment's single unit (both generations run
 // inside one sweep).
 func fig4Units(o Options) []Unit {
-	return []Unit{{Experiment: "fig4", Run: func() UnitResult {
-		m := o.meter("fig4")
-		pts := Fig4(Fig4Options{Writes: o.scale(20000, 5000), Meter: m})
-		ur := UnitResult{Experiment: "fig4", Data: pts, Text: FormatFig4(pts)}
-		m.finish(&ur)
-		return ur
-	}}}
+	return []Unit{o.unit("fig4", "", func(m *Meter) UnitResult {
+		pts := fig4(m, Fig4Options{Writes: o.scale(20000, 5000)})
+		return UnitResult{Data: pts, Text: FormatFig4(pts)}
+	})}
 }
 
 // FormatFig4 renders the points as the paper's Fig. 4.

@@ -84,19 +84,21 @@ func (o *Fig6Options) defaults() {
 // cachelines of each block sequentially and flushing the block from the
 // CPU cache afterwards, with one CPU prefetcher enabled at a time. It
 // reports the PM (media/demand) and iMC (iMC/demand) read ratios.
-func Fig6(o Fig6Options) []Fig6Point {
+func Fig6(o Fig6Options) []Fig6Point { return fig6(new(Meter), o) }
+
+func fig6(m *Meter, o Fig6Options) []Fig6Point {
 	o.defaults()
 	points := make([]Fig6Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
-		points = append(points, fig6Run(o.Gen, o.Setting, wss, o.MaxVisits))
+		points = append(points, fig6Run(m, o.Gen, o.Setting, wss, o.MaxVisits))
 	}
 	return points
 }
 
-func fig6Run(gen Gen, setting PrefetchSetting, wss, maxVisits int) Fig6Point {
+func fig6Run(m *Meter, gen Gen, setting PrefetchSetting, wss, maxVisits int) Fig6Point {
 	cfg := gen.Config(1)
 	cfg.Prefetch = setting.Config()
-	sys := machine.MustNewSystem(cfg)
+	sys := m.System(cfg)
 	nBlocks := wss / mem.XPLineSize
 	if nBlocks == 0 {
 		nBlocks = 1
@@ -130,7 +132,7 @@ func fig6Run(gen Gen, setting PrefetchSetting, wss, maxVisits int) Fig6Point {
 			visit(t, rng.Intn(nBlocks))
 		}
 	})
-	sys.Run()
+	m.Run(sys)
 	c := sys.PMCounters()
 	return Fig6Point{WSSBytes: wss, PMRatio: c.PMReadRatio(), IMCRatio: c.IMCReadRatio()}
 }
@@ -138,18 +140,13 @@ func fig6Run(gen Gen, setting PrefetchSetting, wss, maxVisits int) Fig6Point {
 // fig6Units returns one unit per (generation, prefetcher setting)
 // panel.
 func fig6Units(o Options) []Unit {
-	var units []Unit
+	units := make([]Unit, 0, 8)
 	for _, gen := range []Gen{G1, G2} {
 		for _, set := range []PrefetchSetting{PFNone, PFHardware, PFAdjacent, PFDCUStreamer} {
-			gen, set := gen, set
-			name := fmt.Sprintf("%s %s", gen, set)
-			units = append(units, Unit{Experiment: "fig6", Name: name, Run: func() UnitResult {
-				pts := Fig6(Fig6Options{Gen: gen, Setting: set, MaxVisits: o.scale(40000, 8000)})
-				return UnitResult{
-					Experiment: "fig6", Unit: name, Data: pts,
-					Text: FormatFig6(gen, set, pts),
-				}
-			}})
+			units = append(units, o.unit("fig6", gen.String()+" "+set.String(), func(m *Meter) UnitResult {
+				pts := fig6(m, Fig6Options{Gen: gen, Setting: set, MaxVisits: o.scale(40000, 8000)})
+				return UnitResult{Data: pts, Text: FormatFig6(gen, set, pts)}
+			}))
 		}
 	}
 	return units

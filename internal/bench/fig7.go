@@ -53,8 +53,6 @@ type Fig7Options struct {
 	Distances []int
 	// Passes is the number of measured passes over the 4 KB working set.
 	Passes int
-	// Meter, when non-nil, threads telemetry through every system run.
-	Meter *Meter
 }
 
 func (o *Fig7Options) defaults() {
@@ -76,34 +74,33 @@ func (o *Fig7Options) defaults() {
 // walk a 4 KB region one cacheline at a time, persisting each line
 // (store+clwb or nt-store, then a fence), then loading the line persisted
 // `distance` iterations earlier. It reports average cycles per iteration.
-func Fig7(o Fig7Options) []Fig7Point {
+func Fig7(o Fig7Options) []Fig7Point { return fig7(new(Meter), o) }
+
+func fig7(m *Meter, o Fig7Options) []Fig7Point {
 	o.defaults()
 	points := make([]Fig7Point, 0, len(o.Distances))
 	for _, d := range o.Distances {
-		points = append(points, Fig7Point{
-			Distance: d,
-			Cycles:   fig7Run(o.Gen, o.Variant, o.PM, o.Remote, d, o.Passes, o.Meter),
-		})
+		points = append(points, Fig7Point{Distance: d, Cycles: fig7Run(m, o, d)})
 	}
 	return points
 }
 
-func fig7Run(gen Gen, variant RAPVariant, pm, remote bool, distance, passes int, m *Meter) float64 {
-	cfg := gen.Config(1)
+func fig7Run(m *Meter, o Fig7Options, distance int) float64 {
+	cfg := o.Gen.Config(1)
 	// The latency probe runs with CPU prefetchers disabled: its read
 	// stream is sequential, and prefetching would hide exactly the
 	// hazard the experiment measures.
 	cfg.Prefetch = prefetch.None()
-	sys := machine.MustNewSystem(cfg)
+	sys := m.System(cfg)
 	const wss = 4 * KB
 	base := mem.Addr(1 << 20)
-	if pm {
+	if o.PM {
 		base = mem.PMBase
 	}
 
 	iteration := func(t *machine.Thread, off int) {
 		addr := base + mem.Addr(off)
-		switch variant {
+		switch o.Variant {
 		case RAPNTStoreMFence:
 			t.NTStore(addr)
 			t.MFence()
@@ -121,7 +118,7 @@ func fig7Run(gen Gen, variant RAPVariant, pm, remote bool, distance, passes int,
 	}
 
 	var perIter float64
-	sys.Go("fig7", 0, remote, func(t *machine.Thread) {
+	sys.Go("fig7", 0, o.Remote, func(t *machine.Thread) {
 		// Warmup passes to reach steady state.
 		for p := 0; p < 3; p++ {
 			for off := 0; off < wss; off += mem.CachelineSize {
@@ -130,7 +127,7 @@ func fig7Run(gen Gen, variant RAPVariant, pm, remote bool, distance, passes int,
 		}
 		start := t.Now()
 		iters := 0
-		for p := 0; p < passes; p++ {
+		for p := 0; p < o.Passes; p++ {
 			for off := 0; off < wss; off += mem.CachelineSize {
 				iteration(t, off)
 				iters++
@@ -152,16 +149,16 @@ func Fig7Variants(pm bool) []RAPVariant {
 	return variants
 }
 
-// Fig7Curves runs all of one panel's variants and returns the raw
+// fig7Curves runs all of one panel's variants and returns the raw
 // series.
-func Fig7Curves(gen Gen, pm, remote bool, opts Fig7Options) map[RAPVariant][]Fig7Point {
+func fig7Curves(m *Meter, gen Gen, pm, remote bool, opts Fig7Options) map[RAPVariant][]Fig7Point {
 	opts.Gen = gen
 	opts.PM = pm
 	opts.Remote = remote
 	series := make(map[RAPVariant][]Fig7Point)
 	for _, v := range Fig7Variants(pm) {
 		opts.Variant = v
-		series[v] = Fig7(opts)
+		series[v] = fig7(m, opts)
 	}
 	return series
 }
@@ -183,7 +180,7 @@ func fig7PanelName(gen Gen, pm, remote bool) string {
 	if remote {
 		socket = "remote"
 	}
-	return fmt.Sprintf("%s %s %s", gen, socket, dev)
+	return gen.String() + " " + socket + " " + dev
 }
 
 // fig7Units returns one unit per (generation, device, socket) panel
@@ -193,42 +190,26 @@ func fig7Units(o Options) []Unit {
 	if o.Quick {
 		opts.Distances = []int{0, 1, 2, 4, 8, 16, 40}
 	}
-	var units []Unit
+	units := make([]Unit, 0, 8)
 	for _, gen := range []Gen{G1, G2} {
 		for _, cell := range []struct{ pm, remote bool }{
 			{true, false}, {false, false}, {true, true}, {false, true},
 		} {
-			gen, cell := gen, cell
-			name := fig7PanelName(gen, cell.pm, cell.remote)
-			units = append(units, Unit{Experiment: "fig7", Name: name, Run: func() UnitResult {
-				cellOpts := opts
-				m := o.meter("fig7/" + name)
-				cellOpts.Meter = m
-				curves := Fig7Curves(gen, cell.pm, cell.remote, cellOpts)
+			units = append(units, o.unit("fig7", fig7PanelName(gen, cell.pm, cell.remote), func(m *Meter) UnitResult {
+				curves := fig7Curves(m, gen, cell.pm, cell.remote, opts)
 				ordered := make([]Fig7Curve, 0, len(curves))
 				for _, v := range Fig7Variants(cell.pm) {
 					ordered = append(ordered, Fig7Curve{Variant: v.String(), Points: curves[v]})
 				}
-				ur := UnitResult{
-					Experiment: "fig7", Unit: name, Data: ordered,
-					Text: FormatFig7Panel(gen, cell.pm, cell.remote, curves),
-				}
-				m.finish(&ur)
-				return ur
-			}})
+				return UnitResult{Data: ordered, Text: formatFig7(gen, cell.pm, cell.remote, curves)}
+			}))
 		}
 	}
 	return units
 }
 
-// Fig7Panel runs all three variants (or the two DRAM ones) for one
-// device/socket cell and renders them side by side.
-func Fig7Panel(gen Gen, pm, remote bool, opts Fig7Options) string {
-	return FormatFig7Panel(gen, pm, remote, Fig7Curves(gen, pm, remote, opts))
-}
-
-// FormatFig7Panel renders precomputed panel curves.
-func FormatFig7Panel(gen Gen, pm, remote bool, series map[RAPVariant][]Fig7Point) string {
+// formatFig7 renders precomputed panel curves.
+func formatFig7(gen Gen, pm, remote bool, series map[RAPVariant][]Fig7Point) string {
 	variants := Fig7Variants(pm)
 
 	devName := "DRAM"

@@ -89,17 +89,19 @@ func (o *Fig8Options) defaults() {
 // linked list of 256 B XPLine-aligned elements traversed by pointer
 // chasing, updating one pad cacheline per element under the selected
 // persistency model, or the pure-read/pure-write decompositions.
-func Fig8(o Fig8Options) []Fig8Point {
+func Fig8(o Fig8Options) []Fig8Point { return fig8(new(Meter), o) }
+
+func fig8(m *Meter, o Fig8Options) []Fig8Point {
 	o.defaults()
 	points := make([]Fig8Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
-		points = append(points, Fig8Point{WSSBytes: wss, Cycles: fig8Run(o, wss)})
+		points = append(points, Fig8Point{WSSBytes: wss, Cycles: fig8Run(m, o, wss)})
 	}
 	return points
 }
 
-func fig8Run(o Fig8Options, wss int) float64 {
-	sys := machine.MustNewSystem(o.Gen.Config(1))
+func fig8Run(m *Meter, o Fig8Options, wss int) float64 {
+	sys := m.System(o.Gen.Config(1))
 	nElems := wss / workload.ElementSize
 	if nElems < 2 {
 		nElems = 2
@@ -189,7 +191,7 @@ func fig8Run(o Fig8Options, wss int) float64 {
 		run(visits)
 		perElem = float64(t.Now()-start) / float64(visits)
 	})
-	sys.Run()
+	m.Run(sys)
 	return perElem
 }
 
@@ -199,8 +201,8 @@ type Fig8Series struct {
 	Points []Fig8Point
 }
 
-// Fig8Panel computes one panel of Fig. 8.
-func Fig8Panel(gen Gen, mode Fig8Mode, opts Fig8Options) []Fig8Series {
+// fig8Panel computes one panel of Fig. 8.
+func fig8Panel(m *Meter, gen Gen, mode Fig8Mode, opts Fig8Options) []Fig8Series {
 	opts.Gen = gen
 	opts.Mode = mode
 	var out []Fig8Series
@@ -208,14 +210,14 @@ func Fig8Panel(gen Gen, mode Fig8Mode, opts Fig8Options) []Fig8Series {
 	case Fig8PureRead:
 		for _, random := range []bool{false, true} {
 			opts.Random = random
-			out = append(out, Fig8Series{Label: rdLabel(random), Points: Fig8(opts)})
+			out = append(out, Fig8Series{Label: rdLabel(random), Points: fig8(m, opts)})
 		}
 	case Fig8PureWrite, Fig8Strict, Fig8Relaxed, Fig8Epoch:
 		for _, nt := range []bool{false, true} {
 			for _, random := range []bool{false, true} {
 				opts.NTStore = nt
 				opts.Random = random
-				out = append(out, Fig8Series{Label: wrLabel(random, nt), Points: Fig8(opts)})
+				out = append(out, Fig8Series{Label: wrLabel(random, nt), Points: fig8(m, opts)})
 			}
 		}
 	}
@@ -242,24 +244,19 @@ func wrLabel(random, nt bool) string {
 }
 
 // fig8PanelModes are the panels optbench regenerates (Fig8Epoch is the
-// §3.6 extension, exposed through Fig8Panel but not part of the paper's
+// §3.6 extension, exposed through Fig8 but not part of the paper's
 // figure).
 var fig8PanelModes = []Fig8Mode{Fig8Strict, Fig8Relaxed, Fig8PureRead, Fig8PureWrite}
 
 // fig8Units returns one unit per (generation, mode) panel.
 func fig8Units(o Options) []Unit {
-	var units []Unit
+	units := make([]Unit, 0, 8)
 	for _, gen := range []Gen{G1, G2} {
 		for _, mode := range fig8PanelModes {
-			gen, mode := gen, mode
-			name := fmt.Sprintf("%s %s", gen, mode)
-			units = append(units, Unit{Experiment: "fig8", Name: name, Run: func() UnitResult {
-				series := Fig8Panel(gen, mode, Fig8Options{MaxElements: o.scale(150000, 30000)})
-				return UnitResult{
-					Experiment: "fig8", Unit: name, Data: series,
-					Text: FormatFig8(gen, mode, series),
-				}
-			}})
+			units = append(units, o.unit("fig8", gen.String()+" "+mode.String(), func(m *Meter) UnitResult {
+				series := fig8Panel(m, gen, mode, Fig8Options{MaxElements: o.scale(150000, 30000)})
+				return UnitResult{Data: series, Text: FormatFig8(gen, mode, series)}
+			}))
 		}
 	}
 	return units

@@ -47,10 +47,12 @@ func (o *IndexesOptions) defaults() {
 // work (Lersch et al.), run on the simulated DIMM: it shows how each
 // structure's access pattern (probe count, pointer-chase depth, persist
 // pattern) maps onto the §3 buffer mechanics.
-func Indexes(o IndexesOptions) []IndexResult {
+func Indexes(o IndexesOptions) []IndexResult { return indexes(new(Meter), o) }
+
+func indexes(m *Meter, o IndexesOptions) []IndexResult {
 	o.defaults()
 	return []IndexResult{
-		indexRun(o, "cceh", func(n int) uint64 { return cceh.HeapFor(n) }, func(s *pmem.Session, h *pmem.Heap) indexOps {
+		indexRun(m, o, "cceh", func(n int) uint64 { return cceh.HeapFor(n) }, func(s *pmem.Session, h *pmem.Heap) indexOps {
 			tbl := cceh.New(s, h, 8)
 			return indexOps{
 				bindInsert: func(ts *pmem.Session) func(k, v uint64) error {
@@ -59,7 +61,7 @@ func Indexes(o IndexesOptions) []IndexResult {
 				lookup: func(ts *pmem.Session, k uint64) bool { _, ok := tbl.Lookup(ts, k); return ok },
 			}
 		}),
-		indexRun(o, "btree (in-place)", btreeHeapFor, func(s *pmem.Session, h *pmem.Heap) indexOps {
+		indexRun(m, o, "btree (in-place)", btreeHeapFor, func(s *pmem.Session, h *pmem.Heap) indexOps {
 			tr := btree.New(s, h, btree.InPlace)
 			return indexOps{
 				bindInsert: func(ts *pmem.Session) func(k, v uint64) error {
@@ -69,7 +71,7 @@ func Indexes(o IndexesOptions) []IndexResult {
 				lookup: func(ts *pmem.Session, k uint64) bool { _, ok := tr.Get(ts, k); return ok },
 			}
 		}),
-		indexRun(o, "btree (redo)", btreeHeapFor, func(s *pmem.Session, h *pmem.Heap) indexOps {
+		indexRun(m, o, "btree (redo)", btreeHeapFor, func(s *pmem.Session, h *pmem.Heap) indexOps {
 			tr := btree.New(s, h, btree.RedoLog)
 			return indexOps{
 				bindInsert: func(ts *pmem.Session) func(k, v uint64) error {
@@ -79,7 +81,7 @@ func Indexes(o IndexesOptions) []IndexResult {
 				lookup: func(ts *pmem.Session, k uint64) bool { _, ok := tr.Get(ts, k); return ok },
 			}
 		}),
-		indexRun(o, "radix (WORT)", func(n int) uint64 { return radix.HeapFor(n) }, func(s *pmem.Session, h *pmem.Heap) indexOps {
+		indexRun(m, o, "radix (WORT)", func(n int) uint64 { return radix.HeapFor(n) }, func(s *pmem.Session, h *pmem.Heap) indexOps {
 			tr := radix.New(s, h)
 			return indexOps{
 				bindInsert: func(ts *pmem.Session) func(k, v uint64) error {
@@ -101,8 +103,8 @@ type indexOps struct {
 // btreeHeapFor sizes a B+-tree heap for n keys.
 func btreeHeapFor(n int) uint64 { return uint64(n)*48 + (64 << 20) }
 
-func indexRun(o IndexesOptions, name string, heapFor func(int) uint64, build func(*pmem.Session, *pmem.Heap) indexOps) IndexResult {
-	sys := machine.MustNewSystem(o.Gen.Config(1))
+func indexRun(m *Meter, o IndexesOptions, name string, heapFor func(int) uint64, build func(*pmem.Session, *pmem.Heap) indexOps) IndexResult {
+	sys := m.System(o.Gen.Config(1))
 	h := pmem.NewPMHeap(heapFor(o.PrebuildKeys + 4*o.Ops))
 	free := pmem.NewFreeSession(h)
 	ops := build(free, h)
@@ -137,20 +139,20 @@ func indexRun(o IndexesOptions, name string, heapFor func(int) uint64, build fun
 			res.Lookup.AddCycles(t.Now() - before)
 		}
 	})
-	sys.Run()
+	m.Run(sys)
 	return res
 }
 
 // indexesUnits returns the experiment's single unit.
 func indexesUnits(o Options) []Unit {
-	return []Unit{{Experiment: "indexes", Run: func() UnitResult {
+	return []Unit{o.unit("indexes", "", func(m *Meter) UnitResult {
 		opts := IndexesOptions{
 			PrebuildKeys: o.scale(600_000, 200_000),
 			Ops:          o.scale(4_000, 1_500),
 		}
-		results := Indexes(opts)
-		return UnitResult{Experiment: "indexes", Data: results, Text: FormatIndexes(opts, results)}
-	}}}
+		results := indexes(m, opts)
+		return UnitResult{Data: results, Text: FormatIndexes(opts, results)}
+	})}
 }
 
 // FormatIndexes renders the comparison.

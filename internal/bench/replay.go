@@ -57,8 +57,8 @@ type ReplayResult struct {
 	PerThread       []replay.ThreadStat `json:"per_thread"`
 }
 
-// ReplayTrace parses and replays one bundled trace at the given scale.
-func replayTrace(gen Gen, spec replaySpec, passes int, m *Meter) (ReplayResult, error) {
+// replayTrace parses and replays one bundled trace at the given scale.
+func replayTrace(m *Meter, gen Gen, spec replaySpec, passes int) (ReplayResult, error) {
 	raw, err := replayTraces.ReadFile(spec.Path)
 	if err != nil {
 		return ReplayResult{}, fmt.Errorf("bench: bundled trace %s: %w", spec.Path, err)
@@ -98,21 +98,13 @@ func replayUnits(o Options) []Unit {
 	units := make([]Unit, 0, len(replaySpecs)*2)
 	for _, spec := range replaySpecs {
 		for _, gen := range []Gen{G1, G2} {
-			spec, gen := spec, gen
-			name := gen.String() + " " + spec.Key
-			units = append(units, Unit{Experiment: "replay", Name: name, Run: func() UnitResult {
-				m := o.meter("replay/" + name)
-				r, err := replayTrace(gen, spec, o.scale(12, 3), m)
+			units = append(units, o.unit("replay", gen.String()+" "+spec.Key, func(m *Meter) UnitResult {
+				r, err := replayTrace(m, gen, spec, o.scale(12, 3))
 				if err != nil {
 					panic(err) // bundled traces are committed; a parse failure is a bug
 				}
-				ur := UnitResult{
-					Experiment: "replay", Unit: name, Data: r,
-					Text: fmt.Sprintf("[%s] %s", gen, FormatReplay(r)),
-				}
-				m.finish(&ur)
-				return ur
-			}})
+				return UnitResult{Data: r, Text: fmt.Sprintf("[%s] %s", gen, FormatReplay(r))}
+			}))
 		}
 	}
 	return units

@@ -32,15 +32,14 @@ type Sec33Result struct {
 }
 
 // Sec33 runs both §3.3 experiments on G1.
-func Sec33() Sec33Result { return sec33Run(nil) }
+func Sec33() Sec33Result { return sec33(new(Meter)) }
 
-// sec33Run is Sec33 with telemetry threaded through its three systems.
-func sec33Run(m *Meter) Sec33Result {
+func sec33(m *Meter) Sec33Result {
 	var r Sec33Result
 
 	// --- Separation: interleaved accesses.
 	{
-		sys := machine.MustNewSystem(G1.Config(1))
+		sys := m.System(G1.Config(1))
 		readBase := mem.PMBase
 		writeBase := mem.PMBase + (1 << 20)
 		sys.Go("s", 0, false, func(t *machine.Thread) {
@@ -72,7 +71,7 @@ func sec33Run(m *Meter) Sec33Result {
 
 	// --- Separation baselines: the regions accessed alone.
 	{
-		sys := machine.MustNewSystem(G1.Config(1))
+		sys := m.System(G1.Config(1))
 		readBase := mem.PMBase
 		writeBase := mem.PMBase + (1 << 20)
 		sys.Go("s", 0, false, func(t *machine.Thread) {
@@ -110,7 +109,7 @@ func sec33Run(m *Meter) Sec33Result {
 
 	// --- Transition: write one line, read the other three, 8 KB WSS.
 	{
-		sys := machine.MustNewSystem(G1.Config(1))
+		sys := m.System(G1.Config(1))
 		base := mem.PMBase
 		sys.Go("s", 0, false, func(t *machine.Thread) {
 			pass := func() {
@@ -143,27 +142,20 @@ func sec33Run(m *Meter) Sec33Result {
 
 // sec33Units returns the experiment's single unit.
 func sec33Units(o Options) []Unit {
-	return []Unit{{Experiment: "sec33", Run: func() UnitResult {
-		m := o.meter("sec33")
-		r := sec33Run(m)
-		ur := UnitResult{Experiment: "sec33", Data: r, Text: FormatSec33(r)}
-		m.finish(&ur)
-		return ur
-	}}}
+	return []Unit{o.unit("sec33", "", func(m *Meter) UnitResult {
+		r := sec33(m)
+		return UnitResult{Data: r, Text: FormatSec33(r)}
+	})}
 }
 
 // latencyUnits returns one idle-latency table unit per generation.
-func latencyUnits(Options) []Unit {
+func latencyUnits(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		gen := gen
-		units = append(units, Unit{Experiment: "latency", Name: gen.String(), Run: func() UnitResult {
-			rows := LatencyTable(gen)
-			return UnitResult{
-				Experiment: "latency", Unit: gen.String(), Data: rows,
-				Text: FormatLatencyTable(gen, rows),
-			}
-		}})
+		units = append(units, o.unit("latency", gen.String(), func(m *Meter) UnitResult {
+			rows := latencyTable(m, gen)
+			return UnitResult{Data: rows, Text: FormatLatencyTable(gen, rows)}
+		}))
 	}
 	return units
 }
@@ -200,9 +192,11 @@ type LatencyRow struct {
 // system: random PM reads are far slower than persists (the paper's
 // "surprising" asymmetry: writes commit at the ADR domain while reads
 // must touch the 3D-XPoint media).
-func LatencyTable(gen Gen) []LatencyRow {
+func LatencyTable(gen Gen) []LatencyRow { return latencyTable(new(Meter), gen) }
+
+func latencyTable(m *Meter, gen Gen) []LatencyRow {
 	measure := func(fn func(t *machine.Thread, i int)) float64 {
-		sys := machine.MustNewSystem(gen.Config(1))
+		sys := m.System(gen.Config(1))
 		const n = 2000
 		var total float64
 		sys.Go("lat", 0, false, func(t *machine.Thread) {
@@ -212,12 +206,12 @@ func LatencyTable(gen Gen) []LatencyRow {
 			}
 			total = float64(t.Now()-start) / n
 		})
-		sys.Run()
+		m.Run(sys)
 		return total
 	}
 	// measureAfter times only op, letting setup run untimed first.
 	measureAfter := func(setup, op func(t *machine.Thread, i int)) float64 {
-		sys := machine.MustNewSystem(gen.Config(1))
+		sys := m.System(gen.Config(1))
 		const n = 2000
 		var total float64
 		sys.Go("lat", 0, false, func(t *machine.Thread) {
@@ -230,7 +224,7 @@ func LatencyTable(gen Gen) []LatencyRow {
 			}
 			total = sum / n
 		})
-		sys.Run()
+		m.Run(sys)
 		return total
 	}
 

@@ -53,21 +53,23 @@ func (o *Table1Options) defaults() {
 // Table1 reproduces §4.1's Table 1: the time breakdown of CCEH key
 // insertion (segment metadata access vs persists vs the rest) for
 // {1, 5} threads on {1, 6} interleaved DIMMs.
-func Table1(o Table1Options) []Table1Row {
+func Table1(o Table1Options) []Table1Row { return table1(new(Meter), o) }
+
+func table1(m *Meter, o Table1Options) []Table1Row {
 	o.defaults()
 	var rows []Table1Row
 	for _, cfg := range []struct{ threads, dimms int }{
 		{1, 1}, {5, 1}, {1, 6}, {5, 6},
 	} {
-		rows = append(rows, table1Run(o, cfg.threads, cfg.dimms))
+		rows = append(rows, table1Run(m, o, cfg.threads, cfg.dimms))
 	}
 	return rows
 }
 
-func table1Run(o Table1Options, threads, dimms int) Table1Row {
+func table1Run(m *Meter, o Table1Options, threads, dimms int) Table1Row {
 	mcfg := o.Gen.Config(threads)
 	mcfg.PMDIMMs = dimms
-	sys := machine.MustNewSystem(mcfg)
+	sys := m.System(mcfg)
 	// Each worker owns a private table shard carved from one parent heap
 	// (the fig10 pattern: disjoint address ranges, private bump pointers,
 	// so segment splits mid-run allocate without touching shared host
@@ -95,7 +97,7 @@ func table1Run(o Table1Options, threads, dimms int) Table1Row {
 			misc += t.TagCycles(cceh.TagMisc)
 		})
 	}
-	sys.Run()
+	m.Run(sys)
 
 	sum := float64(seg + per + misc)
 	return Table1Row{
@@ -110,13 +112,13 @@ func table1Run(o Table1Options, threads, dimms int) Table1Row {
 // table1Units returns the experiment's single unit (the four
 // thread/DIMM configurations run inside one sweep).
 func table1Units(o Options) []Unit {
-	return []Unit{{Experiment: "table1", Run: func() UnitResult {
-		rows := Table1(Table1Options{
+	return []Unit{o.unit("table1", "", func(m *Meter) UnitResult {
+		rows := table1(m, Table1Options{
 			PrebuildKeys:     o.scale(2_000_000, 500_000),
 			InsertsPerThread: o.scale(2_500, 1_000),
 		})
-		return UnitResult{Experiment: "table1", Data: rows, Text: FormatTable1(rows)}
-	}}}
+		return UnitResult{Data: rows, Text: FormatTable1(rows)}
+	})}
 }
 
 // FormatTable1 renders the rows like the paper's Table 1.

@@ -9,13 +9,15 @@ import (
 	"optanesim/internal/telemetry"
 )
 
-// telemetryUnits is the subset the telemetry regression runs: fig2
-// (read-buffer traffic, the paper's headline observation) and fig4
-// (write-buffer evictions), both at -quick scale.
+// telemetryUnits is the subset the telemetry regression runs, all at
+// -quick scale: fig2 (read-buffer traffic, the paper's headline
+// observation), fig4 (write-buffer evictions), latency (a single thread
+// over five systems per unit) and bandwidth (isolated multi-thread
+// runs, whose local overrun switches off under telemetry).
 func telemetryUnits(t *testing.T, o bench.Options) []bench.Unit {
 	t.Helper()
 	var units []bench.Unit
-	for _, name := range []string{"fig2", "fig4"} {
+	for _, name := range []string{"fig2", "fig4", "latency", "bandwidth"} {
 		exp, ok := bench.ExperimentUnits(name, o)
 		if !ok {
 			t.Fatalf("experiment %q not registered", name)
@@ -72,6 +74,7 @@ func TestTelemetryDeterminismAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep; skipped in -short mode")
 	}
+	t.Parallel()
 	seqEv, seqSm, _ := runTelemetry(t, 1)
 	parEv, parSm, _ := runTelemetry(t, 8)
 	if !bytes.Equal(seqEv, parEv) {
@@ -89,6 +92,7 @@ func TestTelemetryUnchangedResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep; skipped in -short mode")
 	}
+	t.Parallel()
 	run := func(o bench.Options) []byte {
 		units := telemetryUnits(t, o)
 		return runStructured(t, units, 4)
@@ -102,7 +106,7 @@ func TestTelemetryUnchangedResults(t *testing.T) {
 	}
 }
 
-// TestTelemetryTraceExport runs fig2+fig4 quick and validates the Chrome
+// TestTelemetryTraceExport runs the telemetry units and validates the Chrome
 // trace export end to end: structural validity plus the presence of the
 // read-buffer and write-buffer event types the paper's observations hinge
 // on.
@@ -110,6 +114,7 @@ func TestTelemetryTraceExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep; skipped in -short mode")
 	}
+	t.Parallel()
 	_, samples, recs := runTelemetry(t, 4)
 
 	var buf bytes.Buffer

@@ -9,45 +9,22 @@ import (
 	"optanesim/internal/telemetry"
 )
 
-// TenantsOptions scales the two-tenant attribution experiment.
-type TenantsOptions struct {
-	Gen Gen
-	// Lines is the per-tenant working set, in cachelines.
-	Lines int
-	// Rounds is the number of passes each tenant makes over its set.
-	Rounds int
-	// Meter, when non-nil, threads telemetry through the system run.
-	Meter *Meter
-}
-
-func (o *TenantsOptions) defaults() {
-	if o.Gen == 0 {
-		o.Gen = G1
-	}
-	if o.Lines <= 0 {
-		o.Lines = 256
-	}
-	if o.Rounds <= 0 {
-		o.Rounds = 12
-	}
-}
-
-// Tenants runs the per-tenant cycle-attribution demonstration: two
-// threads on separate cores share one PM module, one tenant read-heavy
-// (loads with periodic flushes), the other persist-heavy (store +
-// clwb + sfence chains). Each thread labels itself with SetTenant, so
-// the attribution layer splits every latency histogram per tenant —
-// the noisy-neighbor view of §3's buffer contention.
-func Tenants(o TenantsOptions) {
-	o.defaults()
-	sys := machine.MustNewSystem(o.Gen.Config(2))
-	span := o.Lines * mem.CachelineSize
+// tenants runs the per-tenant cycle-attribution demonstration on G1:
+// two threads on separate cores share one PM module, one tenant
+// read-heavy (loads with periodic flushes), the other persist-heavy
+// (store + clwb + sfence chains), each making rounds passes over its own
+// lines-cacheline set. Each thread labels itself with SetTenant, so the
+// attribution layer splits every latency histogram per tenant — the
+// noisy-neighbor view of §3's buffer contention.
+func tenants(m *Meter, lines, rounds int) {
+	sys := m.System(G1.Config(2))
+	span := lines * mem.CachelineSize
 
 	sys.Go("reader", 0, false, func(t *machine.Thread) {
 		t.SetTenant("tenantA")
 		base := mem.PMBase
-		for r := 0; r < o.Rounds; r++ {
-			for i := 0; i < o.Lines; i++ {
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < lines; i++ {
 				addr := base + mem.Addr(i*mem.CachelineSize)
 				t.Load(addr)
 				if i%8 == 7 {
@@ -59,8 +36,8 @@ func Tenants(o TenantsOptions) {
 	sys.Go("writer", 1, false, func(t *machine.Thread) {
 		t.SetTenant("tenantB")
 		base := mem.PMBase + mem.Addr(span)
-		for r := 0; r < o.Rounds; r++ {
-			for i := 0; i < o.Lines; i++ {
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < lines; i++ {
 				addr := base + mem.Addr(i*mem.CachelineSize)
 				t.Store(addr)
 				t.CLWB(addr)
@@ -70,24 +47,21 @@ func Tenants(o TenantsOptions) {
 			}
 		}
 	})
-	o.Meter.Run(sys)
+	m.Run(sys)
 }
 
 // tenantsUnits returns the experiment's single unit. Unlike the other
-// experiments it always builds its own breakdown-enabled recorder
-// (ignoring Options.Telemetry): its Data IS the attribution summaries,
-// so the records must not depend on which telemetry flags the CLI run
-// happened to pass.
+// experiments it carries no options and records into its own
+// breakdown-enabled recorder (ignoring Options.Telemetry and
+// Options.Fault): its Data IS the attribution summaries, so the records
+// must not depend on which telemetry or fault flags the CLI run happened
+// to pass.
 func tenantsUnits(o Options) []Unit {
-	return []Unit{{Experiment: "tenants", Name: "G1", Run: func() UnitResult {
-		rec := telemetry.NewRecorder("tenants/G1", telemetry.Config{Breakdown: true})
-		m := &Meter{Rec: rec}
-		Tenants(TenantsOptions{Gen: G1, Lines: o.scale(256, 96), Rounds: o.scale(12, 4), Meter: m})
-		ur := UnitResult{Experiment: "tenants", Unit: "G1"}
-		m.finish(&ur)
-		ur.Data = ur.Telemetry.Breakdown.Summaries()
-		ur.Text = FormatTenants(ur.Telemetry.Breakdown)
-		return ur
+	return []Unit{{Experiment: "tenants", Name: "G1", body: func(m *Meter) UnitResult {
+		m.Rec = telemetry.NewRecorder("tenants/G1", telemetry.Config{Breakdown: true})
+		tenants(m, o.scale(256, 96), o.scale(12, 4))
+		bd := m.Rec.Snapshot().Breakdown
+		return UnitResult{Data: bd.Summaries(), Text: FormatTenants(bd)}
 	}}}
 }
 

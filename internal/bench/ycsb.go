@@ -90,17 +90,19 @@ func (o *YCSBOptions) defaults() {
 }
 
 // YCSB runs workloads A, B and C over a prebuilt CCEH table.
-func YCSB(o YCSBOptions) []YCSBResult {
+func YCSB(o YCSBOptions) []YCSBResult { return ycsb(new(Meter), o) }
+
+func ycsb(m *Meter, o YCSBOptions) []YCSBResult {
 	o.defaults()
 	out := make([]YCSBResult, 0, 3)
 	for _, w := range []YCSBWorkload{YCSBA, YCSBB, YCSBC} {
-		out = append(out, ycsbRun(o, w))
+		out = append(out, ycsbRun(m, o, w))
 	}
 	return out
 }
 
-func ycsbRun(o YCSBOptions, wl YCSBWorkload) YCSBResult {
-	sys := machine.MustNewSystem(o.Gen.Config(1))
+func ycsbRun(m *Meter, o YCSBOptions, wl YCSBWorkload) YCSBResult {
+	sys := m.System(o.Gen.Config(1))
 	// Single client thread over a private table: no cross-thread effects
 	// at all, so the body is trivially isolated (the declaration is a
 	// no-op for a solo run, but documents the contract for anyone adding
@@ -154,7 +156,7 @@ func ycsbRun(o YCSBOptions, wl YCSBWorkload) YCSBResult {
 		}
 		end = t.Now() - start
 	})
-	sys.Run()
+	m.Run(sys)
 
 	secs := sys.CyclesToSeconds(end)
 	if secs > 0 {
@@ -168,23 +170,19 @@ func ycsbRun(o YCSBOptions, wl YCSBWorkload) YCSBResult {
 func ycsbUnits(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, onDRAM := range []bool{false, true} {
-		onDRAM := onDRAM
 		name := "PM"
 		if onDRAM {
 			name = "DRAM"
 		}
-		units = append(units, Unit{Experiment: "ycsb", Name: name, Run: func() UnitResult {
+		units = append(units, o.unit("ycsb", name, func(m *Meter) UnitResult {
 			opts := YCSBOptions{
 				TableKeys: o.scale(1_000_000, 300_000),
 				Ops:       o.scale(30_000, 8_000),
 				OnDRAM:    onDRAM,
 			}
-			results := YCSB(opts)
-			return UnitResult{
-				Experiment: "ycsb", Unit: name, Data: results,
-				Text: FormatYCSB(opts, results),
-			}
-		}})
+			results := ycsb(m, opts)
+			return UnitResult{Data: results, Text: FormatYCSB(opts, results)}
+		}))
 	}
 	return units
 }

@@ -186,14 +186,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // HitCycles returns the level's hit latency.
 func (c *Cache) HitCycles() sim.Cycles { return c.cfg.HitCycles }
 
-// CommitSlack reports how far past another thread's arrival time an
-// access may reach this cache without any observable reordering — the
-// lookahead scheduler's safe quantum when the cache is a shared level
-// (the L3). It is zero: LRU state, hit/miss statistics and line state
-// all mutate at access time, so a later-timestamped access admitted
-// early would be observed by an earlier-timestamped one.
-func (c *Cache) CommitSlack() sim.Cycles { return 0 }
-
 // setIndex maps a line address to its set number. The result is
 // identical to (line/CachelineSize) % nsets by construction; only the
 // arithmetic route differs.

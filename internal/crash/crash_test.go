@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"optanesim/internal/crash"
-	"optanesim/internal/machine"
 	"optanesim/internal/mem"
 	"optanesim/internal/pmem"
 	"optanesim/internal/sim"
@@ -211,55 +210,5 @@ func TestSamplingDeterministic(t *testing.T) {
 	}
 	if len(a) > 40*8+80 {
 		t.Fatalf("caps not respected: %d states", len(a))
-	}
-}
-
-// The timed plane: a stored PM line is volatile until its writeback is
-// accepted, accepted until it lands, and on media afterwards.
-func TestCycleClassifierADR(t *testing.T) {
-	sys := machine.MustNewSystem(machine.G1Config(1))
-	cc := crash.NewCycleClassifier(false)
-	cc.Attach(sys)
-	addr := mem.PMBase
-	var storeAt, fenceAt sim.Cycles
-	sys.Go("w", 0, false, func(th *machine.Thread) {
-		th.Store(addr)
-		storeAt = th.Now()
-		th.CLWB(addr)
-		th.SFence()
-		fenceAt = th.Now()
-	})
-	end := sys.Run()
-
-	line := addr.Line()
-	if got := cc.StateAt(line, 0); got != crash.StateClean {
-		t.Fatalf("before store: %v, want clean", got)
-	}
-	if got := cc.StateAt(line, storeAt); got != crash.StateVolatile {
-		t.Fatalf("after store: %v, want volatile", got)
-	}
-	if got := cc.StateAt(line, fenceAt); got != crash.StateAccepted && got != crash.StateMedia {
-		t.Fatalf("after fence: %v, want accepted or on-media", got)
-	}
-	if got := cc.StateAt(line, end+1_000_000); got != crash.StateMedia {
-		t.Fatalf("long after fence: %v, want on-media", got)
-	}
-}
-
-func TestCycleClassifierEADR(t *testing.T) {
-	cfg := machine.G2Config(1)
-	cfg.CPU.EADR = true
-	sys := machine.MustNewSystem(cfg)
-	cc := crash.NewCycleClassifier(true)
-	cc.Attach(sys)
-	addr := mem.PMBase
-	var storeAt sim.Cycles
-	sys.Go("w", 0, false, func(th *machine.Thread) {
-		th.Store(addr)
-		storeAt = th.Now()
-	})
-	sys.Run()
-	if got := cc.StateAt(addr.Line(), storeAt); got != crash.StateAccepted {
-		t.Fatalf("eADR store: %v, want accepted (cache is persistent)", got)
 	}
 }

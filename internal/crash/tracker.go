@@ -25,11 +25,6 @@
 //   - Check materializes each image into a cloned heap and runs a
 //     recovery + invariant function against it, capturing panics as
 //     violations.
-//
-// The cycle-stamped view of the same classification (volatile /
-// accepted / on media at a given simulated cycle) lives in
-// CycleClassifier, fed by machine.PersistEvent and the iMC write
-// observer.
 package crash
 
 import (
@@ -53,10 +48,6 @@ const (
 	// StateAccepted: the latest content reached the ADR domain (WPQ
 	// acceptance guaranteed by a fence) — survives a power cut.
 	StateAccepted
-	// StateMedia: the latest content has landed on the media itself.
-	// The functional tracker cannot distinguish this from StateAccepted
-	// (both survive); CycleClassifier can, using landing times.
-	StateMedia
 )
 
 func (s LineState) String() string {
@@ -65,8 +56,6 @@ func (s LineState) String() string {
 		return "volatile"
 	case StateAccepted:
 		return "accepted"
-	case StateMedia:
-		return "on-media"
 	default:
 		return "clean"
 	}

@@ -74,11 +74,6 @@ func (d *DIMM) RAPWindow() sim.Cycles { return d.prof.RAPWindowCycles }
 // scratchpad.
 func (d *DIMM) SetAttr(a *telemetry.OpAttr) { d.attr = a }
 
-// CommitSlack reports zero: port acquisition order is observable (a
-// later-arriving access can be delayed by an earlier one holding a
-// port), so accesses must arrive in exact simulated-time order.
-func (d *DIMM) CommitSlack() sim.Cycles { return 0 }
-
 // ReadLine serves a cacheline read arriving at time now.
 func (d *DIMM) ReadLine(now sim.Cycles, addr mem.Addr, demand bool) sim.Cycles {
 	d.c.IMCReadBytes += mem.CachelineSize

@@ -26,12 +26,6 @@ type Device interface {
 	WriteLine(now sim.Cycles, addr mem.Addr) sim.Cycles
 	// RAPWindow is the device's read-after-persist hazard window.
 	RAPWindow() sim.Cycles
-	// CommitSlack bounds how far past another thread's arrival an access
-	// to this device may be admitted without any observable reordering:
-	// the gap between an access arriving and its earliest effect on what
-	// a later access sees. Arrival-order-sensitive devices must return 0
-	// (see Controller.CommitSlack).
-	CommitSlack() sim.Cycles
 	// Counters exposes the device's traffic counters.
 	Counters() *trace.Counters
 }
@@ -124,12 +118,6 @@ type Controller struct {
 	hazardPrune int
 	maxNow      sim.Cycles
 
-	// writeObs, when non-nil, is called for every write the controller
-	// absorbs with its WPQ acceptance and media landing times. Because
-	// clwb writebacks, nt-stores, and cache evictions all funnel through
-	// Write, an observer sees every transfer into the ADR domain.
-	writeObs func(addr mem.Addr, accept, landed sim.Cycles)
-
 	// tel, when non-nil, receives WPQ enqueue/drain/wait and hazard-stall
 	// events; nil keeps the disabled path to a single pointer test.
 	tel *telemetry.Probe
@@ -153,12 +141,6 @@ func (c *Controller) SetTelemetry(p *telemetry.Probe) { c.tel = p }
 // SetAttr attaches (or, with nil, detaches) the controller's
 // cycle-attribution scratchpad.
 func (c *Controller) SetAttr(a *telemetry.OpAttr) { c.attr = a }
-
-// SetWriteObserver registers fn to observe every write's acceptance and
-// landing times (nil detaches).
-func (c *Controller) SetWriteObserver(fn func(addr mem.Addr, accept, landed sim.Cycles)) {
-	c.writeObs = fn
-}
 
 // SetFaults attaches (or, with nil, detaches) a fault injector whose
 // stall model pauses this controller's WPQ acceptance.
@@ -315,23 +297,8 @@ func (c *Controller) Write(now sim.Cycles, addr mem.Addr) (accept, landed sim.Cy
 	c.hazards.setMax(line, hazard)
 	c.observe(accept)
 	c.maybePruneHazards()
-	if c.writeObs != nil {
-		c.writeObs(addr, accept, landed)
-	}
 	return accept, landed
 }
-
-// CommitSlack reports how far past another thread's arrival time an
-// access may be admitted to this controller without any observable
-// reordering — the lookahead scheduler's safe quantum beyond the
-// min-time bound. The controller is arrival-order-sensitive through and
-// through (the WPQ ring pops, pushes and records lastLand at arrival;
-// the hazard table is read and extended at arrival), so its own slack
-// is zero and zero is returned regardless of the devices' answers: any
-// nonzero device slack is unobservable behind an order-sensitive queue.
-// The method exists so the scheduler's horizon computation has a single
-// component-owned hook should a relaxed controller model ever exist.
-func (c *Controller) CommitSlack() sim.Cycles { return 0 }
 
 // observe tracks the high-water mark of simulated time for hazard
 // pruning.

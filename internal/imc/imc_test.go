@@ -31,7 +31,6 @@ func (s *stubDev) WriteLine(now sim.Cycles, addr mem.Addr) sim.Cycles {
 }
 
 func (s *stubDev) RAPWindow() sim.Cycles     { return s.rapWindow }
-func (s *stubDev) CommitSlack() sim.Cycles   { return 0 }
 func (s *stubDev) Counters() *trace.Counters { return &s.c }
 
 func newStub() *stubDev {

@@ -31,8 +31,7 @@ import (
 //   - When a thread is granted the baton, the horizon is computed once
 //     from the registry of suspended threads (an indexed min-heap keyed
 //     by thread time): the earliest instant at which any other thread
-//     could need to run, plus the shared components' commit slack (see
-//     CommitSlack; zero on every current component).
+//     could need to run.
 //   - While the thread's clock is below the horizon it executes
 //     operations inline; the per-op check is a single comparison.
 //     Suspended threads cannot advance, so the horizon needs no
@@ -49,15 +48,13 @@ import (
 // may execute inline even past the horizon: no other thread can ever
 // observe that they ran early. This is only sound when nothing outside
 // the simulated memory system can observe execution order either, so it
-// is gated three ways: the workload must declare its thread bodies
-// isolated (SetThreadsIsolated), no persist observer may be attached
-// (ObservePersist consumers see per-store events in order), and no
-// telemetry recorder may be attached (the event stream and gauge
-// sampler record in execution order). Everything the simulation reports
-// afterwards — cycle counts, tag attribution, traffic counters — is
-// provably identical with and without overrun, because such operations
-// touch only thread- and core-private state plus order-commutative
-// counters.
+// is gated two ways: the workload must declare its thread bodies
+// isolated (SetThreadsIsolated), and no telemetry recorder may be
+// attached (the event stream and gauge sampler record in execution
+// order). Everything the simulation reports afterwards — cycle counts,
+// tag attribution, traffic counters — is provably identical with and
+// without overrun, because such operations touch only thread- and
+// core-private state plus order-commutative counters.
 
 // Horizon sentinels. horizonNever marks a thread that can never be
 // preempted (a solo run, or the last unfinished thread): its per-op
@@ -159,28 +156,11 @@ func (s *System) grant(t *Thread) {
 		t.horizon = horizonNever
 		return
 	}
-	h := u.now + s.schedSlack
-	if s.schedSlack == 0 && u.id > t.id {
+	h := u.now
+	if u.id > t.id {
 		h++
 	}
 	t.horizon = h
-}
-
-// schedQuantum asks every shared component how far beyond the min-time
-// bound the grant horizon may safely reach: the smallest commit slack —
-// the gap between an access arriving at the component and its earliest
-// effect another thread could observe — over the shared cache level,
-// both memory controllers, and (through the controllers) the memory
-// devices behind them. Every arrival-order-sensitive component answers
-// zero, which pins the horizon to the exact min-time bound on all
-// current configurations; the hook exists so a future order-insensitive
-// component model could widen the window without touching the
-// scheduler.
-func (s *System) schedQuantum() sim.Cycles {
-	q := s.l3.CommitSlack()
-	q = sim.Min(q, s.pmc.CommitSlack())
-	q = sim.Min(q, s.dramc.CommitSlack())
-	return q
 }
 
 // yield re-enters the scheduler at an operation boundary: the calling

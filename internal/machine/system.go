@@ -101,12 +101,10 @@ type System struct {
 
 	// sched holds the suspended runnable threads, keyed by (now, id);
 	// grant horizons are computed against its minimum (see sched.go).
-	// schedSlack caches schedQuantum() for the current Run. isolated is
-	// the workload's SetThreadsIsolated declaration; compatSched (tests
-	// only) forces the classic per-op baton for use as a reference
-	// scheduler.
+	// isolated is the workload's SetThreadsIsolated declaration;
+	// compatSched (tests only) forces the classic per-op baton for use as
+	// a reference scheduler.
 	sched       threadHeap
-	schedSlack  sim.Cycles
 	isolated    bool
 	compatSched bool
 
@@ -115,10 +113,6 @@ type System struct {
 	// (SetTag/TagCycles/Tags). ID 0 is the empty tag (no attribution).
 	tagIDs   map[string]int
 	tagNames []string
-
-	// persistFn, when non-nil, receives timed persistence events (see
-	// ObservePersist).
-	persistFn func(PersistEvent)
 
 	// rec/telProbe, when non-nil, route telemetry from this system (see
 	// AttachTelemetry). telProbe is the machine layer's own source;
@@ -493,8 +487,7 @@ func (s *System) Run() sim.Cycles {
 				t.tenant = t.attr.Tenant(t.tenantName)
 			}
 		}
-		t.localOK = s.isolated && !t.htShared &&
-			s.rec == nil && s.persistFn == nil && !s.compatSched
+		t.localOK = s.isolated && !t.htShared && s.rec == nil && !s.compatSched
 	}
 	s.live = len(s.threads)
 
@@ -511,7 +504,6 @@ func (s *System) Run() sim.Cycles {
 		return end
 	}
 
-	s.schedSlack = s.schedQuantum()
 	s.sched.reset()
 	s.done = make(chan struct{})
 	for _, t := range s.threads {

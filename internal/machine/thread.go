@@ -522,10 +522,10 @@ func (t *Thread) Store(addr mem.Addr) {
 	t.ops++
 	la := addr.Line()
 	// Scheduling gate fused with the way prediction, as in load: a
-	// predicted unflushed private-L1 hit has no shared-visible effect
-	// (the persist observer is nil whenever localOK is set), so an
-	// overrun-cleared thread commits it inline; anything else — flushed
-	// line, L1 miss, fill cascade that can spill into L3 — yields first.
+	// predicted unflushed private-L1 hit has no shared-visible effect,
+	// so an overrun-cleared thread commits it inline; anything else —
+	// flushed line, L1 miss, fill cascade that can spill into L3 —
+	// yields first.
 	var l *cache.Line
 	if t.now < t.horizon {
 		l = t.l1.PredictLine(la)
@@ -566,7 +566,7 @@ func (t *Thread) Store(addr mem.Addr) {
 	}
 	t.record(mem.OpStore, addr, start)
 	if addr.IsPM() {
-		t.sys.emitPersist(PersistEvent{Kind: PersistStore, Thread: t.id, Line: la, At: t.now})
+		t.emitPersist(telemetry.KindPersistStore, la)
 	}
 }
 
@@ -757,7 +757,7 @@ func (t *Thread) SFence() {
 		a.FinishOp(telemetry.ClassFence, t.now-start)
 	}
 	t.record(mem.OpSFence, 0, start)
-	t.sys.emitPersist(PersistEvent{Kind: PersistFence, Thread: t.id, At: t.now})
+	t.emitPersist(telemetry.KindPersistFence, 0)
 }
 
 // MFence is SFence plus load ordering: subsequent loads may not issue
@@ -779,7 +779,16 @@ func (t *Thread) MFence() {
 		a.FinishOp(telemetry.ClassFence, t.now-start)
 	}
 	t.record(mem.OpMFence, 0, start)
-	t.sys.emitPersist(PersistEvent{Kind: PersistFence, Thread: t.id, At: t.now})
+	t.emitPersist(telemetry.KindPersistFence, 0)
+}
+
+// emitPersist records a persistence event — a PM store, or a fence with
+// line 0 — on the telemetry stream. WPQ acceptances are not emitted
+// here: the PM controller's own probe records them as wpq-enq events.
+func (t *Thread) emitPersist(k telemetry.Kind, line mem.Addr) {
+	if t.tel != nil {
+		t.tel.Emit(t.now, k, line, uint64(t.id))
+	}
 }
 
 func (t *Thread) fenceWait() {

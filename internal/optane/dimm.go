@@ -131,13 +131,6 @@ func (d *DIMM) Counters() *trace.Counters {
 // RAPWindow reports the read-after-persist hazard window of this device.
 func (d *DIMM) RAPWindow() sim.Cycles { return d.prof.RAPWindowCycles }
 
-// CommitSlack reports zero: every access mutates the on-DIMM buffers
-// (read-buffer fills, write-combining merges, AIT cache state, periodic
-// drains) the moment it arrives, so what a later access observes depends
-// on exact arrival order and the lookahead scheduler may not admit an
-// access past another thread's arrival time.
-func (d *DIMM) CommitSlack() sim.Cycles { return 0 }
-
 // ReadBufferLen reports the current read-buffer occupancy in XPLines.
 func (d *DIMM) ReadBufferLen() int { return d.rb.Len() }
 
