@@ -28,7 +28,8 @@
 // stderr line per requested -fault or telemetry sink names the
 // experiments it did not reach: those with a unit that runs no timed
 // system (crashmatrix, and faultmatrix's poison and control cells),
-// plus faultmatrix and tenants for -fault.
+// plus faultmatrix and tenants for -fault. With -json, <dir>/run.json
+// records the run's knobs and, under "unreached", the same lists.
 //
 // Independent experiment units (e.g. the two generations of fig2, the
 // eight panels of fig8) execute concurrently on a pool of -j workers,
@@ -116,12 +117,6 @@ func main() {
 		}
 		opts.Fault = &cfg
 	}
-	if *jsonDir != "" {
-		if err := writeRunHeader(*jsonDir, run); err != nil {
-			fmt.Fprintf(os.Stderr, "optbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	var tasks []runner.Task
 	slots := make(map[string][]int, len(run))
 	for _, name := range run {
@@ -193,7 +188,15 @@ func main() {
 			failed = true
 		}
 	}
-	reportUnreached(run, slots, results)
+	flags := runWideFlags()
+	missed := unreachedByFlag(flags, run, slots, results)
+	reportUnreached(flags, missed)
+	if *jsonDir != "" {
+		if err := writeRunHeader(*jsonDir, run, missed); err != nil {
+			fmt.Fprintf(os.Stderr, "optbench: %v\n", err)
+			failed = true
+		}
+	}
 	fmt.Printf("[total: %d experiments, %d units, -j %d, %v]\n",
 		len(run), len(tasks), *jobs, time.Since(start).Round(time.Millisecond))
 	if failed {
@@ -261,27 +264,50 @@ func unreached(run []string, slots map[string][]int, results []runner.Result, ex
 	return out
 }
 
-// reportUnreached prints one stderr line for each requested run-wide
-// knob — -fault and every telemetry sink — naming the experiments it did
-// not reach, so a knob that left some output untouched says so.
-func reportUnreached(run []string, slots map[string][]int, results []runner.Result) {
-	for _, r := range []struct {
-		flag   string
-		on     bool
-		exempt map[string]bool
-	}{
+// runWideFlag is one run-wide knob: its flag name, whether the run
+// requested it, and the experiments exempt from it by design.
+type runWideFlag struct {
+	name   string
+	on     bool
+	exempt map[string]bool
+}
+
+// runWideFlags lists the run-wide knobs — -fault and every telemetry
+// sink — in report order.
+func runWideFlags() []runWideFlag {
+	return []runWideFlag{
 		{"-fault", *faultSpec != "", faultExempt},
 		{"-trace-out", *traceOut != "", nil},
 		{"-events-out", *eventsOut != "", nil},
 		{"-sample-out", *samplesOut != "", nil},
 		{"-breakdown", *breakdown, nil},
 		{"-hist-out", *histOut != "", nil},
-	} {
-		if !r.on {
+	}
+}
+
+// unreachedByFlag maps each requested run-wide flag to the experiments
+// it did not reach (empty, never nil, when it reached them all). It
+// returns nil when no run-wide flag was requested.
+func unreachedByFlag(flags []runWideFlag, run []string, slots map[string][]int, results []runner.Result) map[string][]string {
+	var out map[string][]string
+	for _, f := range flags {
+		if !f.on {
 			continue
 		}
-		if names := unreached(run, slots, results, r.exempt); len(names) > 0 {
-			fmt.Fprintf(os.Stderr, "optbench: %s did not reach %s\n", r.flag, strings.Join(names, " "))
+		if out == nil {
+			out = make(map[string][]string)
+		}
+		out[f.name] = append([]string{}, unreached(run, slots, results, f.exempt)...)
+	}
+	return out
+}
+
+// reportUnreached prints one stderr line for each requested run-wide
+// knob that left some experiment untouched, naming those experiments.
+func reportUnreached(flags []runWideFlag, missed map[string][]string) {
+	for _, f := range flags {
+		if names := missed[f.name]; len(names) > 0 {
+			fmt.Fprintf(os.Stderr, "optbench: %s did not reach %s\n", f.name, strings.Join(names, " "))
 		}
 	}
 }
@@ -335,23 +361,30 @@ func firstLine(s string) string {
 	return s
 }
 
-// writeRunHeader records the knobs that shape a -json run's records as
-// <dir>/run.json, so an archived result directory is reproducible from
-// its header alone. Only simulation-relevant flags appear — never
-// timestamps or -j, which cannot change a byte of the .jsonl files.
-// The telemetry knobs — sample period, event-ring capacity, breakdown
-// recording — shape the recorded telemetry sinks, so the header pins
-// them too.
-func writeRunHeader(dir string, run []string) error {
-	hdr := struct {
-		Quick       bool     `json:"quick"`
-		Seed        uint64   `json:"seed"`
-		Fault       string   `json:"fault,omitempty"`
-		SampleEvery int64    `json:"sample_every"`
-		EventCap    int      `json:"event_cap"`
-		Breakdown   bool     `json:"breakdown"`
-		Experiments []string `json:"experiments"`
-	}{*quick, *seed, *faultSpec, *sampleEvery, *eventCap, breakdownEnabled(), run}
+// runRecord is a -json run's <dir>/run.json: the knobs that shape its
+// records, so an archived result directory is reproducible from its
+// header alone, plus what the run-wide knobs actually reached. Only
+// simulation-relevant flags appear — never timestamps or -j, which
+// cannot change a byte of the .jsonl files. The telemetry knobs —
+// sample period, event-ring capacity, breakdown recording — shape the
+// recorded telemetry sinks, so the header pins them too. Unreached
+// holds, per requested run-wide flag, the experiments it did not reach
+// (the run's "did not reach" stderr lines); it is absent when no
+// run-wide flag was requested.
+type runRecord struct {
+	Quick       bool                `json:"quick"`
+	Seed        uint64              `json:"seed"`
+	Fault       string              `json:"fault,omitempty"`
+	SampleEvery int64               `json:"sample_every"`
+	EventCap    int                 `json:"event_cap"`
+	Breakdown   bool                `json:"breakdown"`
+	Experiments []string            `json:"experiments"`
+	Unreached   map[string][]string `json:"unreached,omitempty"`
+}
+
+// writeRunHeader writes the run's record as <dir>/run.json.
+func writeRunHeader(dir string, run []string, unreached map[string][]string) error {
+	hdr := runRecord{*quick, *seed, *faultSpec, *sampleEvery, *eventCap, breakdownEnabled(), run, unreached}
 	data, err := json.MarshalIndent(hdr, "", "  ")
 	if err != nil {
 		return err

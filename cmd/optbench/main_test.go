@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -65,6 +67,54 @@ func TestUnreached(t *testing.T) {
 		}
 		if got := unreached(tc.run, slots, results, tc.exempt); !slices.Equal(got, tc.want) {
 			t.Errorf("%s: unreached = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestUnreachedByFlag(t *testing.T) {
+	// fig2 and faultmatrix are metered; crashmatrix runs no timed system.
+	run := []string{"fig2", "crashmatrix", "faultmatrix"}
+	slots := map[string][]int{"fig2": {0}, "crashmatrix": {1}, "faultmatrix": {2}}
+	results := []runner.Result{
+		{Value: bench.UnitResult{SimCycles: 5}},
+		{Value: bench.UnitResult{SimCycles: 0}},
+		{Value: bench.UnitResult{SimCycles: 9}},
+	}
+	fault := runWideFlag{"-fault", true, faultExempt}
+	events := runWideFlag{"-events-out", true, nil}
+	off := runWideFlag{"-hist-out", false, nil}
+	for _, tc := range []struct {
+		name  string
+		flags []runWideFlag
+		run   []string
+		want  map[string][]string
+		json  string // the "unreached" member of run.json; "" when absent
+	}{
+		{"no run-wide flag requested: field omitted", []runWideFlag{off}, run, nil, ""},
+		{"one flag", []runWideFlag{events}, run,
+			map[string][]string{"-events-out": {"crashmatrix"}},
+			`{"-events-out":["crashmatrix"]}`},
+		{"exemptions are per flag", []runWideFlag{fault, events, off}, run,
+			map[string][]string{"-fault": {"crashmatrix", "faultmatrix"}, "-events-out": {"crashmatrix"}},
+			`{"-events-out":["crashmatrix"],"-fault":["crashmatrix","faultmatrix"]}`},
+		{"a flag that reached everything records an empty list", []runWideFlag{events}, []string{"fig2"},
+			map[string][]string{"-events-out": {}},
+			`{"-events-out":[]}`},
+	} {
+		got := unreachedByFlag(tc.flags, tc.run, slots, results)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: unreachedByFlag = %q, want %q", tc.name, got, tc.want)
+		}
+		data, err := json.Marshal(runRecord{Unreached: got})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(data, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if member := string(fields["unreached"]); member != tc.json {
+			t.Errorf("%s: run.json unreached = %q, want %q", tc.name, member, tc.json)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"optanesim"
 )
@@ -28,10 +29,12 @@ func run(onDRAM, helper bool) (cyclesPerInsert float64, ok bool) {
 	}
 	free := optanesim.NewFreeSession(heap)
 	table := optanesim.NewCCEH(free, heap, 8)
-	table.InsertBatch(free, optanesim.SequenceKeys(1<<40, prebuild), nil)
+	table.InsertBatch(free, optanesim.SequenceKeys(1<<40, prebuild), 0)
 
 	keys := optanesim.SequenceKeys(1<<41, inserts)
-	prog := &optanesim.CCEHProgress{}
+	// The worker publishes its progress into simulated memory; the
+	// helper paces itself against that block with timed loads.
+	prog := heap.Alloc(optanesim.CachelineSize, optanesim.CachelineSize)
 	var busy optanesim.Cycles
 	sys.Go("worker", 0, false, func(t *optanesim.Thread) {
 		s := optanesim.NewSession(t, heap)
@@ -40,9 +43,9 @@ func run(onDRAM, helper bool) (cyclesPerInsert float64, ok bool) {
 		busy = t.Now() - start
 	})
 	if helper {
+		plan := table.PrefetchPlan(keys)
 		sys.Go("helper", 0, false, func(t *optanesim.Thread) {
-			s := optanesim.NewSession(t, heap)
-			table.Helper(s, keys, prog)
+			optanesim.CCEHHelper(optanesim.NewSession(t, heap), plan, prog)
 		})
 	}
 	sys.Run()
@@ -64,8 +67,8 @@ func main() {
 		base, ok1 := run(dev.onDRAM, false)
 		help, ok2 := run(dev.onDRAM, true)
 		if !ok1 || !ok2 {
-			fmt.Printf("%s: verification FAILED\n", dev.name)
-			continue
+			fmt.Fprintf(os.Stderr, "%s: verification FAILED\n", dev.name)
+			os.Exit(1)
 		}
 		delta := 100 * (base - help) / base
 		fmt.Printf("%-9s  insert latency: %6.0f cycles -> %6.0f with helper (%+.1f%%)\n",

@@ -67,10 +67,6 @@ func bandwidthRun(m *Meter, o BandwidthOptions, threads int, write bool) float64
 	cfg := o.Gen.Config(threads)
 	cfg.PMDIMMs = o.DIMMs
 	sys := m.System(cfg)
-	// The thread bodies below share only `end`, a commutative max
-	// accumulator read after Run, so the lookahead scheduler may run
-	// core-local operations past the grant horizon (sched.go).
-	sys.SetThreadsIsolated(true)
 
 	perThread := o.BytesPerThread / mem.XPLineSize
 	var end sim.Cycles

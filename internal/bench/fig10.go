@@ -81,16 +81,11 @@ func fig10Run(m *Meter, o Fig10Options, workers int, helper bool) (cyclesPerInse
 	mcfg := o.Gen.Config(workers)
 	mcfg.PMDIMMs = o.DIMMs
 	sys := m.System(mcfg)
-	// Each worker owns a private table shard carved from one parent heap
-	// (disjoint address ranges, private bump pointers — segment splits
-	// mid-run allocate without touching shared host state), and the
-	// worker→helper pacing flows through a progress cacheline in
-	// simulated memory (cceh.HelperPlan). With no shared host-side Go
-	// structures left in the thread closures — busy/inserted/endMax are
-	// commutative accumulators read after Run — the bodies are isolated
-	// and ride the scheduler's local-overrun fast path (sched.go).
-	sys.SetThreadsIsolated(true)
 
+	// Each worker owns a private table shard carved from one parent heap
+	// (disjoint address ranges, private bump pointers), and the
+	// worker→helper pacing flows through a progress cacheline in
+	// simulated memory (cceh.HelperPlan).
 	perWorker := o.TotalInserts / workers
 	warmPer := perWorker / 8
 	prebuildPer := o.PrebuildKeys / workers
@@ -109,7 +104,7 @@ func fig10Run(m *Meter, o Fig10Options, workers int, helper bool) (cyclesPerInse
 		shard := parent.Carve(shardBytes, mem.XPLineSize)
 		free := pmem.NewFreeSession(shard)
 		tbl := cceh.New(free, shard, 8)
-		tbl.InsertBatch(free, workload.SequenceKeys(1<<40|uint64(w)<<32, prebuildPer), nil)
+		tbl.InsertBatch(free, workload.SequenceKeys(1<<40|uint64(w)<<32, prebuildPer), 0)
 		prog := shard.Alloc(cceh.ProgressBytes, mem.CachelineSize)
 
 		warm := workload.SequenceKeys(1<<41|uint64(w)<<32, warmPer)

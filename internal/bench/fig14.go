@@ -76,11 +76,6 @@ func fig14(m *Meter, o Fig14Options) []Fig14Point {
 
 func fig14Run(m *Meter, o Fig14Options, threads int, optimized bool) (cyclesPerBlock, gbs float64) {
 	sys := m.System(o.Gen.Config(threads))
-	// Thread bodies share only commutative accumulators (busy, blocks,
-	// endMax) read after Run, plus the DRAM staging heap — allocated once
-	// per body at start, and bodies always start in registration order —
-	// so local-op overrun is safe to declare (sched.go).
-	sys.SetThreadsIsolated(true)
 	nBlocks := o.WSS / mem.XPLineSize
 	base := mem.PMBase
 	dram := pmem.NewDRAMHeap(uint64(threads+1) * (4 << 10))

@@ -70,14 +70,9 @@ func table1Run(m *Meter, o Table1Options, threads, dimms int) Table1Row {
 	mcfg := o.Gen.Config(threads)
 	mcfg.PMDIMMs = dimms
 	sys := m.System(mcfg)
-	// Each worker owns a private table shard carved from one parent heap
-	// (the fig10 pattern: disjoint address ranges, private bump pointers,
-	// so segment splits mid-run allocate without touching shared host
-	// state). The only cross-closure Go values — seg/per/misc — are
-	// commutative accumulators read after Run, so the bodies are isolated
-	// and ride the scheduler's local-overrun fast path (sched.go).
-	sys.SetThreadsIsolated(true)
 
+	// Each worker owns a private table shard carved from one parent heap
+	// (the fig10 pattern: disjoint address ranges, private bump pointers).
 	prebuildPer := o.PrebuildKeys / threads
 	shardBytes := cceh.HeapFor(prebuildPer + o.InsertsPerThread*2)
 	parent := pmem.NewPMHeap(uint64(threads) * (shardBytes + mem.XPLineSize))
@@ -87,11 +82,11 @@ func table1Run(m *Meter, o Table1Options, threads, dimms int) Table1Row {
 		shard := parent.Carve(shardBytes, mem.XPLineSize)
 		free := pmem.NewFreeSession(shard)
 		tbl := cceh.New(free, shard, 8)
-		tbl.InsertBatch(free, workload.SequenceKeys(1<<40|uint64(w)<<32, prebuildPer), nil)
+		tbl.InsertBatch(free, workload.SequenceKeys(1<<40|uint64(w)<<32, prebuildPer), 0)
 		keys := workload.SequenceKeys(1<<41|uint64(w)<<32, o.InsertsPerThread)
 		sys.Go(fmt.Sprintf("worker-%d", w), w, false, func(t *machine.Thread) {
 			s := pmem.NewSession(t, shard)
-			tbl.InsertBatch(s, keys, nil)
+			tbl.InsertBatch(s, keys, 0)
 			seg += t.TagCycles(cceh.TagSegment)
 			per += t.TagCycles(cceh.TagPersist)
 			misc += t.TagCycles(cceh.TagMisc)

@@ -12,8 +12,8 @@ import (
 // telemetryUnits is the subset the telemetry regression runs, all at
 // -quick scale: fig2 (read-buffer traffic, the paper's headline
 // observation), fig4 (write-buffer evictions), latency (a single thread
-// over five systems per unit) and bandwidth (isolated multi-thread
-// runs, whose local overrun switches off under telemetry).
+// over five systems per unit) and bandwidth (multi-thread runs, whose
+// recorded order is the scheduler's min-time order).
 func telemetryUnits(t *testing.T, o bench.Options) []bench.Unit {
 	t.Helper()
 	var units []bench.Unit

@@ -103,11 +103,6 @@ func ycsb(m *Meter, o YCSBOptions) []YCSBResult {
 
 func ycsbRun(m *Meter, o YCSBOptions, wl YCSBWorkload) YCSBResult {
 	sys := m.System(o.Gen.Config(1))
-	// Single client thread over a private table: no cross-thread effects
-	// at all, so the body is trivially isolated (the declaration is a
-	// no-op for a solo run, but documents the contract for anyone adding
-	// threads here).
-	sys.SetThreadsIsolated(true)
 	var heap *pmem.Heap
 	if o.OnDRAM {
 		heap = pmem.NewDRAMHeap(cceh.HeapFor(o.TableKeys))
@@ -117,7 +112,7 @@ func ycsbRun(m *Meter, o YCSBOptions, wl YCSBWorkload) YCSBResult {
 	free := pmem.NewFreeSession(heap)
 	tbl := cceh.New(free, heap, 8)
 	keys := workload.SequenceKeys(1<<40, o.TableKeys)
-	tbl.InsertBatch(free, keys, nil)
+	tbl.InsertBatch(free, keys, 0)
 
 	res := YCSBResult{
 		Workload: wl,

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"optanesim/internal/machine"
+	"optanesim/internal/mem"
 	"optanesim/internal/pmem"
 	"optanesim/internal/workload"
 )
@@ -140,26 +141,28 @@ func TestTimedInsertChargesTags(t *testing.T) {
 	}
 }
 
-// TestHelperStaysAhead checks the helper/worker pacing contract.
+// TestHelperStaysAhead checks the helper/worker pacing contract through
+// the simulated progress block: with the helper replaying its plan on
+// the sibling hyperthread, the worker still completes every insert and
+// publishes its last index and done flag, and the helper stops on it.
 func TestHelperStaysAhead(t *testing.T) {
 	sys := machine.MustNewSystem(machine.G1Config(1))
 	h := pmem.NewPMHeap(64 << 20)
 	free := pmem.NewFreeSession(h)
 	tbl := New(free, h, 4)
 	keys := workload.SequenceKeys(9, 2000)
+	prog := h.Alloc(ProgressBytes, mem.CachelineSize)
+	plan := tbl.PrefetchPlan(keys)
 
-	var prog Progress
 	sys.Go("worker", 0, false, func(th *machine.Thread) {
-		s := pmem.NewSession(th, h)
-		tbl.InsertBatch(s, keys, &prog)
+		tbl.InsertBatch(pmem.NewSession(th, h), keys, prog)
 	})
 	sys.Go("helper", 0, false, func(th *machine.Thread) {
-		s := pmem.NewSession(th, h)
-		tbl.Helper(s, keys, &prog)
+		HelperPlan(pmem.NewSession(th, h), plan, prog)
 	})
 	sys.Run()
-	if !prog.Done {
-		t.Fatal("worker did not complete")
+	if next, done := free.Peek64(prog), free.Peek64(prog+8); next != uint64(len(keys)-1) || done != 1 {
+		t.Fatalf("progress block = (next %d, done %d), want (%d, 1)", next, done, len(keys)-1)
 	}
 	for _, k := range keys {
 		if _, ok := tbl.Lookup(free, k); !ok {

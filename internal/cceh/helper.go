@@ -10,73 +10,25 @@ import (
 const PrefetchDepth = 8
 
 // HelperBatch is the helper's effective memory-level parallelism across
-// keys (independent loads in flight at once).
+// keys: the helper has no stores, fences or data dependencies, so it is
+// modeled as issuing HelperBatch keys' loads concurrently.
 const HelperBatch = 4
 
-// Progress is the worker-to-helper coordination block. The simulator's
-// deterministic scheduler serializes all thread execution, so plain
-// fields suffice.
-type Progress struct {
-	// Next is the index of the next key the worker will insert.
-	Next int
-	// Done is set when the worker has finished its batch.
-	Done bool
-}
-
-// Helper runs the speculative prefetch loop on a sibling hyperthread:
-// for each upcoming key it executes only the loads of the insert path —
-// directory entry, segment metadata, and probe buckets — warming the
-// AIT, the on-DIMM read buffer, and the shared L1/L2 (§4.1). All stores,
-// persists, and synchronization of the worker are absent, so the helper
-// is faster than the worker and stays ahead of it.
-func (t *Table) Helper(s *pmem.Session, keys []uint64, prog *Progress) {
-	// The helper has no stores, fences, or data dependencies, so its
-	// loads pipeline freely across keys (memory-level parallelism); it
-	// is modeled as issuing HelperBatch keys' loads concurrently.
-	addrs := make([]mem.Addr, 0, HelperBatch*(1+ProbeBuckets))
-	for i := 0; i < len(keys); i += HelperBatch {
-		// Throttle: stay at most PrefetchDepth keys ahead.
-		for !prog.Done && i >= prog.Next+PrefetchDepth {
-			s.T.Compute(60)
-		}
-		if prog.Done {
-			return
-		}
-		addrs = addrs[:0]
-		for j := i; j < i+HelperBatch && j < len(keys); j++ {
-			h := hashKey(keys[j])
-			depth := uint(s.Peek64(t.dir))
-			dirSlot := t.dirEntry(dirIndex(h, depth))
-			addrs = append(addrs, dirSlot)
-			segAddr := mem.Addr(s.Peek64(dirSlot))
-			if !t.heap.Contains(segAddr) {
-				continue // stale directory snapshot mid-split
-			}
-			// Metadata plus the first probe bucket, like the worker's
-			// critical path.
-			b0 := bucketIndex(h)
-			addrs = append(addrs, segAddr, bucketAddr(segAddr, b0))
-		}
-		s.T.LoadParallel(addrs...)
-	}
-}
-
-// ProgressBytes sizes the simulated-memory progress block the
-// plan-based helper (HelperPlan) paces against: word 0 holds the index
-// of the next key the worker will insert, word 1 the done flag. The
-// worker publishes both with timed stores (Session.Store64), so the
-// block is an ordinary shared cacheline of the simulated machine.
+// ProgressBytes sizes the worker-to-helper progress block: word 0 holds
+// the index of the next key the worker will insert, word 1 the done
+// flag. The worker publishes both with timed stores (Session.Store64)
+// and the helper reads them with timed loads, so the block is an
+// ordinary shared cacheline of the simulated machine and the observed
+// interleaving is a property of simulated time alone.
 const ProgressBytes = 16
 
 // PrefetchPlan precomputes the helper's load addresses for each
 // HelperBatch-sized group of upcoming keys from a host-side snapshot
 // of the directory, taken when it is called (typically right after
 // prebuild, before the measured run). Segment splits during the run
-// leave plan entries pointing at pre-split segments — the same
-// staleness the live Helper tolerates mid-split — trading a little
-// warming accuracy for a helper body that touches no shared host
-// state: replaying the plan reads only the slice it owns and the
-// progress block in simulated memory.
+// leave plan entries pointing at pre-split segments, trading a little
+// warming accuracy for a helper body that reads only the slice it owns
+// and the progress block in simulated memory.
 func (t *Table) PrefetchPlan(keys []uint64) [][]mem.Addr {
 	depth := uint(t.heap.Uint64(t.dir))
 	plan := make([][]mem.Addr, 0, (len(keys)+HelperBatch-1)/HelperBatch)
@@ -90,6 +42,8 @@ func (t *Table) PrefetchPlan(keys []uint64) [][]mem.Addr {
 			if !t.heap.Contains(segAddr) {
 				continue
 			}
+			// Metadata plus the first probe bucket, like the worker's
+			// critical path.
 			b0 := bucketIndex(h)
 			addrs = append(addrs, segAddr, bucketAddr(segAddr, b0))
 		}
@@ -98,13 +52,14 @@ func (t *Table) PrefetchPlan(keys []uint64) [][]mem.Addr {
 	return plan
 }
 
-// HelperPlan replays a PrefetchPlan on a sibling hyperthread, pacing
-// against the ProgressBytes block at prog. All worker→helper
-// coordination is timed loads of shared simulated cachelines, which the
-// lookahead scheduler never runs past its grant horizon — so unlike the
-// host-side Progress struct of Helper, this pattern is sound inside
-// thread bodies declared isolated (machine.System.SetThreadsIsolated):
-// the observed interleaving is a property of simulated time alone.
+// HelperPlan runs the speculative prefetch loop on a sibling
+// hyperthread (§4.1): it replays a PrefetchPlan, executing only the
+// loads of the insert path — directory entry, segment metadata and
+// first probe bucket — to warm the AIT, the on-DIMM read buffer and the
+// shared L1/L2. None of the worker's stores, persists or synchronization
+// remain, so the helper is faster than the worker; it paces itself
+// against the ProgressBytes block at prog to stay at most PrefetchDepth
+// keys ahead, and stops once the worker sets the done flag.
 func HelperPlan(s *pmem.Session, plan [][]mem.Addr, prog mem.Addr) {
 	for i, addrs := range plan {
 		// Throttle: stay at most PrefetchDepth keys ahead.
@@ -118,13 +73,16 @@ func HelperPlan(s *pmem.Session, plan [][]mem.Addr, prog mem.Addr) {
 	}
 }
 
-// InsertBatch inserts keys[i] -> values derived from keys, updating prog
-// so a helper can pace itself. It returns the number inserted.
-func (t *Table) InsertBatch(s *pmem.Session, keys []uint64, prog *Progress) int {
+// InsertBatch inserts keys[i] -> values derived from keys and returns
+// the number inserted. A non-zero prog (heaps never hand out address 0)
+// is the ProgressBytes block a HelperPlan helper paces against: the
+// worker publishes each key's index before inserting it, and the done
+// flag after the last.
+func (t *Table) InsertBatch(s *pmem.Session, keys []uint64, prog mem.Addr) int {
 	n := 0
 	for i, k := range keys {
-		if prog != nil {
-			prog.Next = i
+		if prog != 0 {
+			s.Store64(prog, uint64(i))
 		}
 		s.Tag(TagMisc)
 		s.Compute(YCSBClientCycles)
@@ -132,8 +90,8 @@ func (t *Table) InsertBatch(s *pmem.Session, keys []uint64, prog *Progress) int 
 			n++
 		}
 	}
-	if prog != nil {
-		prog.Done = true
+	if prog != 0 {
+		s.Store64(prog+8, 1)
 	}
 	return n
 }

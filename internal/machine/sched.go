@@ -23,10 +23,9 @@ import (
 // registration order) — two channel operations per op once more than
 // one thread was live.
 //
-// The lookahead scheduler keeps the same invariant — an operation that
-// can touch a shared component executes only while its thread is the
-// minimum-time runnable thread — but enforces it with a grant horizon
-// instead of a per-op scan:
+// The lookahead scheduler keeps the same invariant — an operation
+// executes only while its thread is the minimum-time runnable thread —
+// but enforces it with a grant horizon instead of a per-op scan:
 //
 //   - When a thread is granted the baton, the horizon is computed once
 //     from the registry of suspended threads (an indexed min-heap keyed
@@ -36,25 +35,12 @@ import (
 //     operations inline; the per-op check is a single comparison.
 //     Suspended threads cannot advance, so the horizon needs no
 //     maintenance while the grant lasts.
-//   - Once the clock crosses the horizon, the next operation that can
-//     have any shared-visible effect re-enters the heap and passes the
-//     baton to the global minimum.
+//   - Once the clock crosses the horizon, the next operation re-enters
+//     the heap and passes the baton to the global minimum.
 //
-// # Local overrun
-//
-// Operations with no shared-visible effect at all — predicted L1 hits
-// on a core no sibling hyperthread shares, pure compute, and fence
-// retirement (which only drains the thread's private pending list) —
-// may execute inline even past the horizon: no other thread can ever
-// observe that they ran early. This is only sound when nothing outside
-// the simulated memory system can observe execution order either, so it
-// is gated two ways: the workload must declare its thread bodies
-// isolated (SetThreadsIsolated), and no telemetry recorder may be
-// attached (the event stream and gauge sampler record in execution
-// order). Everything the simulation reports afterwards — cycle counts,
-// tag attribution, traffic counters — is provably identical with and
-// without overrun, because such operations touch only thread- and
-// core-private state plus order-commutative counters.
+// Every operation passes the same gate (schedule), whatever it
+// touches, so execution order — and with it everything a telemetry
+// recorder observes — is the min-time order of the per-op baton.
 
 // Horizon sentinels. horizonNever marks a thread that can never be
 // preempted (a solo run, or the last unfinished thread): its per-op
@@ -185,43 +171,13 @@ func (t *Thread) yield() {
 	t.attrResumed()
 }
 
-// scheduleShared is the operation-entry gate for operations that can
-// touch a shared component (L2-miss traffic, flushes, nt-stores,
-// streaming copies): below the horizon it is one comparison, past it
-// the thread yields so the access arrives in exact min-time order.
-func (t *Thread) scheduleShared() {
+// schedule is the operation-entry gate every simulated operation
+// passes: below the horizon it is one comparison, past it the thread
+// yields so the operation runs in exact min-time order.
+func (t *Thread) schedule() {
 	t.ops++
 	if t.now < t.horizon {
 		return
 	}
 	t.yield()
-}
-
-// scheduleLocal is the gate for operations with no shared-visible
-// effect (compute, fence retirement): threads cleared for local overrun
-// keep executing them inline past the horizon.
-func (t *Thread) scheduleLocal() {
-	t.ops++
-	if t.now < t.horizon || t.localOK {
-		return
-	}
-	t.yield()
-}
-
-// SetThreadsIsolated declares whether the registered thread bodies are
-// mutually isolated: they communicate only through the simulated memory
-// system and share no host-side Go state whose access order matters
-// (per-thread accumulators that commute — sums, maxima — read after Run
-// are fine; a shared index mutated from several thread closures is
-// not). Isolated workloads allow the scheduler's local overrun: core-
-// private cache hits, compute and fences run inline past the grant
-// horizon instead of costing a baton pass, which is what makes
-// contended simulations run at single-thread speed. The declaration is
-// sticky across Runs; it defaults to off, which is always safe.
-//
-// Simulated results are identical either way — overrun is restricted to
-// operations other threads provably cannot observe — so the declaration
-// only changes host execution order between isolated thread bodies.
-func (s *System) SetThreadsIsolated(isolated bool) {
-	s.isolated = isolated
 }

@@ -3,10 +3,12 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"optanesim/internal/mem"
 	"optanesim/internal/sim"
+	"optanesim/internal/telemetry"
 	"optanesim/internal/trace"
 )
 
@@ -14,10 +16,11 @@ import (
 // against the classic per-op min-time baton, which survives as the
 // compatSched reference: grant sets the horizon to horizonAlways, so
 // every operation re-enters the heap exactly as the old scheduler's
-// per-op pickNext did. For randomized thread placements, op mixes and
-// isolation declarations, every simulated outcome — final time,
-// per-thread clocks, op counts, tag attribution, and PM/DRAM traffic —
-// must be identical between the two schedulers.
+// per-op pickNext did. For randomized thread placements and op mixes,
+// every simulated outcome — final time, per-thread clocks, op counts,
+// tag attribution, PM/DRAM traffic and, with a recorder attached, the
+// recorded event stream, gauge series and cycle-attribution histograms
+// — must be identical between the two schedulers.
 
 // schedOpKind enumerates the operations a generated script can issue.
 type schedOpKind int
@@ -49,26 +52,23 @@ type schedOp struct {
 
 // schedScenario is one randomized workload: thread placements plus
 // pre-generated op scripts, so both scheduler modes replay the exact
-// same operation streams.
+// same operation streams. record attaches a telemetry recorder — event
+// stream, a short gauge-sampling period and cycle attribution — whose
+// recording joins the compared outcome.
 type schedScenario struct {
-	cores    int
-	remote   []bool
-	coreOf   []int
-	scripts  [][]schedOp
-	isolated bool
+	cores   int
+	remote  []bool
+	coreOf  []int
+	scripts [][]schedOp
+	record  bool
 }
 
 // genScenario builds a deterministic random scenario. Threads address a
-// mix of private and shared PM/DRAM lines: shared simulated lines are
-// legal under any isolation declaration (isolation is about host Go
-// state, which scripted replay never shares) and are what stress the
-// contention-ordering guarantee.
+// mix of private and shared PM/DRAM lines; the shared lines are what
+// stress the contention-ordering guarantee.
 func genScenario(seed int64) schedScenario {
 	rng := rand.New(rand.NewSource(seed))
-	sc := schedScenario{
-		cores:    1 + rng.Intn(4),
-		isolated: rng.Intn(2) == 0,
-	}
+	sc := schedScenario{cores: 1 + rng.Intn(4)}
 	nthreads := 1 + rng.Intn(6)
 	tags := []string{"", "read", "write", "persist"}
 	for ti := 0; ti < nthreads; ti++ {
@@ -118,12 +118,17 @@ type schedOutcome struct {
 	tags []map[string]sim.Cycles
 	pm   trace.Counters
 	dram trace.Counters
+	rec  *telemetry.Recording // nil unless the scenario records
 }
 
 func runScenario(sc schedScenario, compat bool) schedOutcome {
 	sys := MustNewSystem(G1Config(sc.cores))
 	sys.compatSched = compat
-	sys.SetThreadsIsolated(sc.isolated)
+	var rec *telemetry.Recorder
+	if sc.record {
+		rec = telemetry.NewRecorder("prop", telemetry.Config{SampleEvery: 200, Breakdown: true})
+		sys.AttachTelemetry(rec)
+	}
 	threads := make([]*Thread, len(sc.scripts))
 	for ti := range sc.scripts {
 		script := sc.scripts[ti]
@@ -166,6 +171,9 @@ func runScenario(sc schedScenario, compat bool) schedOutcome {
 	}
 	out.pm = sys.PMCounters()
 	out.dram = sys.DRAMCounters()
+	if rec != nil {
+		out.rec = rec.Snapshot()
+	}
 	return out
 }
 
@@ -197,37 +205,45 @@ func compareOutcomes(t *testing.T, want, got schedOutcome) {
 	if got.dram != want.dram {
 		t.Errorf("DRAM counters:\nlookahead %+v\nreference %+v", got.dram, want.dram)
 	}
+	if want.rec == nil {
+		return
+	}
+	if len(want.rec.Events) == 0 || want.rec.Dropped != 0 {
+		t.Errorf("reference recording kept %d events and dropped %d; the comparison needs a complete, non-empty stream",
+			len(want.rec.Events), want.rec.Dropped)
+	}
+	if !reflect.DeepEqual(got.rec.Events, want.rec.Events) {
+		t.Errorf("recorded events differ: lookahead %d events, reference %d", len(got.rec.Events), len(want.rec.Events))
+	}
+	if !reflect.DeepEqual(got.rec.Series, want.rec.Series) {
+		t.Errorf("recorded gauge series differ")
+	}
+	if !reflect.DeepEqual(got.rec.Breakdown, want.rec.Breakdown) {
+		t.Errorf("recorded cycle-attribution histograms differ")
+	}
 }
 
 // TestSchedulerMatchesBatonReference replays randomized scenarios under
 // the lookahead scheduler and the compatSched per-op baton reference and
 // requires identical outcomes. Scenarios vary thread count (1–6), core
-// count (1–4, so some placements hyperthread-share), NUMA placement, op
-// mix over the full instruction surface, and the isolation declaration.
+// count (1–4, so some placements hyperthread-share), NUMA placement and
+// op mix over the full instruction surface; each runs unrecorded and
+// recorded, so the telemetry a recorder observes in execution order is
+// pinned against the reference too.
 func TestSchedulerMatchesBatonReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			sc := genScenario(seed)
-			want := runScenario(sc, true)
-			got := runScenario(sc, false)
-			compareOutcomes(t, want, got)
+			for _, record := range []bool{false, true} {
+				sc.record = record
+				t.Run(fmt.Sprintf("record=%v", record), func(t *testing.T) {
+					want := runScenario(sc, true)
+					got := runScenario(sc, false)
+					compareOutcomes(t, want, got)
+				})
+			}
 		})
-	}
-}
-
-// TestSchedulerIsolationInvariant pins the scheduler's central safety
-// claim directly: the isolation declaration (which enables local-op
-// overrun) must not change any simulated outcome, only host execution
-// order between isolated thread bodies.
-func TestSchedulerIsolationInvariant(t *testing.T) {
-	for seed := int64(100); seed < 106; seed++ {
-		sc := genScenario(seed)
-		sc.isolated = false
-		want := runScenario(sc, false)
-		sc.isolated = true
-		got := runScenario(sc, false)
-		compareOutcomes(t, want, got)
 	}
 }
 

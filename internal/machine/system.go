@@ -101,11 +101,9 @@ type System struct {
 
 	// sched holds the suspended runnable threads, keyed by (now, id);
 	// grant horizons are computed against its minimum (see sched.go).
-	// isolated is the workload's SetThreadsIsolated declaration;
 	// compatSched (tests only) forces the classic per-op baton for use as
 	// a reference scheduler.
 	sched       threadHeap
-	isolated    bool
 	compatSched bool
 
 	// Tag interning: attribution tags are small integers indexing flat
@@ -487,7 +485,6 @@ func (s *System) Run() sim.Cycles {
 				t.tenant = t.attr.Tenant(t.tenantName)
 			}
 		}
-		t.localOK = s.isolated && !t.htShared && s.rec == nil && !s.compatSched
 	}
 	s.live = len(s.threads)
 

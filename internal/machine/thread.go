@@ -51,14 +51,10 @@ type Thread struct {
 
 	// Scheduling. horizon is the lookahead grant installed by
 	// System.grant: the thread executes inline while now < horizon
-	// (horizonNever for a solo run or the last live thread). localOK,
-	// computed at Run start, clears the thread for local overrun —
-	// executing operations with no shared-visible effect even past the
-	// horizon (see sched.go). htShared snapshots core.live > 1 at the
-	// same point (core bindings are fixed for the whole Run), sparing
-	// feCost the core deref per op.
+	// (horizonNever for a solo run or the last live thread). htShared
+	// snapshots core.live > 1 at Run start (core bindings are fixed for
+	// the whole Run), sparing feCost the core deref per op.
 	horizon  sim.Cycles
-	localOK  bool
 	htShared bool
 	resume   chan struct{}
 	fn       func(*Thread)
@@ -257,29 +253,8 @@ func (t *Thread) LoadDep(addr mem.Addr) {
 }
 
 func (t *Thread) load(addr mem.Addr, ooo bool) {
-	t.ops++
-	la := addr.Line()
-	// Scheduling gate, fused with the L1 way prediction so each path
-	// predicts exactly once. Below the horizon the op runs inline. Past
-	// it, a thread cleared for local overrun first checks whether this is
-	// a plain private-L1 hit — the predictor is read-only, the L1 is
-	// core-private, and no sibling hyperthread exists when localOK is
-	// set, so the peek is valid regardless of scheduling order — and
-	// yields only when the walk would leave the core. Otherwise the
-	// thread yields first and predicts from min-time position, exactly
-	// like the classic per-op baton.
-	var l *cache.Line
-	if t.now < t.horizon {
-		l = t.l1.PredictLine(la)
-	} else if t.localOK {
-		l = t.l1.PredictLine(la)
-		if l == nil || l.Flushed || l.Prefetched {
-			t.yield()
-		}
-	} else {
-		t.yield()
-		l = t.l1.PredictLine(la)
-	}
+	t.schedule()
+	l := t.l1.PredictLine(addr.Line())
 
 	start := t.now
 	cpu := t.cpuProf
@@ -321,7 +296,7 @@ func (t *Thread) load(addr mem.Addr, ooo bool) {
 // both known once the directory entry arrives): the thread advances to
 // the latest completion rather than their sum.
 func (t *Thread) LoadParallel(addrs ...mem.Addr) {
-	t.scheduleShared()
+	t.schedule()
 	start := t.now
 	cpu := t.cpu()
 	eff := t.now - cpu.OOOWindow
@@ -519,25 +494,9 @@ func (t *Thread) issuePrefetches(addr mem.Addr, miss, confirmed bool, at sim.Cyc
 // read-modify-write issue an explicit Load first, so read costs are
 // always visible as loads.
 func (t *Thread) Store(addr mem.Addr) {
-	t.ops++
+	t.schedule()
 	la := addr.Line()
-	// Scheduling gate fused with the way prediction, as in load: a
-	// predicted unflushed private-L1 hit has no shared-visible effect,
-	// so an overrun-cleared thread commits it inline; anything else —
-	// flushed line, L1 miss, fill cascade that can spill into L3 —
-	// yields first.
-	var l *cache.Line
-	if t.now < t.horizon {
-		l = t.l1.PredictLine(la)
-	} else if t.localOK {
-		l = t.l1.PredictLine(la)
-		if l == nil || l.Flushed {
-			t.yield()
-		}
-	} else {
-		t.yield()
-		l = t.l1.PredictLine(la)
-	}
+	l := t.l1.PredictLine(la)
 
 	start := t.now
 	cpu := t.cpuProf
@@ -607,7 +566,7 @@ func (t *Thread) recordFlush(accept sim.Cycles) {
 // spillVictim), only the acceptance time is consumed: the landing time
 // is controller-internal.
 func (t *Thread) NTStore(addr mem.Addr) {
-	t.scheduleShared()
+	t.schedule()
 	start := t.now
 	cpu := t.cpu()
 	t.sys.demand(addr).DemandWriteBytes += mem.CachelineSize
@@ -652,7 +611,7 @@ func (t *Thread) CLFlushOpt(addr mem.Addr) {
 // delayed invalidation (§3.5's bypass window), while clflushopt
 // invalidates immediately.
 func (t *Thread) flush(addr mem.Addr, keepCached, lazy bool) {
-	t.scheduleShared()
+	t.schedule()
 	start := t.now
 	kind := mem.OpCLFlushOpt
 	if lazy || keepCached {
@@ -749,7 +708,7 @@ func (t *Thread) flush(addr mem.Addr, keepCached, lazy bool) {
 // SFence completes when every flush/nt-store issued since the last fence
 // has been accepted into the ADR domain (the WPQ). Loads are not ordered.
 func (t *Thread) SFence() {
-	t.scheduleLocal()
+	t.schedule()
 	start := t.now
 	t.fenceWait()
 	t.lazyFlushed = t.lazyFlushed[:0]
@@ -765,7 +724,7 @@ func (t *Thread) SFence() {
 // effect — a following load of a flushed line must go to memory and
 // stall on the in-flight persist (§3.5).
 func (t *Thread) MFence() {
-	t.scheduleLocal()
+	t.schedule()
 	start := t.now
 	t.fenceWait()
 	t.loadBarrier = t.now
@@ -813,7 +772,7 @@ func (t *Thread) fenceWait() {
 // Compute models n cycles of computation with no memory access.
 // Hyperthread sharing inflates it like other front-end work.
 func (t *Thread) Compute(n sim.Cycles) {
-	t.scheduleLocal()
+	t.schedule()
 	t.advance(t.now + t.feCost(n))
 	if a := t.attr; a != nil {
 		a.Add(telemetry.CompCompute, t.feCost(n))
@@ -827,7 +786,7 @@ func (t *Thread) Compute(n sim.Cycles) {
 // source's cache footprint, and the destination lines are written
 // normally (§4.3's optimization).
 func (t *Thread) AVXCopy(src, dst mem.Addr) {
-	t.scheduleShared()
+	t.schedule()
 	start := t.now
 	cpu := t.cpu()
 	srcLine := src.XPLine()

@@ -64,9 +64,8 @@ func (h *Heap) Alloc(n, align uint64) mem.Addr {
 // owning exactly that range: the same backing bytes viewed through a
 // private bump pointer. Carving a parent heap once per simulated
 // thread before Run gives each thread a disjoint slice of the address
-// space it can allocate from mid-run without mutating any shared host
-// state — the shape SetThreadsIsolated workloads need when their data
-// structures allocate (e.g. CCEH segment splits).
+// space to allocate from mid-run (e.g. CCEH segment splits), so one
+// thread's allocations never shift another's addresses.
 func (h *Heap) Carve(size, align uint64) *Heap {
 	a := h.Alloc(size, align)
 	start := uint64(a - h.base)

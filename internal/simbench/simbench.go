@@ -82,13 +82,13 @@ func FlushFence(b *testing.B) {
 
 // multiThread is the shared body for the MultiThread variants: nthreads
 // threads on separate cores issue hot loads to disjoint working sets.
-// The thread bodies share no host state, so the benchmark declares
-// isolation — under the lookahead scheduler every predicted L1 hit then
-// runs inline with no baton pass, which is the scenario the scheduler
-// exists for. ns/op is per operation summed over all threads.
+// Every load is an L1 hit of the same cost, so the threads' clocks stay
+// tied: each operation carries its thread to the grant horizon and the
+// baton passes once per operation. This is the scheduler's worst case —
+// it times one coroutine handoff per simulated operation. ns/op is per
+// operation summed over all threads.
 func multiThread(b *testing.B, nthreads int) {
 	sys := machine.MustNewSystem(machine.G1Config(nthreads))
-	sys.SetThreadsIsolated(true)
 	n := b.N/nthreads + 1
 	body := func(base mem.Addr) func(*machine.Thread) {
 		return func(t *machine.Thread) {
@@ -118,14 +118,13 @@ func MultiThread8(b *testing.B) { multiThread(b, 8) }
 // contended is the shared body for the Contended variants: nthreads
 // threads on separate cores each run the §4.2 persist loop (store, clwb,
 // sfence) against their own PM lines, all funneling through the shared
-// PM controller's WPQ. Unlike the pure-load MultiThread variants, every
-// iteration has a genuinely shared operation (the clwb's writeback), so
-// this measures scheduler overhead when baton passes cannot all be
-// elided — only the store and fence run inline. ns/op is per operation
-// (3 per loop iteration) summed over all threads.
+// PM controller's WPQ — the scheduler load of every multi-writer
+// persist experiment. Two threads stay tied and pass the baton once per
+// operation, like MultiThread; from four threads on, WPQ queueing
+// spreads the clocks and a grant covers about one loop iteration.
+// ns/op is per operation (3 per loop iteration) summed over all threads.
 func contended(b *testing.B, nthreads int) {
 	sys := machine.MustNewSystem(machine.G1Config(nthreads))
-	sys.SetThreadsIsolated(true)
 	n := b.N/(3*nthreads) + 1
 	body := func(base mem.Addr) func(*machine.Thread) {
 		return func(t *machine.Thread) {

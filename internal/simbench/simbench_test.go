@@ -20,9 +20,9 @@ func BenchmarkSimCoreMultiThread(b *testing.B)  { MultiThread(b) }
 func BenchmarkSimCoreMultiThread4(b *testing.B) { MultiThread4(b) }
 func BenchmarkSimCoreMultiThread8(b *testing.B) { MultiThread8(b) }
 
-// The Contended* variants keep a shared operation (the clwb writeback
-// through the WPQ) in every loop iteration, so they track scheduler
-// overhead where baton passes cannot all be elided.
+// The Contended* variants run the persist loop through the shared WPQ,
+// so they track the scheduler's handoff cost on the multi-writer
+// persist path.
 func BenchmarkSimCoreContended2(b *testing.B) { Contended2(b) }
 func BenchmarkSimCoreContended4(b *testing.B) { Contended4(b) }
 func BenchmarkSimCoreContended8(b *testing.B) { Contended8(b) }

@@ -87,8 +87,6 @@ type (
 type (
 	// CCEH is the cacheline-conscious extendible hash table of §4.1.
 	CCEH = cceh.Table
-	// CCEHProgress coordinates a worker with its helper prefetcher.
-	CCEHProgress = cceh.Progress
 	// BTree is the FAST & FAIR-style B+-tree of §4.2.
 	BTree = btree.Tree
 	// BTreeWriter is a per-thread B+-tree update handle.
@@ -161,6 +159,12 @@ func NewCCEH(s *Session, h *Heap, initialDepth uint) *CCEH { return cceh.New(s, 
 
 // CCEHHeapFor sizes a heap for n keys.
 func CCEHHeapFor(n int) uint64 { return cceh.HeapFor(n) }
+
+// CCEHHelper runs §4.1's speculative helper thread: it replays a
+// CCEH.PrefetchPlan, pacing itself against the progress block at prog
+// (two 8-byte words; one cacheline holds it) that the worker's
+// CCEH.InsertBatch publishes with timed stores.
+func CCEHHelper(s *Session, plan [][]Addr, prog Addr) { cceh.HelperPlan(s, plan, prog) }
 
 // NewBTree builds the §4.2 B+-tree with the given update mode.
 func NewBTree(s *Session, h *Heap, mode BTreeMode) *BTree { return btree.New(s, h, mode) }

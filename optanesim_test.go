@@ -32,7 +32,7 @@ func TestPublicAPIDataStructures(t *testing.T) {
 	free := NewFreeSession(heap)
 	table := NewCCEH(free, heap, 4)
 	keys := SequenceKeys(1, 5000)
-	if n := table.InsertBatch(free, keys, nil); n != 5000 {
+	if n := table.InsertBatch(free, keys, 0); n != 5000 {
 		t.Fatalf("inserted %d of 5000", n)
 	}
 	if v, ok := table.Lookup(free, keys[123]); !ok || v != keys[123]^0xABCD {
