@@ -2,10 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"optanesim/internal/btree"
 	"optanesim/internal/machine"
+	"optanesim/internal/mem"
 	"optanesim/internal/pmem"
 	"optanesim/internal/sim"
 	"optanesim/internal/workload"
@@ -54,10 +56,19 @@ func Fig12(o Fig12Options) []Fig12Point { return fig12(new(Meter), o) }
 
 func fig12(m *Meter, o Fig12Options) []Fig12Point {
 	o.defaults()
+	// One PM heap serves every cell, sized for the largest. Nodes are
+	// 1 KB with 60 slots and split into halves of 30, so a key takes at
+	// most ~35 B (random keys settle near 25 B); the 64 MB covers the
+	// writers' redo logs with room to spare.
+	total := o.PrebuildKeys + slices.Max(o.Threads)*o.InsertsPerThread
+	heap := pmem.NewPMHeap(uint64(total)*48 + (64 << 20))
+	inPlace := fig12Prebuild(heap, o.PrebuildKeys, btree.InPlace)
+	redo := fig12Prebuild(heap, o.PrebuildKeys, btree.RedoLog)
+
 	points := make([]Fig12Point, 0, len(o.Threads))
 	for _, th := range o.Threads {
-		inCyc, inMops := fig12Run(m, o, th, btree.InPlace)
-		rdCyc, rdMops := fig12Run(m, o, th, btree.RedoLog)
+		inCyc, inMops := fig12Run(m, o, th, heap, inPlace)
+		rdCyc, rdMops := fig12Run(m, o, th, heap, redo)
 		points = append(points, Fig12Point{
 			Threads:       th,
 			InPlaceCycles: inCyc, RedoCycles: rdCyc,
@@ -67,21 +78,37 @@ func fig12(m *Meter, o Fig12Options) []Fig12Point {
 	return points
 }
 
-func fig12Run(m *Meter, o Fig12Options, threads int, mode btree.Mode) (cyclesPerInsert, mops float64) {
-	sys := m.System(o.Gen.Config(threads))
+// fig12Tree is one mode's prebuilt tree: the heap as the build left it
+// and the superblock that reopens the tree.
+type fig12Tree struct {
+	mode  btree.Mode
+	mark  []byte
+	super mem.Addr
+}
 
-	total := o.PrebuildKeys + threads*o.InsertsPerThread
-	// ~14 keys per 512 B node at steady state, plus log regions.
-	heap := pmem.NewPMHeap(uint64(total)*48 + (64 << 20))
-	dramHeap := pmem.NewDRAMHeap(uint64(threads+1)*btree.LogEntries*64 + (1 << 20))
+// fig12Prebuild empties heap and builds a tree of n keys on it through a
+// free session. A free session charges no cycles, so the heap's bytes
+// and bump pointer are all the build leaves behind: rewinding the heap
+// to the returned mark gives a cell the state a fresh build would.
+func fig12Prebuild(heap *pmem.Heap, n int, mode btree.Mode) fig12Tree {
+	heap.Rewind(nil)
 	free := pmem.NewFreeSession(heap)
 	tr := btree.New(free, heap, mode)
 	fw := tr.NewWriter(free, nil)
-	for _, k := range workload.SequenceKeys(1<<40, o.PrebuildKeys) {
+	for _, k := range workload.SequenceKeys(1<<40, n) {
 		if err := tr.Insert(fw, k, k); err != nil {
 			panic(err)
 		}
 	}
+	return fig12Tree{mode: mode, mark: heap.Mark(), super: tr.Super()}
+}
+
+func fig12Run(m *Meter, o Fig12Options, threads int, heap *pmem.Heap, pre fig12Tree) (cyclesPerInsert, mops float64) {
+	sys := m.System(o.Gen.Config(threads))
+
+	heap.Rewind(pre.mark)
+	dramHeap := pmem.NewDRAMHeap(uint64(threads+1)*btree.LogEntries*64 + (1 << 20))
+	tr := btree.Open(pmem.NewFreeSession(heap), heap, pre.mode, pre.super)
 
 	var busy sim.Cycles
 	var inserted int

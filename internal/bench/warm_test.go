@@ -138,3 +138,19 @@ func TestWarmReuseTelemetryDegrades(t *testing.T) {
 		t.Fatalf("telemetry differs between -j 1 and -j 2:\n%s", firstLineDiff(seq, par))
 	}
 }
+
+// TestFig12CellsIndependent pins fig12's prebuilt trees: each unit
+// builds each mode's tree once, and every cell rewinds the unit's heap
+// to it, so a point must equal the point of its thread count run alone
+// on a heap no other cell has touched.
+func TestFig12CellsIndependent(t *testing.T) {
+	opts := func(threads ...int) bench.Fig12Options {
+		return bench.Fig12Options{Threads: threads, PrebuildKeys: 20_000, InsertsPerThread: 300}
+	}
+	swept := bench.Fig12(opts(1, 3))
+	for i, th := range []int{1, 3} {
+		if alone := bench.Fig12(opts(th))[0]; swept[i] != alone {
+			t.Errorf("%d threads: swept %+v, alone %+v", th, swept[i], alone)
+		}
+	}
+}

@@ -94,26 +94,31 @@ func YCSB(o YCSBOptions) []YCSBResult { return ycsb(new(Meter), o) }
 
 func ycsb(m *Meter, o YCSBOptions) []YCSBResult {
 	o.defaults()
-	out := make([]YCSBResult, 0, 3)
-	for _, w := range []YCSBWorkload{YCSBA, YCSBB, YCSBC} {
-		out = append(out, ycsbRun(m, o, w))
-	}
-	return out
-}
-
-func ycsbRun(m *Meter, o YCSBOptions, wl YCSBWorkload) YCSBResult {
-	sys := m.System(o.Gen.Config(1))
 	var heap *pmem.Heap
 	if o.OnDRAM {
 		heap = pmem.NewDRAMHeap(cceh.HeapFor(o.TableKeys))
 	} else {
 		heap = pmem.NewPMHeap(cceh.HeapFor(o.TableKeys))
 	}
+	// Build the table once through a free session; each workload
+	// rewinds the heap to it and reopens it (see fig12Prebuild).
 	free := pmem.NewFreeSession(heap)
-	tbl := cceh.New(free, heap, 8)
 	keys := workload.SequenceKeys(1<<40, o.TableKeys)
-	tbl.InsertBatch(free, keys, 0)
+	built := cceh.New(free, heap, 8)
+	built.InsertBatch(free, keys, 0)
+	mark := heap.Mark()
 
+	out := make([]YCSBResult, 0, 3)
+	for _, w := range []YCSBWorkload{YCSBA, YCSBB, YCSBC} {
+		heap.Rewind(mark)
+		tbl := cceh.Open(free, heap, built.Super())
+		out = append(out, ycsbRun(m, o, w, heap, tbl, keys))
+	}
+	return out
+}
+
+func ycsbRun(m *Meter, o YCSBOptions, wl YCSBWorkload, heap *pmem.Heap, tbl *cceh.Table, keys []uint64) YCSBResult {
+	sys := m.System(o.Gen.Config(1))
 	res := YCSBResult{
 		Workload: wl,
 		Read:     stats.New(),

@@ -65,7 +65,6 @@ type Tree struct {
 	super mem.Addr
 
 	height int
-	nodes  int
 	splits int
 }
 
@@ -117,9 +116,6 @@ func (t *Tree) Mode() Mode { return t.mode }
 // Height returns the current tree height.
 func (t *Tree) Height() int { return t.height }
 
-// Nodes returns the number of allocated nodes.
-func (t *Tree) Nodes() int { return t.nodes }
-
 // Splits returns the number of node splits performed.
 func (t *Tree) Splits() int { return t.splits }
 
@@ -130,7 +126,6 @@ func (t *Tree) newNode(s *pmem.Session, leaf bool) mem.Addr {
 	}
 	s.StoreLine(n)
 	s.Persist(n, mem.CachelineSize)
-	t.nodes++
 	return n
 }
 

@@ -93,12 +93,24 @@ func (h *Heap) PutUint64(addr mem.Addr, v uint64) {
 	binary.LittleEndian.PutUint64(h.Bytes(addr, 8), v)
 }
 
-// Reset discards all allocations and zeroes the backing store.
-func (h *Heap) Reset() {
-	for i := range h.buf {
-		h.buf[i] = 0
+// Mark returns a copy of the allocated prefix of the heap: its bytes
+// and, as the copy's length, its bump pointer. Rewind(mark) restores
+// both.
+func (h *Heap) Mark() []byte {
+	return append([]byte(nil), h.buf[:h.off]...)
+}
+
+// Rewind returns the heap to the state Mark recorded: the marked prefix
+// is copied back, everything allocated since is zeroed, and the next
+// Alloc starts at len(mark). Rewind(nil) discards every allocation.
+// Writes that stayed inside the heap's allocations are all undone, so a
+// sweep can prebuild a data structure once and rewind to it per cell.
+func (h *Heap) Rewind(mark []byte) {
+	n := copy(h.buf, mark)
+	if h.off > uint64(n) {
+		clear(h.buf[n:h.off])
 	}
-	h.off = 0
+	h.off = uint64(n)
 }
 
 // Snapshot returns a copy of the heap's backing bytes (the full data

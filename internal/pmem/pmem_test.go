@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -65,9 +66,55 @@ func TestHeapDataPlane(t *testing.T) {
 	if h.Uint64(a) != 0xDEADBEEF || h.Uint64(a+8) != 42 {
 		t.Fatal("data plane readback failed")
 	}
-	h.Reset()
+	h.Rewind(nil)
 	if h.Used() != 0 {
-		t.Fatal("reset kept allocations")
+		t.Fatal("rewind to nil kept allocations")
+	}
+}
+
+func TestHeapMarkRewind(t *testing.T) {
+	h := NewPMHeap(4096)
+	a := h.Alloc(100, 8)
+	data := h.Bytes(a, 100)
+	for i := range data {
+		data[i] = byte(i + 1)
+	}
+	mark := h.Mark()
+	if uint64(len(mark)) != h.Used() {
+		t.Fatalf("mark holds %d bytes, heap used %d", len(mark), h.Used())
+	}
+
+	// Overwrite marked bytes and allocate past the mark.
+	h.PutUint64(a, 0xFFFF)
+	first := h.Alloc(64, 64)
+	h.PutUint64(first, 7)
+	second := h.Alloc(300, 8)
+	h.PutUint64(second+200, 9)
+
+	h.Rewind(mark)
+	if got := h.Bytes(h.Base(), len(mark)); !bytes.Equal(got, mark) {
+		t.Fatal("rewind did not restore the marked prefix")
+	}
+	if h.Used() != uint64(len(mark)) {
+		t.Fatalf("used %d after rewind, want %d", h.Used(), len(mark))
+	}
+	for i, b := range h.Bytes(h.Base()+mem.Addr(len(mark)), int(h.Size())-len(mark)) {
+		if b != 0 {
+			t.Fatalf("byte %d past the mark is %#x after rewind", len(mark)+i, b)
+		}
+	}
+	if again := h.Alloc(64, 64); again != first {
+		t.Fatalf("first alloc after rewind at %#x, want %#x", again, first)
+	}
+
+	h.Rewind(nil)
+	if h.Used() != 0 {
+		t.Fatalf("used %d after rewind to nil", h.Used())
+	}
+	for i, b := range h.Bytes(h.Base(), int(h.Size())) {
+		if b != 0 {
+			t.Fatalf("byte %d is %#x after rewind to nil", i, b)
+		}
 	}
 }
 
