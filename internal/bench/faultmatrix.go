@@ -70,10 +70,18 @@ type FaultMatrixRecord struct {
 // units, so every read can be verified.
 func faultVal(k uint64) uint64 { return k*31 + 7 }
 
-// faultIndex adapts one index structure to the poison passes.
-type faultIndex struct {
-	get  func(k uint64) (uint64, bool)
-	getc func(k uint64, pol pmem.RepairPolicy) (uint64, bool, error)
+// faultIndex is one index structure's plain point read.
+type faultIndex func(k uint64) (uint64, bool)
+
+// checkedGet is the hardened read path: get(k) run under the session's
+// fault-checking scope with pol's bounded retry/repair semantics. A
+// clean or recovered read returns get's (value, ok); a read that still
+// touches an unrecoverable poisoned line returns the typed error
+// (mem.IsPoison) instead of silently corrupt data; v and ok then mean
+// nothing.
+func checkedGet(s *pmem.Session, get faultIndex, k uint64, pol pmem.RepairPolicy) (v uint64, ok bool, err error) {
+	err = s.CheckedRead(pol, func() { v, ok = get(k) })
+	return v, ok, err
 }
 
 // installPoison arms k sampled cachelines over the heap's used region:
@@ -106,7 +114,7 @@ func runPoisonUnit(workload string, seed uint64, n, nPoison int,
 
 	h := pmem.NewPMHeap(1 << 23)
 	s := pmem.NewFreeSession(h)
-	idx := build(s, h)
+	get := build(s, h)
 
 	inj := fault.New(fault.Config{Seed: seed})
 	s.SetFaults(inj)
@@ -117,7 +125,7 @@ func runPoisonUnit(workload string, seed uint64, n, nPoison int,
 	// surface as a typed poison error, never as corrupt data.
 	reported := 0
 	for k := uint64(1); k <= uint64(n); k++ {
-		v, ok, err := idx.getc(k, pmem.ReportPolicy())
+		v, ok, err := checkedGet(s, get, k, pmem.ReportPolicy())
 		if err != nil {
 			if !mem.IsPoison(err) {
 				panic(fmt.Sprintf("faultmatrix poison/%s (seed %d): key %d: untyped error %v",
@@ -133,7 +141,7 @@ func runPoisonUnit(workload string, seed uint64, n, nPoison int,
 	}
 	// Pass B — detect and repair: scrubbing must recover every key.
 	for k := uint64(1); k <= uint64(n); k++ {
-		v, ok, err := idx.getc(k, pmem.RepairingPolicy())
+		v, ok, err := checkedGet(s, get, k, pmem.RepairingPolicy())
 		if err != nil {
 			panic(fmt.Sprintf("faultmatrix poison/%s (seed %d): key %d unrecoverable: %v",
 				workload, seed, k, err))
@@ -211,12 +219,7 @@ func faultmatrixUnits(o Options) []Unit {
 						panic(err)
 					}
 				}
-				return faultIndex{
-					get: func(k uint64) (uint64, bool) { return tr.Get(s, k) },
-					getc: func(k uint64, pol pmem.RepairPolicy) (uint64, bool, error) {
-						return tr.GetChecked(s, k, pol)
-					},
-				}
+				return func(k uint64) (uint64, bool) { return tr.Get(s, k) }
 			})
 		}},
 		{Experiment: "faultmatrix", Name: "poison/cceh", body: func(*Meter) UnitResult {
@@ -227,12 +230,7 @@ func faultmatrixUnits(o Options) []Unit {
 						panic(err)
 					}
 				}
-				return faultIndex{
-					get: func(k uint64) (uint64, bool) { return tb.Lookup(s, k) },
-					getc: func(k uint64, pol pmem.RepairPolicy) (uint64, bool, error) {
-						return tb.LookupChecked(s, k, pol)
-					},
-				}
+				return func(k uint64) (uint64, bool) { return tb.Lookup(s, k) }
 			})
 		}},
 		{Experiment: "faultmatrix", Name: "poison/radix", body: func(*Meter) UnitResult {
@@ -243,12 +241,7 @@ func faultmatrixUnits(o Options) []Unit {
 						panic(err)
 					}
 				}
-				return faultIndex{
-					get: func(k uint64) (uint64, bool) { return tr.Get(s, k) },
-					getc: func(k uint64, pol pmem.RepairPolicy) (uint64, bool, error) {
-						return tr.GetChecked(s, k, pol)
-					},
-				}
+				return func(k uint64) (uint64, bool) { return tr.Get(s, k) }
 			})
 		}},
 		{Experiment: "faultmatrix", Name: "poison/kvstore", body: func(*Meter) UnitResult {
@@ -259,12 +252,7 @@ func faultmatrixUnits(o Options) []Unit {
 						panic(err)
 					}
 				}
-				return faultIndex{
-					get: func(k uint64) (uint64, bool) { return st.Get(s, k) },
-					getc: func(k uint64, pol pmem.RepairPolicy) (uint64, bool, error) {
-						return st.GetChecked(s, k, pol)
-					},
-				}
+				return func(k uint64) (uint64, bool) { return st.Get(s, k) }
 			})
 		}},
 
@@ -286,11 +274,12 @@ func faultmatrixUnits(o Options) []Unit {
 			inj := fault.New(fault.Config{Seed: seed})
 			s.SetFaults(inj)
 			installPoison(inj, h, seed, nPoison)
+			get := func(k uint64) (uint64, bool) { return tr.Get(s, k) }
 
 			// Unhardened pass: plain Get never sees an error even though
 			// its loads cross poisoned lines.
 			for k := uint64(1); k <= uint64(nKeys); k++ {
-				if v, ok := tr.Get(s, k); !ok || v != faultVal(k) {
+				if v, ok := get(k); !ok || v != faultVal(k) {
 					panic(fmt.Sprintf("faultmatrix control (seed %d): data plane corrupted at key %d", seed, k))
 				}
 			}
@@ -303,7 +292,7 @@ func faultmatrixUnits(o Options) []Unit {
 			// The hardened path over the same heap repairs everything.
 			repairedPass := 0
 			for k := uint64(1); k <= uint64(nKeys); k++ {
-				v, ok, err := tr.GetChecked(s, k, pmem.RepairingPolicy())
+				v, ok, err := checkedGet(s, get, k, pmem.RepairingPolicy())
 				if err != nil || !ok || v != faultVal(k) {
 					panic(fmt.Sprintf("faultmatrix control (seed %d): hardened repair failed at key %d: %v", seed, k, err))
 				}

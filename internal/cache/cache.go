@@ -209,15 +209,20 @@ const lineShift = 6
 // nil on a miss.
 func (c *Cache) Lookup(addr mem.Addr) *Line {
 	la := addr.Line()
-	l := &c.ways[c.pred[(uint64(la)>>lineShift)&predMask]]
-	if l.valid && l.addr == la {
-		c.tick++
-		l.lastUse = c.tick
-		c.hits++
-		c.predHits++
+	if l := c.PredictLine(la); l != nil {
+		c.Touch(l)
 		return l
 	}
-	return c.lookupSlow(la, uint64(la)|1)
+	c.predMisses++
+	l := c.peekSlow(la)
+	if l == nil {
+		c.misses++
+		return nil
+	}
+	c.tick++
+	l.lastUse = c.tick
+	c.hits++
+	return l
 }
 
 // PredictLine returns the line containing addr if the way predictor
@@ -243,45 +248,23 @@ func (c *Cache) Touch(l *Line) {
 	c.predHits++
 }
 
-// lookupSlow is Lookup's set-scan fallback on a predictor miss.
-func (c *Cache) lookupSlow(la mem.Addr, key uint64) *Line {
-	c.predMisses++
-	if c.occupied == 0 {
-		c.misses++
-		return nil
-	}
-	base := c.setIndex(la) * c.cfg.Assoc
-	tags := c.tags[base : base+c.cfg.Assoc]
-	for i := range tags {
-		if tags[i] == key {
-			c.tick++
-			l := &c.ways[base+i]
-			l.lastUse = c.tick
-			c.hits++
-			c.pred[(uint64(la)>>lineShift)&predMask] = int32(base + i)
-			return l
-		}
-	}
-	c.misses++
-	return nil
-}
-
 // Peek finds the line containing addr without updating LRU or hit/miss
 // statistics.
 func (c *Cache) Peek(addr mem.Addr) *Line {
 	la := addr.Line()
-	key := uint64(la) | 1
-	if l := &c.ways[c.pred[(uint64(la)>>lineShift)&predMask]]; l.valid && l.addr == la {
+	if l := c.PredictLine(la); l != nil {
 		return l
 	}
-	return c.peekSlow(la, key)
+	return c.peekSlow(la)
 }
 
-// peekSlow is Peek's set-scan fallback on a predictor miss.
-func (c *Cache) peekSlow(la mem.Addr, key uint64) *Line {
+// peekSlow is the set scan behind Peek and Lookup on a way-predictor
+// miss.
+func (c *Cache) peekSlow(la mem.Addr) *Line {
 	if c.occupied == 0 {
 		return nil
 	}
+	key := uint64(la) | 1
 	base := c.setIndex(la) * c.cfg.Assoc
 	tags := c.tags[base : base+c.cfg.Assoc]
 	for i := range tags {

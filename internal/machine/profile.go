@@ -47,6 +47,7 @@ type CPUProfile struct {
 
 	// MaxOutstandingFlushes bounds how many flushes/nt-stores may be
 	// in flight before the core stalls (write-combining buffer depth).
+	// Zero selects 8.
 	MaxOutstandingFlushes int
 
 	// HTSharePenaltyPct inflates front-end op costs by this percentage

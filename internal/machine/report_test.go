@@ -106,44 +106,3 @@ func TestEADRDisablesFlushTraffic(t *testing.T) {
 		t.Fatal("eADR clwb still generated WPQ traffic")
 	}
 }
-
-func TestTraceRing(t *testing.T) {
-	sys := MustNewSystem(G1Config(1))
-	var th *Thread
-	th = sys.Go("t", 0, false, func(tt *Thread) {
-		a := mem.PMBase + 4096
-		for i := 0; i < 10; i++ {
-			tt.LoadDep(a + mem.Addr(i*256))
-			tt.Store(a + mem.Addr(i*256))
-			tt.CLWB(a + mem.Addr(i*256))
-			tt.SFence()
-		}
-	})
-	th.EnableTrace(8)
-	sys.Run()
-	events := th.Trace()
-	if len(events) != 8 {
-		t.Fatalf("ring kept %d events, want 8", len(events))
-	}
-	// Oldest-first ordering with monotone sequence numbers and times.
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq <= events[i-1].Seq || events[i].Start < events[i-1].Start {
-			t.Fatalf("trace out of order: %v", events)
-		}
-	}
-	// The last event of a store+clwb+sfence loop is the fence.
-	last := events[len(events)-1]
-	if last.Kind != mem.OpSFence {
-		t.Fatalf("last event = %v, want sfence", last.Kind)
-	}
-	if th.TraceString() == "" {
-		t.Fatal("empty trace rendering")
-	}
-	// Untraced threads return nil.
-	sys2 := MustNewSystem(G1Config(1))
-	th2 := sys2.Go("t", 0, false, func(tt *Thread) { tt.Compute(1) })
-	sys2.Run()
-	if th2.Trace() != nil {
-		t.Fatal("untraced thread returned events")
-	}
-}

@@ -151,6 +151,9 @@ func NewSystemReusing(cfg Config, donor *System) (*System, error) {
 	if cfg.IMC.WPQDepth == 0 {
 		cfg.IMC = imc.DefaultConfig()
 	}
+	if cfg.CPU.MaxOutstandingFlushes <= 0 {
+		cfg.CPU.MaxOutstandingFlushes = 8
+	}
 	s := &System{
 		cfg:      cfg,
 		tagIDs:   map[string]int{"": 0},
@@ -229,14 +232,6 @@ func (s *System) controller(addr mem.Addr) *imc.Controller {
 	return s.dramc
 }
 
-// demand returns the demand-traffic counter set for addr's region.
-func (s *System) demand(addr mem.Addr) *trace.Counters {
-	if addr.IsPM() {
-		return &s.pmDemand
-	}
-	return &s.dramDemand
-}
-
 // PMCounters returns aggregated PM traffic: the demand bytes observed at
 // the CPU plus the iMC/media bytes summed over the Optane DIMMs.
 func (s *System) PMCounters() trace.Counters {
@@ -296,44 +291,37 @@ func (s *System) Faults() *fault.Injector { return s.faults }
 // detaches everything.
 func (s *System) AttachTelemetry(rec *telemetry.Recorder) {
 	s.rec = rec
-	if rec == nil {
-		s.telProbe = nil
-		s.l3.SetTelemetry(nil)
-		for _, c := range s.cores {
-			c.L1.SetTelemetry(nil)
-			c.L2.SetTelemetry(nil)
-		}
-		s.pmc.SetTelemetry(nil)
-		s.dramc.SetTelemetry(nil)
-		s.pmc.SetAttr(nil)
-		s.dramc.SetAttr(nil)
-		for _, d := range s.pmDIMMs {
-			d.SetTelemetry(nil)
-			d.SetAttr(nil)
-		}
-		s.dramDev.SetAttr(nil)
-		return
+	// One wiring list serves attach and detach: with rec nil every probe
+	// and the attribution scratchpad are nil. Registration order fixes
+	// the source IDs.
+	probe := func(string) *telemetry.Probe { return nil }
+	var attr *telemetry.OpAttr
+	if rec != nil {
+		probe = rec.Probe
+		attr = rec.Attr()
 	}
-	s.telProbe = rec.Probe("machine")
-	s.l3.SetTelemetry(rec.Probe("L3"))
+	s.telProbe = probe("machine")
+	s.l3.SetTelemetry(probe("L3"))
 	for i, c := range s.cores {
-		c.L1.SetTelemetry(rec.Probe(fmt.Sprintf("L1(core%d)", i)))
-		c.L2.SetTelemetry(rec.Probe(fmt.Sprintf("L2(core%d)", i)))
+		c.L1.SetTelemetry(probe(fmt.Sprintf("L1(core%d)", i)))
+		c.L2.SetTelemetry(probe(fmt.Sprintf("L2(core%d)", i)))
 	}
-	s.pmc.SetTelemetry(rec.Probe("imc-pm"))
-	s.dramc.SetTelemetry(rec.Probe("imc-dram"))
+	s.pmc.SetTelemetry(probe("imc-pm"))
+	s.dramc.SetTelemetry(probe("imc-dram"))
 	for i, d := range s.pmDIMMs {
-		d.SetTelemetry(rec.Probe(fmt.Sprintf("dimm%d", i)))
+		d.SetTelemetry(probe(fmt.Sprintf("dimm%d", i)))
 	}
 	// Cycle attribution: the recorder's scratchpad (nil when breakdown
 	// is off) fans out to every component that charges latency into it.
-	attr := rec.Attr()
 	s.pmc.SetAttr(attr)
 	s.dramc.SetAttr(attr)
 	for _, d := range s.pmDIMMs {
 		d.SetAttr(attr)
 	}
 	s.dramDev.SetAttr(attr)
+	if rec == nil {
+		return
+	}
 
 	rec.RegisterGauge("wpq_occupancy", func(now sim.Cycles) float64 {
 		return float64(s.pmc.WPQOccupancy(now))
@@ -421,16 +409,17 @@ func (s *System) Go(name string, coreID int, remote bool, fn func(*Thread)) *Thr
 	if coreID < 0 || coreID >= len(s.cores) {
 		panic(fmt.Sprintf("machine: core %d out of range", coreID))
 	}
+	core := s.cores[coreID]
 	t := &Thread{
 		sys:        s,
 		id:         s.nextTID,
 		name:       name,
-		core:       s.cores[coreID],
+		core:       core,
 		remote:     remote,
 		fn:         fn,
+		levels:     [3]*cache.Cache{core.L1, core.L2, s.l3},
 		cpuProf:    &s.cfg.CPU,
-		l1:         s.cores[coreID].L1,
-		l1Hit:      s.cores[coreID].L1.HitCycles(),
+		l1Hit:      core.L1.HitCycles(),
 		pmDemand:   &s.pmDemand,
 		dramDemand: &s.dramDemand,
 		pfFloor:    s.cfg.PM.SeqReadFloorCycles,

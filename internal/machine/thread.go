@@ -59,11 +59,16 @@ type Thread struct {
 	resume   chan struct{}
 	fn       func(*Thread)
 
+	// levels is the cache hierarchy this thread sees, nearest first: its
+	// core's L1 and L2, then the shared L3. Every walk over the
+	// hierarchy (demand reads, fills and write-backs, flushes, probes)
+	// runs over this list.
+	levels [3]*cache.Cache
+
 	// cpuProf caches &sys.cfg.CPU: the hot paths read several profile
-	// fields per op and skip the two-level deref. l1, l1Hit, pmDemand and
+	// fields per op and skip the two-level deref. l1Hit, pmDemand and
 	// dramDemand flatten the other per-op pointer chains the same way.
 	cpuProf    *CPUProfile
-	l1         *cache.Cache
 	l1Hit      sim.Cycles
 	pmDemand   *trace.Counters
 	dramDemand *trace.Counters
@@ -74,9 +79,6 @@ type Thread struct {
 	// see optane.Profile.SeqReadFloorCycles). Zero floor disables pacing.
 	pfFloor sim.Cycles
 	pfFree  sim.Cycles
-
-	// traces, when non-nil, records recent operations (EnableTrace).
-	traces *traceRing
 
 	// rec/tel mirror the system's telemetry attachment (wired at Run
 	// start): rec drives the per-op sampler tick, tel is the machine
@@ -208,9 +210,6 @@ func (t *Thread) advance(at sim.Cycles) {
 	t.now = at
 }
 
-// cpu returns the CPU profile.
-func (t *Thread) cpu() *CPUProfile { return t.cpuProf }
-
 // feCost scales a front-end cost for hyperthread sharing when a sibling
 // thread is live on the same core.
 func (t *Thread) feCost(c sim.Cycles) sim.Cycles {
@@ -234,9 +233,9 @@ func (t *Thread) remoteReadExtra(addr mem.Addr) sim.Cycles {
 		return 0
 	}
 	if addr.IsPM() {
-		return t.cpu().RemotePMReadExtra
+		return t.cpuProf.RemotePMReadExtra
 	}
-	return t.cpu().RemoteDRAMReadExtra
+	return t.cpuProf.RemoteDRAMReadExtra
 }
 
 // Load performs an ordinary cacheable load of the cacheline containing
@@ -254,7 +253,8 @@ func (t *Thread) LoadDep(addr mem.Addr) {
 
 func (t *Thread) load(addr mem.Addr, ooo bool) {
 	t.schedule()
-	l := t.l1.PredictLine(addr.Line())
+	l1 := t.levels[0]
+	l := l1.PredictLine(addr.Line())
 
 	start := t.now
 	cpu := t.cpuProf
@@ -275,7 +275,7 @@ func (t *Thread) load(addr mem.Addr, ooo bool) {
 	// the identical accounting.
 	var done sim.Cycles
 	if l != nil && !l.Flushed && !l.Prefetched {
-		t.l1.Touch(l)
+		l1.Touch(l)
 		done = sim.Max(eff, l.ReadyAt) + t.l1Hit
 		if a := t.attr; a != nil {
 			a.Add(telemetry.CompL1Hit, done-eff)
@@ -288,7 +288,7 @@ func (t *Thread) load(addr mem.Addr, ooo bool) {
 		a.Add(telemetry.CompIssue, t.feCost(cpu.LoadIssueCycles))
 		a.FinishOp(telemetry.ClassLoad, t.now-start)
 	}
-	t.record(mem.OpLoad, addr, start)
+	t.sampleTick()
 }
 
 // LoadParallel performs several independent loads that issue together
@@ -298,7 +298,7 @@ func (t *Thread) load(addr mem.Addr, ooo bool) {
 func (t *Thread) LoadParallel(addrs ...mem.Addr) {
 	t.schedule()
 	start := t.now
-	cpu := t.cpu()
+	cpu := t.cpuProf
 	eff := t.now - cpu.OOOWindow
 	// loadBarrier is never negative, so this clamp also floors eff at 0.
 	if eff < t.loadBarrier {
@@ -306,7 +306,7 @@ func (t *Thread) LoadParallel(addrs ...mem.Addr) {
 	}
 	var done sim.Cycles
 	for _, addr := range addrs {
-		t.sys.demand(addr).DemandReadBytes += mem.CachelineSize
+		t.demand(addr).DemandReadBytes += mem.CachelineSize
 		d := t.readPath(eff, addr, true, false)
 		if d > done {
 			done = d
@@ -320,15 +320,60 @@ func (t *Thread) LoadParallel(addrs ...mem.Addr) {
 }
 
 // readPath walks the hierarchy for a demand load beginning at start and
-// returns the data-available time. It fills caches and triggers the
-// prefetchers. dep marks a dependent (pointer-chase style) load, which
-// is subject to the PM media-port occupancy floor when it is served from
-// a prefetched line.
+// returns the data-available time. The first level holding a readable
+// copy serves the load and fills every level above it; a load no level
+// serves goes to memory and fills them all. The prefetchers see every
+// load that misses L1, and an L1 hit only when it confirms a prefetched
+// line. dep marks a dependent (pointer-chase style) load, which is
+// subject to the PM media-port occupancy floor when it is served from a
+// prefetched line.
 func (t *Thread) readPath(start sim.Cycles, addr mem.Addr, demand, dep bool) sim.Cycles {
-	if l := t.core.L1.Lookup(addr.Line()); l != nil {
-		return t.readPathL1(start, addr, l, demand, dep)
+	la := addr.Line()
+	var done sim.Cycles
+	confirmed := false
+	i := 0
+	for ; i < len(t.levels); i++ {
+		c := t.levels[i]
+		l := c.Lookup(la)
+		if l == nil || t.flushExpired(c, l, start) {
+			continue
+		}
+		confirmed = l.Prefetched
+		l.Prefetched = false
+		done = sim.Max(start, l.ReadyAt) + c.HitCycles()
+		if a := t.attr; a != nil {
+			// CompL1Hit, CompL2Hit and CompL3Hit are consecutive.
+			a.Add(telemetry.CompL1Hit+telemetry.Comp(i), done-start)
+		}
+		if confirmed && dep && t.pfFloor > 0 && addr.IsPM() {
+			done = t.paceSeqRead(done)
+		}
+		break
 	}
-	return t.readPathMiss(start, addr, demand, dep)
+	if i == len(t.levels) {
+		done = t.memRead(start, addr, demand)
+	}
+	for j := i - 1; j >= 0; j-- {
+		t.fillLevel(j, la, false, false, done)
+	}
+	if i > 0 || confirmed {
+		t.issuePrefetches(addr, i > 0, confirmed, done)
+	}
+	return done
+}
+
+// memRead reads addr's line from memory for a request issued at at,
+// after it has missed every cache level: the request pays the L3
+// lookup before it leaves for the controller, and a thread on the
+// remote socket pays the NUMA surcharge on the way back.
+func (t *Thread) memRead(at sim.Cycles, addr mem.Addr, demand bool) sim.Cycles {
+	l3 := t.levels[2].HitCycles()
+	numa := t.remoteReadExtra(addr)
+	if a := t.attr; a != nil {
+		a.Add(telemetry.CompL3Hit, l3)
+		a.Add(telemetry.CompNUMA, numa)
+	}
+	return t.sys.controller(addr).Read(at+l3, addr, demand) + numa
 }
 
 // paceSeqRead applies the PM media-port occupancy floor to a dependent
@@ -347,85 +392,13 @@ func (t *Thread) paceSeqRead(done sim.Cycles) sim.Cycles {
 	return done
 }
 
-// readPathL1 completes a demand read that found line l in L1: a hit
-// unless the line's pending flush invalidation has expired, in which
-// case the walk resumes at L2.
-func (t *Thread) readPathL1(start sim.Cycles, addr mem.Addr, l *cache.Line, demand, dep bool) sim.Cycles {
-	if t.flushExpired(t.core.L1, l, start) {
-		return t.readPathMiss(start, addr, demand, dep)
-	}
-	confirmed := l.Prefetched
-	l.Prefetched = false
-	done := sim.Max(start, l.ReadyAt) + t.core.L1.HitCycles()
-	if a := t.attr; a != nil {
-		a.Add(telemetry.CompL1Hit, done-start)
-	}
-	if confirmed {
-		if dep && t.pfFloor > 0 && addr.IsPM() {
-			done = t.paceSeqRead(done)
-		}
-		t.issuePrefetches(addr, false, true, done)
-	}
-	return done
-}
-
-// readPathMiss walks the hierarchy below L1 for a demand read.
-func (t *Thread) readPathMiss(start sim.Cycles, addr mem.Addr, demand, dep bool) sim.Cycles {
-	la := addr.Line()
-
-	// L2.
-	if l := t.core.L2.Lookup(la); l != nil && !t.flushExpired(t.core.L2, l, start) {
-		confirmed := l.Prefetched
-		l.Prefetched = false
-		done := sim.Max(start, l.ReadyAt) + t.core.L2.HitCycles()
-		if a := t.attr; a != nil {
-			a.Add(telemetry.CompL2Hit, done-start)
-		}
-		if confirmed && dep && t.pfFloor > 0 && addr.IsPM() {
-			done = t.paceSeqRead(done)
-		}
-		t.fillLevel(t.core.L1, la, false, false, done)
-		t.issuePrefetches(addr, true, confirmed, done)
-		return done
-	}
-	// Shared L3.
-	if l := t.sys.l3.Lookup(la); l != nil && !t.flushExpired(t.sys.l3, l, start) {
-		confirmed := l.Prefetched
-		l.Prefetched = false
-		done := sim.Max(start, l.ReadyAt) + t.sys.l3.HitCycles()
-		if a := t.attr; a != nil {
-			a.Add(telemetry.CompL3Hit, done-start)
-		}
-		if confirmed && dep && t.pfFloor > 0 && addr.IsPM() {
-			done = t.paceSeqRead(done)
-		}
-		t.fillLevel(t.core.L2, la, false, false, done)
-		t.fillLevel(t.core.L1, la, false, false, done)
-		t.issuePrefetches(addr, true, confirmed, done)
-		return done
-	}
-	// Memory.
-	mc := t.sys.controller(addr)
-	if a := t.attr; a != nil {
-		a.Add(telemetry.CompL3Hit, t.sys.l3.HitCycles())
-		a.Add(telemetry.CompNUMA, t.remoteReadExtra(addr))
-	}
-	memDone := mc.Read(start+t.sys.l3.HitCycles(), addr, demand)
-	memDone += t.remoteReadExtra(addr)
-	t.fillLevel(t.sys.l3, la, false, false, memDone)
-	t.fillLevel(t.core.L2, la, false, false, memDone)
-	t.fillLevel(t.core.L1, la, false, false, memDone)
-	t.issuePrefetches(addr, true, false, memDone)
-	return memDone
-}
-
 // flushExpired applies G1's lazy clwb invalidation: a line with a
 // pending flush becomes unreadable once the invalidation delay elapses.
 func (t *Thread) flushExpired(c *cache.Cache, l *cache.Line, at sim.Cycles) bool {
 	if !l.Flushed {
 		return false
 	}
-	if l.FlushedBy == t.id && t.ops-l.FlushedSeq <= t.cpu().InvalidateDelayOps {
+	if l.FlushedBy == t.id && t.ops-l.FlushedSeq <= t.cpuProf.InvalidateDelayOps {
 		return false
 	}
 	// The delayed invalidation lands now; a line re-dirtied since the
@@ -437,36 +410,39 @@ func (t *Thread) flushExpired(c *cache.Cache, l *cache.Line, at sim.Cycles) bool
 	return true
 }
 
-// fillLevel installs a line, cascading dirty victims toward memory.
-func (t *Thread) fillLevel(c *cache.Cache, la mem.Addr, dirty, prefetched bool, readyAt sim.Cycles) {
-	victim, evicted := c.Insert(la, dirty, prefetched, readyAt)
-	if !evicted || !victim.Dirty {
-		return
+// fillLevel installs a line at level i, cascading dirty victims toward
+// memory.
+func (t *Thread) fillLevel(i int, la mem.Addr, dirty, prefetched bool, readyAt sim.Cycles) {
+	victim, evicted := t.levels[i].Insert(la, dirty, prefetched, readyAt)
+	if evicted && victim.Dirty {
+		t.spillVictim(i+1, victim.Addr, readyAt)
 	}
-	t.spillVictim(c, victim, readyAt)
 }
 
-// spillVictim pushes a dirty victim down one level, or to memory from L3.
-func (t *Thread) spillVictim(from *cache.Cache, v cache.Victim, at sim.Cycles) {
-	var lower *cache.Cache
-	switch from {
-	case t.core.L1:
-		lower = t.core.L2
-	case t.core.L2:
-		lower = t.sys.l3
-	default:
-		// L3 victim: write back to memory asynchronously.
-		t.sys.controller(v.Addr).Write(at, v.Addr)
+// spillVictim writes back a dirty victim from the level above i: it
+// re-dirties a copy already at level i or is installed there dirty,
+// and below the L3 it goes to memory asynchronously.
+func (t *Thread) spillVictim(i int, la mem.Addr, at sim.Cycles) {
+	if i == len(t.levels) {
+		t.sys.controller(la).Write(at, la)
 		return
 	}
-	if l := lower.Peek(v.Addr); l != nil {
+	if l := t.levels[i].Peek(la); l != nil {
 		l.Dirty = true
 		return
 	}
-	victim, evicted := lower.Insert(v.Addr, true, false, at)
-	if evicted && victim.Dirty {
-		t.spillVictim(lower, victim, at)
+	t.fillLevel(i, la, true, false, at)
+}
+
+// cachedAt returns the nearest level holding line la, or len(t.levels)
+// when none does. It probes without touching LRU state or statistics.
+func (t *Thread) cachedAt(la mem.Addr) int {
+	for i, c := range t.levels {
+		if c.Peek(la) != nil {
+			return i
+		}
 	}
+	return len(t.levels)
 }
 
 // issuePrefetches runs the core's prefetch engine and issues the
@@ -475,14 +451,12 @@ func (t *Thread) issuePrefetches(addr mem.Addr, miss, confirmed bool, at sim.Cyc
 	cands := t.core.PF.OnAccess(addr, miss, confirmed)
 	for _, pa := range cands {
 		la := pa.Line()
-		if t.core.L1.Peek(la) != nil || t.core.L2.Peek(la) != nil || t.sys.l3.Peek(la) != nil {
+		if t.cachedAt(la) < len(t.levels) {
 			continue
 		}
-		mc := t.sys.controller(la)
-		done := mc.Read(at, la, false)
-		done += t.remoteReadExtra(la)
-		t.fillLevel(t.sys.l3, la, false, true, done)
-		t.fillLevel(t.core.L2, la, false, true, done)
+		done := t.sys.controller(la).Read(at, la, false) + t.remoteReadExtra(la)
+		t.fillLevel(2, la, false, true, done)
+		t.fillLevel(1, la, false, true, done)
 	}
 }
 
@@ -496,18 +470,19 @@ func (t *Thread) issuePrefetches(addr mem.Addr, miss, confirmed bool, at sim.Cyc
 func (t *Thread) Store(addr mem.Addr) {
 	t.schedule()
 	la := addr.Line()
-	l := t.l1.PredictLine(la)
+	l1 := t.levels[0]
+	l := l1.PredictLine(la)
 
 	start := t.now
 	cpu := t.cpuProf
 	t.demand(addr).DemandWriteBytes += mem.CachelineSize
 	if l != nil && !l.Flushed {
 		// Predicted unflushed L1 hit: commit and re-dirty in place.
-		t.l1.Touch(l)
+		l1.Touch(l)
 		l.Dirty = true
 		l.Prefetched = false
 		t.advance(t.now + t.feCost(cpu.StoreCycles))
-	} else if l := t.core.L1.Lookup(la); l != nil && (!l.Flushed || !t.flushExpired(t.core.L1, l, t.now)) {
+	} else if l := l1.Lookup(la); l != nil && (!l.Flushed || !t.flushExpired(l1, l, t.now)) {
 		// A pending clwb invalidation is NOT cancelled by the store: the
 		// line is re-dirtied but still gets evicted when the
 		// invalidation lands, which is what makes repeated
@@ -516,44 +491,50 @@ func (t *Thread) Store(addr mem.Addr) {
 		l.Prefetched = false
 		t.advance(t.now + t.feCost(cpu.StoreCycles))
 	} else {
-		t.fillLevel(t.core.L1, la, true, false, t.now)
+		t.fillLevel(0, la, true, false, t.now)
 		t.advance(t.now + t.feCost(cpu.StoreCycles+2))
 	}
 	if a := t.attr; a != nil {
 		a.Add(telemetry.CompIssue, t.now-start)
 		a.FinishOp(telemetry.ClassStore, t.now-start)
 	}
-	t.record(mem.OpStore, addr, start)
+	t.sampleTick()
 	if addr.IsPM() {
 		t.emitPersist(telemetry.KindPersistStore, la)
 	}
 }
 
-// flushFloor returns the earliest time a new flush/nt-store may issue,
-// respecting the bounded number of outstanding flush operations.
-func (t *Thread) flushFloor() sim.Cycles {
-	depth := t.cpu().MaxOutstandingFlushes
-	if depth <= 0 {
-		depth = 8
+// post sends a flush or nt-store of line la to the WPQ. It issues issue
+// cycles from now, or once the post MaxOutstandingFlushes back has been
+// accepted if that is later, and the core is busy for cost cycles. The
+// thread does not wait for acceptance: that is the next fence's job.
+//
+// Like every machine-layer write path (flushExpired, spillVictim), only
+// the acceptance time is consumed: the landing time is
+// controller-internal.
+func (t *Thread) post(la mem.Addr, issue, cost sim.Cycles) {
+	depth := t.cpuProf.MaxOutstandingFlushes
+	issueAt := t.now + issue
+	if len(t.flushRing) == depth {
+		issueAt = sim.Max(issueAt, t.flushRing[t.flushHead])
 	}
-	if len(t.flushRing) < depth {
-		return 0
+	if a := t.attr; a != nil {
+		a.Add(telemetry.CompIssue, cost)
+		a.Add(telemetry.CompFlushPipe, issueAt-(t.now+cost))
 	}
-	return t.flushRing[t.flushHead]
-}
-
-// recordFlush tracks an issued flush/nt-store acceptance time.
-func (t *Thread) recordFlush(accept sim.Cycles) {
-	depth := t.cpu().MaxOutstandingFlushes
-	if depth <= 0 {
-		depth = 8
+	accept, _ := t.sys.controller(la).Write(issueAt, la)
+	if t.remote {
+		accept += t.cpuProf.RemoteWriteExtra
 	}
 	if len(t.flushRing) < depth {
 		t.flushRing = append(t.flushRing, accept)
-		return
+	} else {
+		t.flushRing[t.flushHead] = accept
+		t.flushHead = (t.flushHead + 1) % depth
 	}
-	t.flushRing[t.flushHead] = accept
-	t.flushHead = (t.flushHead + 1) % depth
+	t.pending = append(t.pending, accept)
+	// The core stalls when its flush pipeline is saturated.
+	t.advance(sim.Max(t.now+cost, issueAt))
 }
 
 // NTStore performs a non-temporal store of the cacheline containing
@@ -561,43 +542,27 @@ func (t *Thread) recordFlush(accept sim.Cycles) {
 // write is posted to the WPQ. The thread does not wait for acceptance —
 // that is the following fence's job — but stalls if too many flushes are
 // outstanding.
-//
-// Like every machine-layer write path (flush, flushExpired,
-// spillVictim), only the acceptance time is consumed: the landing time
-// is controller-internal.
 func (t *Thread) NTStore(addr mem.Addr) {
 	t.schedule()
 	start := t.now
-	cpu := t.cpu()
-	t.sys.demand(addr).DemandWriteBytes += mem.CachelineSize
+	t.demand(addr).DemandWriteBytes += mem.CachelineSize
 	la := addr.Line()
-	t.core.L1.Invalidate(la)
-	t.core.L2.Invalidate(la)
-	t.sys.l3.Invalidate(la)
-
-	issueAt := sim.Max(t.now+t.feCost(cpu.NTStoreIssueCycles), t.flushFloor())
-	if a := t.attr; a != nil {
-		a.Add(telemetry.CompIssue, t.feCost(cpu.NTStoreIssueCycles))
-		a.Add(telemetry.CompFlushPipe, issueAt-(t.now+t.feCost(cpu.NTStoreIssueCycles)))
+	for _, c := range t.levels {
+		c.Invalidate(la)
 	}
-	accept, _ := t.sys.controller(la).Write(issueAt, la)
-	if t.remote {
-		accept += cpu.RemoteWriteExtra
-	}
-	t.recordFlush(accept)
-	t.pending = append(t.pending, accept)
-	t.advance(sim.Max(t.now+t.feCost(cpu.NTStoreIssueCycles), issueAt))
+	issue := t.feCost(t.cpuProf.NTStoreIssueCycles)
+	t.post(la, issue, issue)
 	if a := t.attr; a != nil {
 		a.FinishOp(telemetry.ClassNTStore, t.now-start)
 	}
-	t.record(mem.OpNTStore, addr, start)
+	t.sampleTick()
 }
 
 // CLWB writes the cacheline containing addr back to memory if it is
 // dirty. On G1 the line is also invalidated (after the pipeline delay);
 // on G2 it remains cached in clean state.
 func (t *Thread) CLWB(addr mem.Addr) {
-	t.flush(addr, !t.cpu().CLWBInvalidates, true)
+	t.flush(addr, !t.cpuProf.CLWBInvalidates, true)
 }
 
 // CLFlushOpt writes back (if dirty) and invalidates the cacheline
@@ -613,11 +578,7 @@ func (t *Thread) CLFlushOpt(addr mem.Addr) {
 func (t *Thread) flush(addr mem.Addr, keepCached, lazy bool) {
 	t.schedule()
 	start := t.now
-	kind := mem.OpCLFlushOpt
-	if lazy || keepCached {
-		kind = mem.OpCLWB
-	}
-	cpu := t.cpu()
+	cpu := t.cpuProf
 	la := addr.Line()
 
 	// Under eADR the caches are persistent: flushes are no-ops beyond
@@ -628,17 +589,14 @@ func (t *Thread) flush(addr mem.Addr, keepCached, lazy bool) {
 			a.Add(telemetry.CompIssue, t.now-start)
 			a.FinishOp(telemetry.ClassFlush, t.now-start)
 		}
-		t.record(kind, addr, start)
+		t.sampleTick()
 		return
 	}
 
 	dirty := false
-	l := t.l1.PredictLine(la)
-	if l == nil {
-		l = t.l1.Peek(la)
-	}
-	if l != nil {
-		dirty = dirty || l.Dirty
+	l1 := t.levels[0]
+	if l := l1.Peek(la); l != nil {
+		dirty = l.Dirty
 		switch {
 		case keepCached:
 			l.Dirty = false
@@ -652,47 +610,29 @@ func (t *Thread) flush(addr mem.Addr, keepCached, lazy bool) {
 			l.FlushedSeq = t.ops
 			l.FlushedBy = t.id
 			t.lazyFlushed = append(t.lazyFlushed, la)
-		case lazy && l.Flushed:
+		case lazy:
 			l.Dirty = false
 		default:
-			t.core.L1.Invalidate(la)
+			l1.Invalidate(la)
 		}
 	}
-	if l := t.core.L2.Peek(la); l != nil {
-		dirty = dirty || l.Dirty
-		if keepCached {
-			l.Dirty = false
-		} else {
-			t.core.L2.Invalidate(la)
-		}
-	}
-	if l := t.sys.l3.Peek(la); l != nil {
-		dirty = dirty || l.Dirty
-		if keepCached {
-			l.Dirty = false
-		} else {
-			t.sys.l3.Invalidate(la)
+	for _, c := range t.levels[1:] {
+		if l := c.Peek(la); l != nil {
+			dirty = dirty || l.Dirty
+			if keepCached {
+				l.Dirty = false
+			} else {
+				c.Invalidate(la)
+			}
 		}
 	}
 
 	cost := t.feCost(cpu.FlushIssueCycles)
-	if keepCached && dirty {
-		cost += cpu.CLWBKeepExtra
-	}
 	if dirty {
-		issueAt := sim.Max(t.now+t.feCost(cpu.FlushIssueCycles), t.flushFloor())
-		if a := t.attr; a != nil {
-			a.Add(telemetry.CompIssue, cost)
-			a.Add(telemetry.CompFlushPipe, issueAt-(t.now+cost))
+		if keepCached {
+			cost += cpu.CLWBKeepExtra
 		}
-		accept, _ := t.sys.controller(la).Write(issueAt, la)
-		if t.remote {
-			accept += cpu.RemoteWriteExtra
-		}
-		t.recordFlush(accept)
-		t.pending = append(t.pending, accept)
-		// The core stalls when its flush pipeline is saturated.
-		t.advance(sim.Max(t.now+cost, issueAt))
+		t.post(la, t.feCost(cpu.FlushIssueCycles), cost)
 	} else {
 		if a := t.attr; a != nil {
 			a.Add(telemetry.CompIssue, cost)
@@ -702,56 +642,24 @@ func (t *Thread) flush(addr mem.Addr, keepCached, lazy bool) {
 	if a := t.attr; a != nil {
 		a.FinishOp(telemetry.ClassFlush, t.now-start)
 	}
-	t.record(kind, addr, start)
+	t.sampleTick()
 }
 
 // SFence completes when every flush/nt-store issued since the last fence
 // has been accepted into the ADR domain (the WPQ). Loads are not ordered.
-func (t *Thread) SFence() {
-	t.schedule()
-	start := t.now
-	t.fenceWait()
-	t.lazyFlushed = t.lazyFlushed[:0]
-	if a := t.attr; a != nil {
-		a.FinishOp(telemetry.ClassFence, t.now-start)
-	}
-	t.record(mem.OpSFence, 0, start)
-	t.emitPersist(telemetry.KindPersistFence, 0)
-}
+func (t *Thread) SFence() { t.fence(false) }
 
 // MFence is SFence plus load ordering: subsequent loads may not issue
 // before the fence completes, and pending clwb invalidations take
 // effect — a following load of a flushed line must go to memory and
 // stall on the in-flight persist (§3.5).
-func (t *Thread) MFence() {
+func (t *Thread) MFence() { t.fence(true) }
+
+// fence is SFence, or MFence when ordered.
+func (t *Thread) fence(ordered bool) {
 	t.schedule()
 	start := t.now
-	t.fenceWait()
-	t.loadBarrier = t.now
-	for _, la := range t.lazyFlushed {
-		if l := t.core.L1.Peek(la); l != nil && l.Flushed {
-			t.core.L1.Invalidate(la)
-		}
-	}
-	t.lazyFlushed = t.lazyFlushed[:0]
-	if a := t.attr; a != nil {
-		a.FinishOp(telemetry.ClassFence, t.now-start)
-	}
-	t.record(mem.OpMFence, 0, start)
-	t.emitPersist(telemetry.KindPersistFence, 0)
-}
-
-// emitPersist records a persistence event — a PM store, or a fence with
-// line 0 — on the telemetry stream. WPQ acceptances are not emitted
-// here: the PM controller's own probe records them as wpq-enq events.
-func (t *Thread) emitPersist(k telemetry.Kind, line mem.Addr) {
-	if t.tel != nil {
-		t.tel.Emit(t.now, k, line, uint64(t.id))
-	}
-}
-
-func (t *Thread) fenceWait() {
-	base := t.now + t.feCost(t.cpu().FenceBaseCycles)
+	base := t.now + t.feCost(t.cpuProf.FenceBaseCycles)
 	at := base
 	for _, a := range t.pending {
 		if a > at {
@@ -767,6 +675,39 @@ func (t *Thread) fenceWait() {
 		t.tel.Emit(at, telemetry.KindFenceDrain, 0, uint64(at-base))
 	}
 	t.advance(at)
+	if ordered {
+		t.loadBarrier = t.now
+		l1 := t.levels[0]
+		for _, la := range t.lazyFlushed {
+			if l := l1.Peek(la); l != nil && l.Flushed {
+				l1.Invalidate(la)
+			}
+		}
+	}
+	t.lazyFlushed = t.lazyFlushed[:0]
+	if a := t.attr; a != nil {
+		a.FinishOp(telemetry.ClassFence, t.now-start)
+	}
+	t.sampleTick()
+	t.emitPersist(telemetry.KindPersistFence, 0)
+}
+
+// emitPersist records a persistence event — a PM store, or a fence with
+// line 0 — on the telemetry stream. WPQ acceptances are not emitted
+// here: the PM controller's own probe records them as wpq-enq events.
+func (t *Thread) emitPersist(k telemetry.Kind, line mem.Addr) {
+	if t.tel != nil {
+		t.tel.Emit(t.now, k, line, uint64(t.id))
+	}
+}
+
+// sampleTick gives the telemetry sampler a chance to snapshot its gauges
+// after a load, store, flush or fence: one pointer test when telemetry
+// is off, one comparison when the sampling period has not elapsed.
+func (t *Thread) sampleTick() {
+	if t.rec != nil {
+		t.rec.MaybeSample(t.now)
+	}
 }
 
 // Compute models n cycles of computation with no memory access.
@@ -788,48 +729,33 @@ func (t *Thread) Compute(n sim.Cycles) {
 func (t *Thread) AVXCopy(src, dst mem.Addr) {
 	t.schedule()
 	start := t.now
-	cpu := t.cpu()
+	cpu := t.cpuProf
 	srcLine := src.XPLine()
-	t.sys.demand(src).DemandReadBytes += mem.XPLineSize
+	t.demand(src).DemandReadBytes += mem.XPLineSize
 
 	// The four 512-bit load/store pairs form a dependent chain (each
 	// SIMD register is stored to the staging buffer before the next
 	// load), so the line reads serialize — the §4.3 copy overhead.
 	done := t.now
-	mc := t.sys.controller(src)
 	attr := t.attr
 	for i := 0; i < mem.LinesPerXPLine; i++ {
 		la := srcLine + mem.Addr(i*mem.CachelineSize)
 		// Serve from caches when present, without prefetch triggers.
-		switch {
-		case t.core.L1.Peek(la) != nil:
-			done += t.core.L1.HitCycles()
+		if lv := t.cachedAt(la); lv < len(t.levels) {
+			hit := t.levels[lv].HitCycles()
+			done += hit
 			if attr != nil {
-				attr.Add(telemetry.CompL1Hit, t.core.L1.HitCycles())
+				attr.Add(telemetry.CompL1Hit+telemetry.Comp(lv), hit)
 			}
-		case t.core.L2.Peek(la) != nil:
-			done += t.core.L2.HitCycles()
-			if attr != nil {
-				attr.Add(telemetry.CompL2Hit, t.core.L2.HitCycles())
-			}
-		case t.sys.l3.Peek(la) != nil:
-			done += t.sys.l3.HitCycles()
-			if attr != nil {
-				attr.Add(telemetry.CompL3Hit, t.sys.l3.HitCycles())
-			}
-		default:
-			if attr != nil {
-				attr.Add(telemetry.CompL3Hit, t.sys.l3.HitCycles())
-				attr.Add(telemetry.CompNUMA, t.remoteReadExtra(la))
-			}
-			done = mc.Read(done+t.sys.l3.HitCycles(), la, true) + t.remoteReadExtra(la)
+		} else {
+			done = t.memRead(done, la, true)
 		}
 	}
 	// Write the four destination cachelines (DRAM, cacheable).
 	dstLine := dst.Line()
 	for i := 0; i < mem.LinesPerXPLine; i++ {
-		t.sys.demand(dst).DemandWriteBytes += mem.CachelineSize
-		t.fillLevel(t.core.L1, dstLine+mem.Addr(i*mem.CachelineSize), true, false, done)
+		t.demand(dst).DemandWriteBytes += mem.CachelineSize
+		t.fillLevel(0, dstLine+mem.Addr(i*mem.CachelineSize), true, false, done)
 	}
 	t.advance(done + 4*cpu.StoreCycles)
 	if attr != nil {
