@@ -8,9 +8,10 @@
 //	pmsim -            # read the script from stdin
 //
 // The telemetry flags record the run's introspection layer (see
-// internal/telemetry): -trace-out writes a Chrome trace-event timeline
-// (loadable in Perfetto), -events-out the raw event stream and
-// -sample-out the gauge time-series, both as JSON lines.
+// internal/telemetry), for script and replay runs alike: -trace-out
+// writes a Chrome trace-event timeline (loadable in Perfetto),
+// -events-out the raw event stream and -sample-out the gauge
+// time-series, both as JSON lines.
 //
 // Example script:
 //
@@ -101,14 +102,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pmsim:", err)
 		os.Exit(1)
 	}
-	var rec *telemetry.Recorder
-	if *traceOut != "" || *eventsOut != "" || *samplesOut != "" {
-		name := flag.Arg(0)
-		if name == "-" {
-			name = "stdin"
-		}
-		rec = telemetry.NewRecorder(name, telemetry.Config{SampleEvery: sim.Cycles(*sampleEvery)})
+	name := flag.Arg(0)
+	if name == "-" {
+		name = "stdin"
 	}
+	rec := newRecorder(name)
 	inj, err := parseFault()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmsim:", err)
@@ -133,6 +131,15 @@ func main() {
 	fmt.Println()
 	fmt.Print(res.Report)
 	printFaultStats(inj)
+}
+
+// newRecorder builds the recorder the telemetry flags ask for, named
+// after the run's input, or nil when none is set.
+func newRecorder(name string) *telemetry.Recorder {
+	if *traceOut == "" && *eventsOut == "" && *samplesOut == "" {
+		return nil
+	}
+	return telemetry.NewRecorder(name, telemetry.Config{SampleEvery: sim.Cycles(*sampleEvery)})
 }
 
 // parseFault builds the -fault injector, or nil when the flag is unset.
@@ -249,15 +256,27 @@ func runReplay() int {
 		Passes:  *passes,
 		Assign:  pol,
 	}
-	if inj != nil {
-		// Degrade the replay system through the exec hook: faults attach
-		// after construction, before the run.
+	rec := newRecorder(name)
+	if inj != nil || rec != nil {
+		// Degrade and record the replay system through the exec hook,
+		// after construction and before the run. Faults attach before
+		// telemetry so the recorder registers the fault gauges.
 		xo.Run = func(sys *machine.System) sim.Cycles {
-			sys.AttachFaults(inj)
+			if inj != nil {
+				sys.AttachFaults(inj)
+			}
+			if rec != nil {
+				sys.AttachTelemetry(rec)
+			}
 			return sys.Run()
 		}
 	}
 	res := replay.Exec(cfg, ops, xo)
+	if rec != nil {
+		if err := writeTelemetry(rec.Snapshot()); err != nil {
+			return fail(err)
+		}
+	}
 	fmt.Printf("replayed %s: %d ops (%s format, %d lines, %d skipped), %d machine ops over %d thread(s), %d pass(es)\n",
 		name, stats.Ops, stats.Format, stats.Lines, stats.Skipped, res.Ops, *threads, *passes)
 	fmt.Printf("simulated %d cycles\n\n", res.EndCycles)

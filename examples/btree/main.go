@@ -16,13 +16,7 @@ const (
 	inserts  = 3_000
 )
 
-func load(gen optanesim.Gen, mode optanesim.BTreeMode) float64 {
-	var cfg optanesim.Config
-	if gen == optanesim.G2 {
-		cfg = optanesim.G2Config(1)
-	} else {
-		cfg = optanesim.G1Config(1)
-	}
+func load(cfg optanesim.Config, mode optanesim.BTreeMode) float64 {
 	sys := optanesim.MustNewSystem(cfg)
 	heap := optanesim.NewPMHeap(uint64(prebuild+inserts)*48 + (32 << 20))
 	free := optanesim.NewFreeSession(heap)
@@ -58,11 +52,14 @@ func load(gen optanesim.Gen, mode optanesim.BTreeMode) float64 {
 }
 
 func main() {
-	for _, gen := range []optanesim.Gen{optanesim.G1, optanesim.G2} {
-		inPlace := load(gen, optanesim.BTreeInPlace)
-		redo := load(gen, optanesim.BTreeRedoLog)
+	for _, gen := range []struct {
+		name string
+		cfg  optanesim.Config
+	}{{"G1", optanesim.G1Config(1)}, {"G2", optanesim.G2Config(1)}} {
+		inPlace := load(gen.cfg, optanesim.BTreeInPlace)
+		redo := load(gen.cfg, optanesim.BTreeRedoLog)
 		fmt.Printf("%s: insert latency in-place %7.0f cycles, redo-log %7.0f cycles (%+.1f%%)\n",
-			gen, inPlace, redo, 100*(redo-inPlace)/inPlace)
+			gen.name, inPlace, redo, 100*(redo-inPlace)/inPlace)
 	}
 	fmt.Println("\nOn G1, avoiding read-after-persist on shifted cachelines pays for the")
 	fmt.Println("doubled PM writes; on G2, clwb keeps lines cached and the benefit vanishes.")

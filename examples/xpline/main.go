@@ -12,23 +12,22 @@ import (
 )
 
 const (
-	regionBytes     = 128 << 20
+	// The blocks form a PM region of about 128 MB, well beyond the
+	// caches, starting at the PM base.
+	nBlocks         = (128<<20 - 8192) / optanesim.XPLineSize
 	blocksPerThread = 3000
 )
 
 func run(threads int, optimized bool) (cyclesPerBlock, gbs float64) {
 	sys := optanesim.MustNewSystem(optanesim.G1Config(threads))
-	heap := optanesim.NewPMHeap(regionBytes)
-	region := heap.Alloc(regionBytes-4096, optanesim.XPLineSize)
-	dram := optanesim.NewDRAMHeap(uint64(threads+1) * 4096)
-	nBlocks := (regionBytes - 8192) / optanesim.XPLineSize
 
 	var busy optanesim.Cycles
 	var end optanesim.Cycles
 	for w := 0; w < threads; w++ {
 		seed := uint64(101 + w)
+		// Each thread stages into its own XPLine of DRAM.
+		staging := optanesim.DRAMBase + optanesim.Addr(w*optanesim.XPLineSize)
 		sys.Go(fmt.Sprintf("t%d", w), w, false, func(t *optanesim.Thread) {
-			st := optanesim.NewXPLineStaging(dram)
 			state := seed
 			next := func() uint64 {
 				state ^= state << 13
@@ -38,9 +37,9 @@ func run(threads int, optimized bool) (cyclesPerBlock, gbs float64) {
 			}
 			start := t.Now()
 			for i := 0; i < blocksPerThread; i++ {
-				block := region + optanesim.Addr(next()%uint64(nBlocks))*optanesim.XPLineSize
+				block := optanesim.PMBase + optanesim.Addr(next()%nBlocks)*optanesim.XPLineSize
 				if optimized {
-					optanesim.RedirectedBlockRead(t, block, st)
+					optanesim.RedirectedBlockRead(t, block, staging)
 				} else {
 					optanesim.DirectBlockRead(t, block)
 				}

@@ -6,7 +6,6 @@ import (
 
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
-	"optanesim/internal/pmem"
 	"optanesim/internal/sim"
 	"optanesim/internal/trace"
 	"optanesim/internal/xpline"
@@ -77,7 +76,6 @@ func fig13Cell(m *Meter, o Fig13Options, wss int, optimized bool) trace.Counters
 	}
 	base := mem.PMBase
 	rng := sim.NewRand(21)
-	dram := pmem.NewDRAMHeap(1 << 20)
 
 	visits := 3*nBlocks + 2000
 	if visits > o.MaxVisits {
@@ -89,12 +87,11 @@ func fig13Cell(m *Meter, o Fig13Options, wss int, optimized bool) trace.Counters
 		for i := 0; i < warmup; i++ {
 			xpline.Direct(t, base+mem.Addr(rng.Intn(nBlocks)*mem.XPLineSize))
 		}
-		st := xpline.NewStaging(dram)
 		sys.ResetCounters()
 		for v := 0; v < visits; v++ {
 			block := base + mem.Addr(rng.Intn(nBlocks)*mem.XPLineSize)
 			if optimized {
-				xpline.Redirected(t, block, st)
+				xpline.Redirected(t, block, mem.DRAMBase)
 			} else {
 				xpline.Direct(t, block)
 			}

@@ -6,7 +6,6 @@ import (
 
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
-	"optanesim/internal/pmem"
 	"optanesim/internal/sim"
 	"optanesim/internal/xpline"
 )
@@ -78,19 +77,18 @@ func fig14Run(m *Meter, o Fig14Options, threads int, optimized bool) (cyclesPerB
 	sys := m.System(o.Gen.Config(threads))
 	nBlocks := o.WSS / mem.XPLineSize
 	base := mem.PMBase
-	dram := pmem.NewDRAMHeap(uint64(threads+1) * (4 << 10))
 
 	var busy sim.Cycles
 	var blocks int
 	var endMax sim.Cycles
 	for w := 0; w < threads; w++ {
 		rng := sim.NewRand(uint64(31 + w))
+		staging := mem.DRAMBase + mem.Addr(w*mem.XPLineSize) // one XPLine per thread
 		sys.Go(fmt.Sprintf("t%d", w), w, false, func(t *machine.Thread) {
-			st := xpline.NewStaging(dram)
 			visit := func() {
 				block := base + mem.Addr(rng.Intn(nBlocks)*mem.XPLineSize)
 				if optimized {
-					xpline.Redirected(t, block, st)
+					xpline.Redirected(t, block, staging)
 				} else {
 					xpline.Direct(t, block)
 				}

@@ -6,7 +6,6 @@ import (
 
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
-	"optanesim/internal/pmem"
 	"optanesim/internal/sim"
 	"optanesim/internal/workload"
 )
@@ -88,7 +87,10 @@ func (o *Fig8Options) defaults() {
 // Fig8 reproduces §3.6's user-perceived latency benchmark: a circular
 // linked list of 256 B XPLine-aligned elements traversed by pointer
 // chasing, updating one pad cacheline per element under the selected
-// persistency model, or the pure-read/pure-write decompositions.
+// persistency model, or the pure-read/pure-write decompositions. The
+// list is its traversal order (workload.ChaseOrder): each visit issues
+// the dependent load of the element's next pointer, so no data plane is
+// needed.
 func Fig8(o Fig8Options) []Fig8Point { return fig8(new(Meter), o) }
 
 func fig8(m *Meter, o Fig8Options) []Fig8Point {
@@ -106,20 +108,7 @@ func fig8Run(m *Meter, o Fig8Options, wss int) float64 {
 	if nElems < 2 {
 		nElems = 2
 	}
-	heap := pmem.NewPMHeap(uint64(nElems+2) * workload.ElementSize)
-	rng := sim.NewRand(5)
-	list := workload.BuildChaseList(heap, rng, nElems, o.Random)
-
-	// Pure writes read element addresses from a DRAM-resident array.
-	var dramHeap *pmem.Heap
-	var addrArray mem.Addr
-	if o.Mode == Fig8PureWrite {
-		dramHeap = pmem.NewDRAMHeap(uint64(nElems*8) + 4096)
-		addrArray = dramHeap.Alloc(uint64(nElems*8), 64)
-		for i, e := range list.Elements {
-			dramHeap.PutUint64(addrArray+mem.Addr(8*i), uint64(e))
-		}
-	}
+	elems := workload.ChaseOrder(mem.PMBase, sim.NewRand(5), nElems, o.Random)
 
 	// Warm with one full pass (so cache-resident working sets measure
 	// steady state), then measure about two passes, both bounded by
@@ -135,12 +124,6 @@ func fig8Run(m *Meter, o Fig8Options, wss int) float64 {
 
 	var perElem float64
 	sys.Go("fig8", 0, false, func(t *machine.Thread) {
-		var s *pmem.Session
-		if dramHeap != nil {
-			s = pmem.NewSession(t, heap, dramHeap)
-		} else {
-			s = pmem.NewSession(t, heap)
-		}
 		update := func(elem mem.Addr) {
 			pad := workload.PadLine(elem, 1)
 			if o.NTStore {
@@ -154,23 +137,24 @@ func fig8Run(m *Meter, o Fig8Options, wss int) float64 {
 			}
 		}
 
-		// The traversal cursor persists across the warmup and measured
+		// The traversal position persists across the warmup and measured
 		// phases: with partial passes over large working sets, the
 		// measured segment must not revisit the freshly warmed prefix.
-		cur := list.Head
 		idx := 0
 		run := func(n int) {
 			switch o.Mode {
 			case Fig8PureWrite:
+				// Element addresses come from an 8 B-per-element array
+				// at the start of DRAM.
 				for i := 0; i < n; i++ {
-					slot := addrArray + mem.Addr(8*(idx%nElems))
-					elem := mem.Addr(s.Load64(slot))
-					update(elem)
+					t.LoadDep(mem.DRAMBase + mem.Addr(8*(idx%nElems)))
+					update(elems[idx%nElems])
 					idx++
 				}
 			default:
 				for i := 0; i < n; i++ {
-					next := mem.Addr(s.Load64(cur))
+					cur := elems[idx%nElems]
+					t.LoadDep(cur) // the element's next pointer
 					if o.Mode == Fig8Strict || o.Mode == Fig8Relaxed || o.Mode == Fig8Epoch {
 						update(cur)
 					}
@@ -181,7 +165,6 @@ func fig8Run(m *Meter, o Fig8Options, wss int) float64 {
 					if o.Mode == Fig8Epoch && idx%o.EpochLen == 0 {
 						t.SFence() // one fence per epoch
 					}
-					cur = next
 				}
 			}
 		}

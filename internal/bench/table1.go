@@ -87,9 +87,9 @@ func table1Run(m *Meter, o Table1Options, threads, dimms int) Table1Row {
 		sys.Go(fmt.Sprintf("worker-%d", w), w, false, func(t *machine.Thread) {
 			s := pmem.NewSession(t, shard)
 			tbl.InsertBatch(s, keys, 0)
-			seg += t.TagCycles(cceh.TagSegment)
-			per += t.TagCycles(cceh.TagPersist)
-			misc += t.TagCycles(cceh.TagMisc)
+			seg += s.TagCycles(cceh.TagSegment)
+			per += s.TagCycles(cceh.TagPersist)
+			misc += s.TagCycles(cceh.TagMisc)
 		})
 	}
 	m.Run(sys)

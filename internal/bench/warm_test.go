@@ -19,13 +19,13 @@ import (
 // previous cell's finished system (machine.MustNewSystemReusing).
 var reuseSweeps = []string{"fig2", "fig3", "fig13"}
 
-// reuseSweepUnits returns the units of reuseSweeps in order, and how
-// many of them each experiment contributed.
-func reuseSweepUnits(t *testing.T, o bench.Options) ([]bench.Unit, []int) {
+// experimentUnits returns the units of the named experiments in order,
+// and how many of them each experiment contributed.
+func experimentUnits(t *testing.T, names []string, o bench.Options) ([]bench.Unit, []int) {
 	t.Helper()
 	var units []bench.Unit
-	counts := make([]int, len(reuseSweeps))
-	for i, name := range reuseSweeps {
+	counts := make([]int, len(names))
+	for i, name := range names {
 		exp, ok := bench.ExperimentUnits(name, o)
 		if !ok {
 			t.Fatalf("experiment %q not registered", name)
@@ -37,10 +37,10 @@ func reuseSweepUnits(t *testing.T, o bench.Options) ([]bench.Unit, []int) {
 }
 
 // checkQuickDigests splits structured (one JSONL line per unit, in
-// reuseSweepUnits order) into its experiments and checks each one's
+// experimentUnits order) into the named experiments and checks each one's
 // sha256 against its line of testdata/quick.sha256 (sha256sum format,
 // "<digest>  <experiment>.jsonl").
-func checkQuickDigests(t *testing.T, label string, structured []byte, counts []int) {
+func checkQuickDigests(t *testing.T, label string, names []string, structured []byte, counts []int) {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "quick.sha256"))
 	if err != nil {
@@ -52,7 +52,7 @@ func checkQuickDigests(t *testing.T, label string, structured []byte, counts []i
 		want[strings.TrimSuffix(f[i+1], ".jsonl")] = f[i]
 	}
 	lines := bytes.SplitAfter(structured, []byte("\n"))
-	for i, name := range reuseSweeps {
+	for i, name := range names {
 		sum := sha256.Sum256(bytes.Join(lines[:counts[i]], nil))
 		lines = lines[counts[i]:]
 		if got := hex.EncodeToString(sum[:]); got != want[name] {
@@ -71,12 +71,12 @@ func TestWarmReuseByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep; skipped in -short mode")
 	}
-	units, counts := reuseSweepUnits(t, bench.Options{Quick: true})
+	units, counts := experimentUnits(t, reuseSweeps, bench.Options{Quick: true})
 	seq := runStructured(t, units, 1)
-	checkQuickDigests(t, "j1", seq, counts)
-	units, _ = reuseSweepUnits(t, bench.Options{Quick: true})
+	checkQuickDigests(t, "j1", reuseSweeps, seq, counts)
+	units, _ = experimentUnits(t, reuseSweeps, bench.Options{Quick: true})
 	par := runStructured(t, units, 4)
-	checkQuickDigests(t, "j4", par, counts)
+	checkQuickDigests(t, "j4", reuseSweeps, par, counts)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("results differ between -j 1 and -j 4:\n%s", firstLineDiff(seq, par))
 	}
@@ -94,7 +94,7 @@ func TestWarmReuseTelemetryDegrades(t *testing.T) {
 		t.Skip("multi-second simulation sweep; skipped in -short mode")
 	}
 	run := func(workers int) []byte {
-		units, counts := reuseSweepUnits(t, bench.Options{
+		units, counts := experimentUnits(t, reuseSweeps, bench.Options{
 			Quick: true,
 			Telemetry: func(unit string) *telemetry.Recorder {
 				return telemetry.NewRecorder(unit, telemetry.Config{SampleEvery: 4096, Breakdown: true})
@@ -130,13 +130,25 @@ func TestWarmReuseTelemetryDegrades(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encoding: %v", err)
 		}
-		checkQuickDigests(t, fmt.Sprintf("telemetry j%d", workers), structured, counts)
+		checkQuickDigests(t, fmt.Sprintf("telemetry j%d", workers), reuseSweeps, structured, counts)
 		return out.Bytes()
 	}
 	seq, par := run(1), run(2)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("telemetry differs between -j 1 and -j 2:\n%s", firstLineDiff(seq, par))
 	}
+}
+
+// TestFig14QuickDigest pins fig14's -quick structured results to the
+// committed digest, the same pin CI's smoke run checks: the redirected
+// path stages each thread's copies in its own fixed DRAM XPLine.
+func TestFig14QuickDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second simulation sweep; skipped in -short mode")
+	}
+	names := []string{"fig14"}
+	units, counts := experimentUnits(t, names, bench.Options{Quick: true})
+	checkQuickDigests(t, "j2", names, runStructured(t, units, 2), counts)
 }
 
 // TestFig12CellsIndependent pins fig12's prebuilt trees: each unit

@@ -125,9 +125,9 @@ func TestTimedInsertChargesTags(t *testing.T) {
 				return
 			}
 		}
-		seg = int64(th.TagCycles(TagSegment))
-		per = int64(th.TagCycles(TagPersist))
-		misc = int64(th.TagCycles(TagMisc))
+		seg = int64(s.TagCycles(TagSegment))
+		per = int64(s.TagCycles(TagPersist))
+		misc = int64(s.TagCycles(TagMisc))
 	})
 	sys.Run()
 	if seg <= 0 || per <= 0 || misc <= 0 {

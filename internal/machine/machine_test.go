@@ -268,22 +268,6 @@ func TestRemoteNUMAPenalty(t *testing.T) {
 	}
 }
 
-func TestTagAttribution(t *testing.T) {
-	sys := g1()
-	sys.Go("t", 0, false, func(th *Thread) {
-		th.SetTag("alpha")
-		th.Compute(100)
-		th.SetTag("beta")
-		th.Compute(250)
-		th.SetTag("")
-		th.Compute(50)
-		if th.TagCycles("alpha") != 100 || th.TagCycles("beta") != 250 {
-			t.Errorf("tags = %v", th.Tags())
-		}
-	})
-	sys.Run()
-}
-
 func TestHyperthreadSharingInflatesFrontEnd(t *testing.T) {
 	run := func(shareCore bool) sim.Cycles {
 		sys := MustNewSystem(G1Config(2))

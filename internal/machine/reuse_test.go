@@ -11,16 +11,14 @@ import (
 // snapOp is one step of a randomized workload, generated host-side so
 // every execution path replays the exact same stream.
 type snapOp struct {
-	kind int // 0 load, 1 loadDep, 2 store, 3 ntstore, 4 clwb, 5 clflushopt, 6 sfence, 7 mfence, 8 compute, 9 setTag
+	kind int // 0 load, 1 loadDep, 2 store, 3 ntstore, 4 clwb, 5 clflushopt, 6 sfence, 7 mfence, 8 compute, 9 clock sample
 	addr mem.Addr
 	n    sim.Cycles
-	tag  string
 }
 
 // genSnapOps builds a deterministic random op mix touching PM and DRAM.
 func genSnapOps(seed uint64, n int) []snapOp {
 	rng := sim.NewRand(seed)
-	tags := []string{"", "alpha", "beta"}
 	ops := make([]snapOp, 0, n)
 	for i := 0; i < n; i++ {
 		op := snapOp{kind: rng.Intn(10)}
@@ -30,13 +28,15 @@ func genSnapOps(seed uint64, n int) []snapOp {
 		}
 		op.addr = region + mem.Addr(rng.Intn(1<<14))*mem.CachelineSize
 		op.n = sim.Cycles(1 + rng.Intn(50))
-		op.tag = tags[rng.Intn(len(tags))]
 		ops = append(ops, op)
 	}
 	return ops
 }
 
-func applySnapOps(t *Thread, ops []snapOp) {
+// applySnapOps runs ops on t and returns the clock samples its sample
+// ops took.
+func applySnapOps(t *Thread, ops []snapOp) []sim.Cycles {
+	var samples []sim.Cycles
 	for _, op := range ops {
 		switch op.kind {
 		case 0:
@@ -58,9 +58,10 @@ func applySnapOps(t *Thread, ops []snapOp) {
 		case 8:
 			t.Compute(op.n)
 		case 9:
-			t.SetTag(op.tag)
+			samples = append(samples, t.Now())
 		}
 	}
+	return samples
 }
 
 // snapOutcome is everything a run path must reproduce exactly.
@@ -71,16 +72,15 @@ type snapOutcome struct {
 	threads []string
 }
 
-func runOutcome(end sim.Cycles, s *System, threads ...*Thread) snapOutcome {
+func runOutcome(end sim.Cycles, s *System, threads []*Thread, samples [][]sim.Cycles) snapOutcome {
 	o := snapOutcome{
 		end:  end,
 		pm:   fmt.Sprintf("%+v", s.PMCounters()),
 		dram: fmt.Sprintf("%+v", s.DRAMCounters()),
 	}
-	for _, t := range threads {
+	for i, t := range threads {
 		o.threads = append(o.threads,
-			fmt.Sprintf("now=%d ops=%d alpha=%d beta=%d", t.Now(), t.Ops(),
-				t.TagCycles("alpha"), t.TagCycles("beta")))
+			fmt.Sprintf("now=%d ops=%d samples=%v", t.Now(), t.Ops(), samples[i]))
 	}
 	return o
 }
@@ -107,11 +107,12 @@ func (o snapOutcome) diff(other snapOutcome) string {
 // runs them, returning the outcome.
 func goSnapOps(s *System, ops [][]snapOp) snapOutcome {
 	th := make([]*Thread, len(ops))
+	samples := make([][]sim.Cycles, len(ops))
 	for i := range ops {
 		i := i
-		th[i] = s.Go(fmt.Sprintf("w%d", i), i, false, func(t *Thread) { applySnapOps(t, ops[i]) })
+		th[i] = s.Go(fmt.Sprintf("w%d", i), i, false, func(t *Thread) { samples[i] = applySnapOps(t, ops[i]) })
 	}
-	return runOutcome(s.Run(), s, th...)
+	return runOutcome(s.Run(), s, th, samples)
 }
 
 // TestReusingBuildMatchesFresh is the donor-build determinism property
@@ -119,10 +120,10 @@ func goSnapOps(s *System, ops [][]snapOp) snapOutcome {
 // generations, DIMM counts and thread counts, a system built by
 // NewSystemReusing into a donor that already ran a different op mix
 // produces byte-for-byte the outcome of a fresh build — identical end
-// cycles, traffic counters, per-thread clocks, op counts and TagCycles —
-// and so does a second build into that system. A donor of the other
-// generation, whose cache geometry differs at every level, is ignored
-// with the same outcome.
+// cycles, traffic counters, per-thread clocks (final and sampled
+// mid-run) and op counts — and so does a second build into that
+// system. A donor of the other generation, whose cache geometry differs
+// at every level, is ignored with the same outcome.
 func TestReusingBuildMatchesFresh(t *testing.T) {
 	cases := []struct {
 		name       string

@@ -17,10 +17,11 @@ import (
 // compatSched reference: grant sets the horizon to horizonAlways, so
 // every operation re-enters the heap exactly as the old scheduler's
 // per-op pickNext did. For randomized thread placements and op mixes,
-// every simulated outcome — final time, per-thread clocks, op counts,
-// tag attribution, PM/DRAM traffic and, with a recorder attached, the
-// recorded event stream, gauge series and cycle-attribution histograms
-// — must be identical between the two schedulers.
+// every simulated outcome — final time, per-thread clocks (final and
+// sampled mid-script), op counts, PM/DRAM traffic and, with a recorder
+// attached, the recorded event stream, gauge series and
+// cycle-attribution histograms — must be identical between the two
+// schedulers.
 
 // schedOpKind enumerates the operations a generated script can issue.
 type schedOpKind int
@@ -37,7 +38,7 @@ const (
 	opCompute
 	opLoadParallel
 	opAVXCopy
-	opSetTag
+	opSample // record the thread's clock
 	schedOpKinds
 )
 
@@ -47,7 +48,6 @@ type schedOp struct {
 	addr mem.Addr
 	aux  mem.Addr   // second address (LoadParallel, AVXCopy dst)
 	n    sim.Cycles // Compute cycles
-	tag  string
 }
 
 // schedScenario is one randomized workload: thread placements plus
@@ -70,7 +70,6 @@ func genScenario(seed int64) schedScenario {
 	rng := rand.New(rand.NewSource(seed))
 	sc := schedScenario{cores: 1 + rng.Intn(4)}
 	nthreads := 1 + rng.Intn(6)
-	tags := []string{"", "read", "write", "persist"}
 	for ti := 0; ti < nthreads; ti++ {
 		sc.coreOf = append(sc.coreOf, rng.Intn(sc.cores))
 		sc.remote = append(sc.remote, rng.Intn(8) == 0)
@@ -100,8 +99,6 @@ func genScenario(seed int64) schedScenario {
 				// src must be PM, dst DRAM (the §4.3 staging copy).
 				op.addr = private + mem.Addr(rng.Intn(32)*mem.XPLineSize)
 				op.aux = dram + mem.Addr(rng.Intn(32)*mem.XPLineSize)
-			case opSetTag:
-				op.tag = tags[rng.Intn(len(tags))]
 			}
 			script = append(script, op)
 		}
@@ -112,13 +109,13 @@ func genScenario(seed int64) schedScenario {
 
 // schedOutcome captures everything a scheduler change could corrupt.
 type schedOutcome struct {
-	end  sim.Cycles
-	nows []sim.Cycles
-	ops  []uint64
-	tags []map[string]sim.Cycles
-	pm   trace.Counters
-	dram trace.Counters
-	rec  *telemetry.Recording // nil unless the scenario records
+	end     sim.Cycles
+	nows    []sim.Cycles
+	ops     []uint64
+	samples [][]sim.Cycles
+	pm      trace.Counters
+	dram    trace.Counters
+	rec     *telemetry.Recording // nil unless the scenario records
 }
 
 func runScenario(sc schedScenario, compat bool) schedOutcome {
@@ -130,6 +127,7 @@ func runScenario(sc schedScenario, compat bool) schedOutcome {
 		sys.AttachTelemetry(rec)
 	}
 	threads := make([]*Thread, len(sc.scripts))
+	samples := make([][]sim.Cycles, len(sc.scripts))
 	for ti := range sc.scripts {
 		script := sc.scripts[ti]
 		threads[ti] = sys.Go(fmt.Sprintf("prop-%d", ti), sc.coreOf[ti], sc.remote[ti], func(t *Thread) {
@@ -157,17 +155,16 @@ func runScenario(sc schedScenario, compat bool) schedOutcome {
 					t.LoadParallel(op.addr, op.aux)
 				case opAVXCopy:
 					t.AVXCopy(op.addr, op.aux)
-				case opSetTag:
-					t.SetTag(op.tag)
+				case opSample:
+					samples[ti] = append(samples[ti], t.Now())
 				}
 			}
 		})
 	}
-	out := schedOutcome{end: sys.Run()}
+	out := schedOutcome{end: sys.Run(), samples: samples}
 	for _, t := range threads {
 		out.nows = append(out.nows, t.Now())
 		out.ops = append(out.ops, t.Ops())
-		out.tags = append(out.tags, t.Tags())
 	}
 	out.pm = sys.PMCounters()
 	out.dram = sys.DRAMCounters()
@@ -189,14 +186,8 @@ func compareOutcomes(t *testing.T, want, got schedOutcome) {
 		if got.ops[ti] != want.ops[ti] {
 			t.Errorf("thread %d ops: lookahead %d, reference %d", ti, got.ops[ti], want.ops[ti])
 		}
-		if len(got.tags[ti]) != len(want.tags[ti]) {
-			t.Errorf("thread %d tag buckets: lookahead %v, reference %v", ti, got.tags[ti], want.tags[ti])
-			continue
-		}
-		for tag, c := range want.tags[ti] {
-			if got.tags[ti][tag] != c {
-				t.Errorf("thread %d TagCycles(%q): lookahead %d, reference %d", ti, tag, got.tags[ti][tag], c)
-			}
+		if !reflect.DeepEqual(got.samples[ti], want.samples[ti]) {
+			t.Errorf("thread %d clock samples: lookahead %v, reference %v", ti, got.samples[ti], want.samples[ti])
 		}
 	}
 	if got.pm != want.pm {

@@ -106,12 +106,6 @@ type System struct {
 	sched       threadHeap
 	compatSched bool
 
-	// Tag interning: attribution tags are small integers indexing flat
-	// per-thread cycle arrays; the string API survives only at the edges
-	// (SetTag/TagCycles/Tags). ID 0 is the empty tag (no attribution).
-	tagIDs   map[string]int
-	tagNames []string
-
 	// rec/telProbe, when non-nil, route telemetry from this system (see
 	// AttachTelemetry). telProbe is the machine layer's own source;
 	// component probes live inside the components.
@@ -154,11 +148,7 @@ func NewSystemReusing(cfg Config, donor *System) (*System, error) {
 	if cfg.CPU.MaxOutstandingFlushes <= 0 {
 		cfg.CPU.MaxOutstandingFlushes = 8
 	}
-	s := &System{
-		cfg:      cfg,
-		tagIDs:   map[string]int{"": 0},
-		tagNames: []string{""},
-	}
+	s := &System{cfg: cfg}
 	var dl3 *cache.Cache
 	var dcores []*Core
 	if donor != nil && !donor.running {
@@ -427,18 +417,6 @@ func (s *System) Go(name string, coreID int, remote bool, fn func(*Thread)) *Thr
 	s.nextTID++
 	s.threads = append(s.threads, t)
 	return t
-}
-
-// internTag returns the stable small-integer ID of an attribution tag,
-// assigning the next free one on first sight.
-func (s *System) internTag(name string) int {
-	if id, ok := s.tagIDs[name]; ok {
-		return id
-	}
-	id := len(s.tagNames)
-	s.tagIDs[name] = id
-	s.tagNames = append(s.tagNames, name)
-	return id
 }
 
 // Run executes all registered threads to completion under the

@@ -37,17 +37,7 @@ type Thread struct {
 	flushRing []sim.Cycles
 	flushHead int
 
-	// Attribution: cycles accumulate into the current tag's bucket.
-	// Tags are interned per system (see System.internTag); tagCycles is
-	// indexed by tag ID, with ID 0 (the empty tag) never accumulated.
-	tagCycles []sim.Cycles
-	curTag    int
-	// lastTagName/lastTagID memoize the most recent SetTag string so
-	// repeated tag switches between the same constants skip the intern
-	// map.
-	lastTagName string
-	lastTagID   int
-	ops         uint64
+	ops uint64
 
 	// Scheduling. horizon is the lookahead grant installed by
 	// System.grant: the thread executes inline while now < horizon
@@ -119,24 +109,6 @@ func (t *Thread) System() *System { return t.sys }
 // their own decision points through it.
 func (t *Thread) Telemetry() *telemetry.Probe { return t.tel }
 
-// SetTag directs subsequent cycle accounting into the named bucket
-// (Table 1's time breakdown). An empty tag disables attribution.
-func (t *Thread) SetTag(tag string) {
-	if tag == "" {
-		t.curTag = 0
-		return
-	}
-	if tag != t.lastTagName {
-		t.lastTagName = tag
-		t.lastTagID = t.sys.internTag(tag)
-	}
-	id := t.lastTagID
-	for len(t.tagCycles) <= id {
-		t.tagCycles = append(t.tagCycles, 0)
-	}
-	t.curTag = id
-}
-
 // SetTenant labels the thread's subsequent attribution samples with a
 // tenant (per-tag accounting for e.g. noisy-neighbor experiments: each
 // tenant gets its own breakdown histograms). The empty string selects
@@ -162,27 +134,6 @@ func (t *Thread) attrResumed() {
 	}
 }
 
-// TagCycles returns the cycles attributed to tag so far.
-func (t *Thread) TagCycles(tag string) sim.Cycles {
-	id, ok := t.sys.tagIDs[tag]
-	if !ok || id >= len(t.tagCycles) {
-		return 0
-	}
-	return t.tagCycles[id]
-}
-
-// Tags returns the attribution buckets that accumulated cycles. The map
-// is a fresh copy: mutating it cannot corrupt the thread's accounting.
-func (t *Thread) Tags() map[string]sim.Cycles {
-	out := make(map[string]sim.Cycles, len(t.tagCycles))
-	for id, c := range t.tagCycles {
-		if c != 0 {
-			out[t.sys.tagNames[id]] = c
-		}
-	}
-	return out
-}
-
 // main is the coroutine body. On finish the baton passes to the
 // suspended minimum-time thread; the last thread out closes done.
 func (t *Thread) main() {
@@ -198,16 +149,10 @@ func (t *Thread) main() {
 	}
 }
 
-// advance moves the thread's clock to at (never backwards), charging the
-// elapsed cycles to the current tag.
+// advance moves the thread's clock to at, never backwards. It is the
+// only place the clock moves.
 func (t *Thread) advance(at sim.Cycles) {
-	if at <= t.now {
-		return
-	}
-	if t.curTag != 0 {
-		t.tagCycles[t.curTag] += at - t.now
-	}
-	t.now = at
+	t.now = max(t.now, at)
 }
 
 // feCost scales a front-end cost for hyperthread sharing when a sibling

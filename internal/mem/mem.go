@@ -26,6 +26,10 @@ type Addr uint64
 // below it is DRAM.
 const PMBase Addr = 1 << 40
 
+// DRAMBase is the first DRAM address handed out: the first page is
+// skipped so address 0 is never used.
+const DRAMBase Addr = 4096
+
 // IsPM reports whether a falls in the persistent-memory region.
 func (a Addr) IsPM() bool { return a >= PMBase }
 

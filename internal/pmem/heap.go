@@ -27,10 +27,10 @@ func NewPMHeap(size uint64) *Heap {
 	return &Heap{name: "pm", base: mem.PMBase, buf: make([]byte, size)}
 }
 
-// NewDRAMHeap returns a heap of size bytes in the DRAM region. The first
-// page is skipped so address 0 is never handed out.
+// NewDRAMHeap returns a heap of size bytes in the DRAM region, starting
+// at mem.DRAMBase.
 func NewDRAMHeap(size uint64) *Heap {
-	return &Heap{name: "dram", base: 4096, buf: make([]byte, size)}
+	return &Heap{name: "dram", base: mem.DRAMBase, buf: make([]byte, size)}
 }
 
 // Base returns the heap's first address.

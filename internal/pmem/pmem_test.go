@@ -154,11 +154,35 @@ func TestFreeSessionChargesNothing(t *testing.T) {
 	s.FenceOrdered()
 	s.Compute(100)
 	s.Tag("x")
+	if s.TagCycles("x") != 0 {
+		t.Fatal("free session charged a phase")
+	}
 	s.LoadLine(a)
 	s.StoreLine(a)
 	s.LoadGroup(a, a+64)
 	// Nothing to assert on timing: the free session must simply not
 	// panic with a nil thread.
+}
+
+func TestTagAttribution(t *testing.T) {
+	sys := machine.MustNewSystem(machine.G1Config(1))
+	sys.Go("t", 0, false, func(th *machine.Thread) {
+		s := NewSession(th)
+		s.Tag("alpha")
+		th.Compute(100)
+		if s.TagCycles("alpha") != 100 {
+			t.Errorf("open phase: alpha = %d, want 100", s.TagCycles("alpha"))
+		}
+		s.Tag("beta")
+		th.Compute(250)
+		s.Tag("")
+		th.Compute(50)
+		if s.TagCycles("alpha") != 100 || s.TagCycles("beta") != 250 || s.TagCycles("") != 0 {
+			t.Errorf("alpha = %d, beta = %d, untagged = %d; want 100, 250, 0",
+				s.TagCycles("alpha"), s.TagCycles("beta"), s.TagCycles(""))
+		}
+	})
+	sys.Run()
 }
 
 func TestSessionRanges(t *testing.T) {

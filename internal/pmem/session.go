@@ -48,6 +48,13 @@ type Session struct {
 	faults     *fault.Injector
 	checkDepth int
 	checkErr   error
+
+	// Phase accounting (Table 1's time breakdown): tag is the phase set
+	// by Tag, opened at tagSince on the thread's clock; tagCycles holds
+	// the closed phases' totals.
+	tag       string
+	tagSince  sim.Cycles
+	tagCycles map[string]sim.Cycles
 }
 
 // SetObserver attaches a persistence observer (nil detaches). The
@@ -195,12 +202,33 @@ func (s *Session) Persist(addr mem.Addr, n int) {
 	s.Fence()
 }
 
-// Tag sets the timing thread's attribution tag (no-op for free
-// sessions).
+// Tag closes the current code phase and opens the named one: the
+// thread's cycles from now until the next Tag count toward tag (Table
+// 1's time breakdown). The empty tag counts toward nothing. A thread's
+// clock moves only inside its ops, so the totals are exact. No-op for
+// free sessions.
 func (s *Session) Tag(tag string) {
-	if s.T != nil {
-		s.T.SetTag(tag)
+	if s.T == nil {
+		return
 	}
+	now := s.T.Now()
+	if s.tag != "" {
+		if s.tagCycles == nil {
+			s.tagCycles = make(map[string]sim.Cycles)
+		}
+		s.tagCycles[s.tag] += now - s.tagSince
+	}
+	s.tag, s.tagSince = tag, now
+}
+
+// TagCycles returns the cycles charged to tag so far, the open phase
+// included.
+func (s *Session) TagCycles(tag string) sim.Cycles {
+	c := s.tagCycles[tag]
+	if tag != "" && tag == s.tag {
+		c += s.T.Now() - s.tagSince
+	}
+	return c
 }
 
 // LoadLine charges one dependent cacheline load without touching data.

@@ -303,13 +303,6 @@ type Result struct {
 // Run executes the program and returns per-thread and system results.
 func Run(p *Program) (*Result, error) { return RunWith(p, nil, nil) }
 
-// RunRecorded is Run with a telemetry recorder attached to the system,
-// so pmsim can export event streams and sampler series for a script. A
-// nil recorder runs with telemetry off (nil probes, zero overhead).
-func RunRecorded(p *Program, rec *telemetry.Recorder) (*Result, error) {
-	return RunWith(p, rec, nil)
-}
-
 // RunWith is Run with a telemetry recorder and a fault injector, either
 // of which may be nil. Faults attach before telemetry so the recorder
 // registers the fault gauges (pm_throttled, poison_hits).

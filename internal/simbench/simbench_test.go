@@ -5,6 +5,7 @@ import (
 
 	"optanesim/internal/fault"
 	"optanesim/internal/machine"
+	"optanesim/internal/pmem"
 	"optanesim/internal/telemetry"
 )
 
@@ -96,6 +97,7 @@ func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, reused 
 	var got map[string]float64
 	probeBody := func(th *machine.Thread) {
 		i := 0
+		s := pmem.NewSession(th)
 		probes := []probe{
 			{"Load", func(th *machine.Thread) {
 				for k := 0; k < 64; k++ {
@@ -126,12 +128,12 @@ func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, reused 
 				}
 			}},
 			{"Tagged Load", func(th *machine.Thread) {
-				th.SetTag("probe")
+				s.Tag("probe")
 				for k := 0; k < 64; k++ {
 					th.Load(line(i))
 					i++
 				}
-				th.SetTag("")
+				s.Tag("")
 			}},
 			{"Tenant Load", func(th *machine.Thread) {
 				th.SetTenant("probe-tenant")

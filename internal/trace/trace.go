@@ -89,80 +89,40 @@ func maxU64(a, b uint64) uint64 {
 // Reset zeroes all counters.
 func (c *Counters) Reset() { *c = Counters{} }
 
-// ratio returns num/den and whether it is defined. A zero denominator
-// — a run with no traffic at that observation point — yields (0,
-// false), never NaN or Inf.
-func ratio(num, den uint64) (float64, bool) {
+// ratio returns num/den, or 0 when the denominator is 0 — a run with
+// no traffic at that observation point reports 0, never NaN or Inf.
+func ratio(num, den uint64) float64 {
 	if den == 0 {
-		return 0, false
-	}
-	return float64(num) / float64(den), true
-}
-
-// orZero collapses an undefined ratio to 0 for the plain accessors.
-func orZero(v float64, ok bool) float64 {
-	if !ok {
 		return 0
 	}
-	return v
+	return float64(num) / float64(den)
 }
-
-// Each derived metric comes in two forms. The plain accessor (RA, WA,
-// ...) returns 0 when the metric is undefined because its denominator
-// saw no traffic — convenient for reports, where an idle counter set
-// should print as 0 rather than NaN, but indistinguishable from a true
-// zero ratio. The OK variant (RAOK, WAOK, ...) additionally reports
-// whether the metric is defined, for callers that must tell the two
-// apart (e.g. aggregation that should skip idle shards).
 
 // RA is the paper's read amplification: media bytes read divided by bytes
 // the iMC requested from the DIMM. Values above 1 indicate granularity
 // mismatch overhead; below 1, on-DIMM buffer hits. Returns 0 when the
-// iMC read no bytes; use RAOK to distinguish that from a true zero.
-func (c Counters) RA() float64 { return orZero(c.RAOK()) }
-
-// RAOK is RA plus whether it is defined (IMCReadBytes > 0).
-func (c Counters) RAOK() (float64, bool) { return ratio(c.MediaReadBytes, c.IMCReadBytes) }
+// iMC read no bytes.
+func (c Counters) RA() float64 { return ratio(c.MediaReadBytes, c.IMCReadBytes) }
 
 // WA is the paper's write amplification: media bytes written divided by
 // bytes the iMC issued to the DIMM. Returns 0 when the iMC wrote no
-// bytes; use WAOK to distinguish that from a true zero.
-func (c Counters) WA() float64 { return orZero(c.WAOK()) }
-
-// WAOK is WA plus whether it is defined (IMCWriteBytes > 0).
-func (c Counters) WAOK() (float64, bool) { return ratio(c.MediaWriteBytes, c.IMCWriteBytes) }
+// bytes.
+func (c Counters) WA() float64 { return ratio(c.MediaWriteBytes, c.IMCWriteBytes) }
 
 // PMReadRatio is the §3.4 "read ratio for Optane DCPMM": media bytes read
 // divided by program-demanded bytes. Returns 0 when the program demanded
-// no reads; use PMReadRatioOK to distinguish that from a true zero.
-func (c Counters) PMReadRatio() float64 { return orZero(c.PMReadRatioOK()) }
-
-// PMReadRatioOK is PMReadRatio plus whether it is defined
-// (DemandReadBytes > 0).
-func (c Counters) PMReadRatioOK() (float64, bool) {
-	return ratio(c.MediaReadBytes, c.DemandReadBytes)
-}
+// no reads.
+func (c Counters) PMReadRatio() float64 { return ratio(c.MediaReadBytes, c.DemandReadBytes) }
 
 // IMCReadRatio is the §3.4 "read ratio for the iMC": bytes the iMC loaded
 // divided by program-demanded bytes. Returns 0 when the program demanded
-// no reads; use IMCReadRatioOK to distinguish that from a true zero.
-func (c Counters) IMCReadRatio() float64 { return orZero(c.IMCReadRatioOK()) }
-
-// IMCReadRatioOK is IMCReadRatio plus whether it is defined
-// (DemandReadBytes > 0).
-func (c Counters) IMCReadRatioOK() (float64, bool) {
-	return ratio(c.IMCReadBytes, c.DemandReadBytes)
-}
+// no reads.
+func (c Counters) IMCReadRatio() float64 { return ratio(c.IMCReadBytes, c.DemandReadBytes) }
 
 // WriteBufferHitRatio is the fraction of cacheline writes arriving at the
 // DIMM that were absorbed by an on-DIMM buffer without a media RMW
-// (Fig. 4's metric). Returns 0 when no cacheline writes arrived; use
-// WriteBufferHitRatioOK to distinguish that from a true zero.
-func (c Counters) WriteBufferHitRatio() float64 { return orZero(c.WriteBufferHitRatioOK()) }
-
-// WriteBufferHitRatioOK is WriteBufferHitRatio plus whether it is
-// defined (at least one cacheline write reached the DIMM).
-func (c Counters) WriteBufferHitRatioOK() (float64, bool) {
+// (Fig. 4's metric). Returns 0 when no cacheline writes arrived.
+func (c Counters) WriteBufferHitRatio() float64 {
 	return ratio(c.BufferWriteHits, c.IMCWriteBytes/64)
 }
 

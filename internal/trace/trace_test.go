@@ -38,52 +38,6 @@ func TestZeroDenominators(t *testing.T) {
 	}
 }
 
-// TestOKVariants pins the defined/undefined contract: the OK accessors
-// report false exactly when the denominator saw no traffic, so callers
-// can tell an idle counter set from a true zero ratio.
-func TestOKVariants(t *testing.T) {
-	var idle Counters
-	for name, f := range map[string]func() (float64, bool){
-		"RAOK":                  idle.RAOK,
-		"WAOK":                  idle.WAOK,
-		"PMReadRatioOK":         idle.PMReadRatioOK,
-		"IMCReadRatioOK":        idle.IMCReadRatioOK,
-		"WriteBufferHitRatioOK": idle.WriteBufferHitRatioOK,
-	} {
-		if v, ok := f(); ok || v != 0 {
-			t.Errorf("idle counters: %s = (%v, %v), want (0, false)", name, v, ok)
-		}
-	}
-
-	// A write-only run: write-side metrics defined, read-side not.
-	c := Counters{IMCWriteBytes: 1024, MediaWriteBytes: 2048, BufferWriteHits: 8}
-	if v, ok := c.WAOK(); !ok || v != 2.0 {
-		t.Errorf("WAOK = (%v, %v), want (2, true)", v, ok)
-	}
-	if v, ok := c.WriteBufferHitRatioOK(); !ok || v != 0.5 {
-		t.Errorf("WriteBufferHitRatioOK = (%v, %v), want (0.5, true)", v, ok)
-	}
-	if _, ok := c.RAOK(); ok {
-		t.Error("RAOK defined with no iMC read traffic")
-	}
-	if _, ok := c.PMReadRatioOK(); ok {
-		t.Error("PMReadRatioOK defined with no demand reads")
-	}
-	if _, ok := c.IMCReadRatioOK(); ok {
-		t.Error("IMCReadRatioOK defined with no demand reads")
-	}
-
-	// A true zero ratio is defined: demand reads served entirely from
-	// on-DIMM buffers move no media bytes.
-	c = Counters{DemandReadBytes: 640, IMCReadBytes: 640}
-	if v, ok := c.PMReadRatioOK(); !ok || v != 0 {
-		t.Errorf("PMReadRatioOK = (%v, %v), want (0, true): buffer-served reads are a real zero", v, ok)
-	}
-	if v, ok := c.RAOK(); !ok || v != 0 {
-		t.Errorf("RAOK = (%v, %v), want (0, true)", v, ok)
-	}
-}
-
 func TestWriteBufferHitRatio(t *testing.T) {
 	c := Counters{IMCWriteBytes: 64 * 10, BufferWriteHits: 7}
 	if got := c.WriteBufferHitRatio(); got != 0.7 {

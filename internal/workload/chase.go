@@ -2,59 +2,37 @@ package workload
 
 import (
 	"optanesim/internal/mem"
-	"optanesim/internal/pmem"
 	"optanesim/internal/sim"
 )
 
 // ElementSize is the size of one §3.6 working-set element: one XPLine.
 const ElementSize = mem.XPLineSize
 
-// ChaseList is the paper's §3.6 building block: a circular linked list
-// of 256 B, XPLine-aligned elements. The first cacheline of an element
-// holds the next pointer; the pad area occupies the remaining three
-// cachelines, so updating pad data never invalidates the cached pointer.
-type ChaseList struct {
-	// Head is the address of the first element.
-	Head mem.Addr
-	// Elements holds every element address in traversal order.
-	Elements []mem.Addr
-}
-
-// BuildChaseList allocates n elements from heap and links them into a
-// circular list. When random is true the traversal order is a random
-// permutation of the (contiguously allocated) elements; otherwise it is
-// address order. The next pointers are written through the data plane
-// only — list construction is not part of the measured workload.
-func BuildChaseList(h *pmem.Heap, rng *sim.Rand, n int, random bool) *ChaseList {
+// ChaseOrder returns the traversal order of the paper's §3.6 building
+// block: a circular linked list of n contiguous 256 B, XPLine-aligned
+// elements starting at base. Position i of the traversal is element
+// perm[i] of rng.Perm(n) when random is true, element i otherwise; the
+// element after the last is the first. The first cacheline of an
+// element holds the next pointer; the pad area occupies the remaining
+// three cachelines, so updating pad data never invalidates the cached
+// pointer.
+func ChaseOrder(base mem.Addr, rng *sim.Rand, n int, random bool) []mem.Addr {
 	if n < 1 {
-		panic("workload: chase list needs at least one element")
+		panic("workload: chase order needs at least one element")
 	}
-	addrs := make([]mem.Addr, n)
-	for i := range addrs {
-		addrs[i] = h.Alloc(ElementSize, ElementSize)
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
+	var perm []int
 	if random {
-		order = rng.Perm(n)
+		perm = rng.Perm(n)
 	}
 	elems := make([]mem.Addr, n)
-	for i := range order {
-		elems[i] = addrs[order[i]]
-	}
 	for i := range elems {
-		next := elems[(i+1)%n]
-		h.PutUint64(elems[i], uint64(next))
+		j := i
+		if perm != nil {
+			j = perm[i]
+		}
+		elems[i] = base + mem.Addr(j*ElementSize)
 	}
-	return &ChaseList{Head: elems[0], Elements: elems}
-}
-
-// Next follows the traversal pointer of the element at addr, charging
-// one load on the session's thread.
-func (c *ChaseList) Next(s *pmem.Session, addr mem.Addr) mem.Addr {
-	return mem.Addr(s.Load64(addr))
+	return elems
 }
 
 // PadLine returns the address of pad cacheline i (1..3) of the element
@@ -65,6 +43,3 @@ func PadLine(elem mem.Addr, i int) mem.Addr {
 	}
 	return elem + mem.Addr(i*mem.CachelineSize)
 }
-
-// Len returns the number of elements.
-func (c *ChaseList) Len() int { return len(c.Elements) }

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"optanesim/internal/mem"
-	"optanesim/internal/pmem"
 	"optanesim/internal/sim"
 )
 
@@ -99,57 +98,37 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestChaseListSequential(t *testing.T) {
-	h := pmem.NewPMHeap(1 << 20)
 	rng := sim.NewRand(1)
-	list := BuildChaseList(h, rng, 64, false)
-	if list.Len() != 64 {
-		t.Fatal("wrong length")
+	order := ChaseOrder(mem.PMBase, rng, 64, false)
+	if len(order) != 64 || order[0] != mem.PMBase {
+		t.Fatalf("sequential order has %d elements from %v", len(order), order[0])
 	}
-	// Sequential build: elements ascend by 256 B.
+	// Sequential order: elements ascend by 256 B from base.
 	for i := 1; i < 64; i++ {
-		if list.Elements[i] != list.Elements[i-1]+ElementSize {
-			t.Fatal("sequential list not contiguous")
+		if order[i] != order[i-1]+ElementSize {
+			t.Fatal("sequential order not contiguous")
 		}
 	}
-	// The circular pointers traverse all elements and return home.
-	s := pmem.NewFreeSession(h)
-	cur := list.Head
-	visited := make(map[mem.Addr]bool)
-	for i := 0; i < 64; i++ {
-		if visited[cur] {
-			t.Fatal("cycle shorter than the list")
-		}
-		visited[cur] = true
-		cur = list.Next(s, cur)
-	}
-	if cur != list.Head {
-		t.Fatal("list is not circular")
+	// Only a random order draws from rng.
+	if rng.Uint64() != sim.NewRand(1).Uint64() {
+		t.Fatal("sequential order consumed the rng")
 	}
 }
 
 func TestChaseListRandomIsPermutation(t *testing.T) {
-	h := pmem.NewPMHeap(1 << 20)
-	rng := sim.NewRand(2)
-	list := BuildChaseList(h, rng, 256, true)
-	s := pmem.NewFreeSession(h)
-	cur := list.Head
-	visited := make(map[mem.Addr]bool)
-	for i := 0; i < 256; i++ {
-		visited[cur] = true
-		cur = list.Next(s, cur)
-	}
-	if len(visited) != 256 || cur != list.Head {
-		t.Fatalf("random chase visited %d of 256", len(visited))
+	order := ChaseOrder(mem.PMBase, sim.NewRand(2), 256, true)
+	if !isChaseCycle(order, mem.PMBase) {
+		t.Fatalf("random order is not one cycle over the 256 elements")
 	}
 	// Random linkage must not be fully sequential.
 	sequentialRuns := 0
 	for i := 1; i < 256; i++ {
-		if list.Elements[i] == list.Elements[i-1]+ElementSize {
+		if order[i] == order[i-1]+ElementSize {
 			sequentialRuns++
 		}
 	}
 	if sequentialRuns > 200 {
-		t.Fatalf("random list is mostly sequential (%d runs)", sequentialRuns)
+		t.Fatalf("random order is mostly sequential (%d runs)", sequentialRuns)
 	}
 }
 
@@ -167,33 +146,34 @@ func TestPadLine(t *testing.T) {
 }
 
 func TestElementsXPLineAligned(t *testing.T) {
-	h := pmem.NewPMHeap(1 << 20)
-	list := BuildChaseList(h, sim.NewRand(3), 100, true)
-	for _, e := range list.Elements {
+	for _, e := range ChaseOrder(mem.PMBase, sim.NewRand(3), 100, true) {
 		if e%mem.XPLineSize != 0 {
 			t.Fatalf("element %v not XPLine-aligned", e)
 		}
 	}
 }
 
-// Property: any chase list is one full cycle over distinct,
+// isChaseCycle reports whether order visits each of the len(order)
+// XPLine-aligned elements starting at base exactly once, so following
+// it from the last element back to the first closes one full cycle.
+func isChaseCycle(order []mem.Addr, base mem.Addr) bool {
+	seen := make(map[mem.Addr]bool, len(order))
+	for _, e := range order {
+		if e < base || e >= base+mem.Addr(len(order)*ElementSize) || e%mem.XPLineSize != 0 || seen[e] {
+			return false
+		}
+		seen[e] = true
+	}
+	return true
+}
+
+// Property: any chase order is one full cycle over distinct,
 // XPLine-aligned elements.
 func TestQuickChaseCycle(t *testing.T) {
 	f := func(seed uint64, nRaw uint8, random bool) bool {
 		n := int(nRaw)%200 + 1
-		h := pmem.NewPMHeap(uint64(n+2) * ElementSize)
-		list := BuildChaseList(h, sim.NewRand(seed), n, random)
-		s := pmem.NewFreeSession(h)
-		cur := list.Head
-		seen := make(map[mem.Addr]bool, n)
-		for i := 0; i < n; i++ {
-			if seen[cur] {
-				return false
-			}
-			seen[cur] = true
-			cur = list.Next(s, cur)
-		}
-		return cur == list.Head && len(seen) == n
+		order := ChaseOrder(mem.DRAMBase, sim.NewRand(seed), n, random)
+		return len(order) == n && isChaseCycle(order, mem.DRAMBase)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

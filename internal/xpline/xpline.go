@@ -10,20 +10,8 @@ package xpline
 import (
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
-	"optanesim/internal/pmem"
 	"optanesim/internal/telemetry"
 )
-
-// Staging is a per-thread DRAM buffer of one XPLine used by the
-// redirected access path.
-type Staging struct {
-	Addr mem.Addr
-}
-
-// NewStaging allocates the cacheline-aligned DRAM staging buffer.
-func NewStaging(dram *pmem.Heap) *Staging {
-	return &Staging{Addr: dram.Alloc(mem.XPLineSize, mem.XPLineSize)}
-}
 
 // Direct reads all four cachelines of the block with ordinary loads and
 // then flushes them, so the next visit reaches the DIMM again (the §3.4
@@ -41,15 +29,17 @@ func Direct(t *machine.Thread, block mem.Addr) {
 	}
 }
 
-// Redirected copies the block into the staging buffer with streaming
-// SIMD loads (no prefetcher involvement) and performs the reads against
-// the staging copy, which stays cache-resident.
-func Redirected(t *machine.Thread, block mem.Addr, st *Staging) {
+// Redirected copies the block into the one-XPLine DRAM staging buffer
+// at staging with streaming SIMD loads (no prefetcher involvement) and
+// performs the reads against the staging copy, which stays
+// cache-resident. Each thread stages into its own XPLine-aligned
+// buffer.
+func Redirected(t *machine.Thread, block, staging mem.Addr) {
 	if p := t.Telemetry(); p != nil {
 		p.Emit(t.Now(), telemetry.KindXPRedirected, block.XPLine(), 0)
 	}
-	t.AVXCopy(block.XPLine(), st.Addr)
+	t.AVXCopy(block.XPLine(), staging)
 	for c := 0; c < mem.LinesPerXPLine; c++ {
-		t.Load(st.Addr + mem.Addr(c*mem.CachelineSize))
+		t.Load(staging + mem.Addr(c*mem.CachelineSize))
 	}
 }

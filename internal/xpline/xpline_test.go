@@ -5,7 +5,6 @@ import (
 
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
-	"optanesim/internal/pmem"
 )
 
 func TestDirectTouchesAllLines(t *testing.T) {
@@ -34,13 +33,11 @@ func TestDirectTouchesAllLines(t *testing.T) {
 func TestRedirectedAvoidsPrefetchers(t *testing.T) {
 	run := func(optimized bool) uint64 {
 		sys := machine.MustNewSystem(machine.G1Config(1))
-		dram := pmem.NewDRAMHeap(1 << 16)
-		st := NewStaging(dram)
 		sys.Go("t", 0, false, func(th *machine.Thread) {
 			for i := 0; i < 50; i++ {
 				block := mem.PMBase + mem.Addr(i*7919*mem.XPLineSize)
 				if optimized {
-					Redirected(th, block, st)
+					Redirected(th, block, mem.DRAMBase)
 				} else {
 					Direct(th, block)
 				}
@@ -59,25 +56,15 @@ func TestRedirectedAvoidsPrefetchers(t *testing.T) {
 
 func TestRedirectedStagingStaysCached(t *testing.T) {
 	sys := machine.MustNewSystem(machine.G1Config(1))
-	dram := pmem.NewDRAMHeap(1 << 16)
-	st := NewStaging(dram)
 	sys.Go("t", 0, false, func(th *machine.Thread) {
-		Redirected(th, mem.PMBase+4096, st)
+		Redirected(th, mem.PMBase+4096, mem.DRAMBase)
 		sys.ResetCounters()
-		Redirected(th, mem.PMBase+123*256, st)
+		Redirected(th, mem.PMBase+123*256, mem.DRAMBase)
 	})
 	sys.Run()
 	// The second visit's staging reads must be cache hits: no DRAM
 	// demand misses beyond the copy's stores.
 	if sys.DRAMCounters().IMCReadBytes != 0 {
 		t.Fatalf("staging buffer thrashed: %d DRAM iMC read bytes", sys.DRAMCounters().IMCReadBytes)
-	}
-}
-
-func TestStagingAlignment(t *testing.T) {
-	dram := pmem.NewDRAMHeap(1 << 16)
-	st := NewStaging(dram)
-	if st.Addr%mem.XPLineSize != 0 {
-		t.Fatalf("staging buffer not XPLine-aligned: %v", st.Addr)
 	}
 }

@@ -24,13 +24,12 @@
 //	})
 //	cycles := sys.Run()
 //
-// Every experiment of the paper is exposed both as a function (Fig2,
-// Fig3, ... Table1) and through the cmd/optbench CLI; `go test -bench .`
-// regenerates every result.
+// The paper's experiments run through the cmd/optbench CLI (one per
+// table and figure of the evaluation) and through `go test -bench .`,
+// which regenerates every result.
 package optanesim
 
 import (
-	"optanesim/internal/bench"
 	"optanesim/internal/btree"
 	"optanesim/internal/cceh"
 	"optanesim/internal/dram"
@@ -119,6 +118,7 @@ const (
 	CachelineSize = mem.CachelineSize
 	XPLineSize    = mem.XPLineSize
 	PMBase        = mem.PMBase
+	DRAMBase      = mem.DRAMBase
 )
 
 // NewSystem builds a testbed from cfg.
@@ -199,48 +199,11 @@ func AllPrefetchers() PrefetchConfig { return prefetch.All() }
 // NoPrefetchers disables CPU prefetching.
 func NoPrefetchers() PrefetchConfig { return prefetch.None() }
 
-// Experiment drivers: one per table/figure of the paper's evaluation.
-// See the bench package for options; zero values reproduce the paper's
-// sweeps at simulation scale.
-type (
-	Fig2Options   = bench.Fig2Options
-	Fig3Options   = bench.Fig3Options
-	Fig4Options   = bench.Fig4Options
-	Fig6Options   = bench.Fig6Options
-	Fig7Options   = bench.Fig7Options
-	Fig8Options   = bench.Fig8Options
-	Table1Options = bench.Table1Options
-	Fig10Options  = bench.Fig10Options
-	Fig12Options  = bench.Fig12Options
-	Fig13Options  = bench.Fig13Options
-	Fig14Options  = bench.Fig14Options
-)
-
-// Gen selects the testbed generation in experiment options.
-type Gen = bench.Gen
-
-// Testbed generations.
-const (
-	G1 = bench.G1
-	G2 = bench.G2
-)
-
-// XPLine access redirection (§4.3).
-type (
-	// XPLineStaging is the per-thread DRAM staging buffer used by the
-	// §4.3 redirection optimization.
-	XPLineStaging = xpline.Staging
-)
-
-// NewXPLineStaging allocates a staging buffer from a DRAM heap.
-func NewXPLineStaging(dram *Heap) *XPLineStaging { return xpline.NewStaging(dram) }
-
 // DirectBlockRead reads a 256 B block with ordinary loads (prefetchers
-// engaged) and flushes it.
+// engaged) and flushes it: §4.3's baseline access path.
 func DirectBlockRead(t *Thread, block Addr) { xpline.Direct(t, block) }
 
 // RedirectedBlockRead reads a block via a streaming SIMD copy to the
-// staging buffer, sidestepping the prefetchers.
-func RedirectedBlockRead(t *Thread, block Addr, st *XPLineStaging) {
-	xpline.Redirected(t, block, st)
-}
+// one-XPLine DRAM staging buffer at staging (XPLine-aligned, one per
+// thread), sidestepping the prefetchers.
+func RedirectedBlockRead(t *Thread, block, staging Addr) { xpline.Redirected(t, block, staging) }
