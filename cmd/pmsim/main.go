@@ -106,22 +106,15 @@ func main() {
 	if name == "-" {
 		name = "stdin"
 	}
-	rec := newRecorder(name)
-	inj, err := parseFault()
+	m, err := newMeter(name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmsim:", err)
 		os.Exit(1)
 	}
-	res, err := script.RunWith(prog, rec, inj)
-	if err != nil {
+	res := script.Run(prog, m)
+	if err := writeTelemetry(m.Rec); err != nil {
 		fmt.Fprintln(os.Stderr, "pmsim:", err)
 		os.Exit(1)
-	}
-	if rec != nil {
-		if err := writeTelemetry(rec.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "pmsim:", err)
-			os.Exit(1)
-		}
 	}
 	fmt.Printf("simulated %d cycles\n\n", res.EndCycles)
 	for _, t := range res.Threads {
@@ -130,28 +123,25 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Print(res.Report)
-	printFaultStats(inj)
+	printFaultStats(m.Inj)
 }
 
-// newRecorder builds the recorder the telemetry flags ask for, named
-// after the run's input, or nil when none is set.
-func newRecorder(name string) *telemetry.Recorder {
-	if *traceOut == "" && *eventsOut == "" && *samplesOut == "" {
-		return nil
+// newMeter builds the meter both modes run under: a recorder named
+// after the run's input when a telemetry flag is set, and the -fault
+// injector when that flag is set.
+func newMeter(name string) (*machine.Meter, error) {
+	m := new(machine.Meter)
+	if *traceOut != "" || *eventsOut != "" || *samplesOut != "" {
+		m.Rec = telemetry.NewRecorder(name, telemetry.Config{SampleEvery: sim.Cycles(*sampleEvery)})
 	}
-	return telemetry.NewRecorder(name, telemetry.Config{SampleEvery: sim.Cycles(*sampleEvery)})
-}
-
-// parseFault builds the -fault injector, or nil when the flag is unset.
-func parseFault() (*fault.Injector, error) {
-	if *faultSpec == "" {
-		return nil, nil
+	if *faultSpec != "" {
+		cfg, err := fault.ParseSpec(*faultSpec)
+		if err != nil {
+			return nil, err
+		}
+		m.Inj = fault.New(cfg)
 	}
-	cfg, err := fault.ParseSpec(*faultSpec)
-	if err != nil {
-		return nil, err
-	}
-	return fault.New(cfg), nil
+	return m, nil
 }
 
 // printFaultStats appends the injector's accounting to a run's report.
@@ -167,8 +157,13 @@ func printFaultStats(inj *fault.Injector) {
 	fmt.Printf("  stalls: %d writes paused (%d cycles)\n", st.Stalls, st.StallCycles)
 }
 
-// writeTelemetry exports the run's recording to every requested sink.
-func writeTelemetry(rec *telemetry.Recording) error {
+// writeTelemetry exports the run's recording to every requested sink;
+// it does nothing when the run recorded nothing.
+func writeTelemetry(r *telemetry.Recorder) error {
+	if r == nil {
+		return nil
+	}
+	rec := r.Snapshot()
 	writeTo := func(path string, write func(f *os.File) error) error {
 		f, err := os.Create(path)
 		if err != nil {
@@ -247,35 +242,17 @@ func runReplay() int {
 		return fail(fmt.Errorf("%s: trace has no operations", name))
 	}
 
-	inj, err := parseFault()
+	m, err := newMeter(name)
 	if err != nil {
 		return fail(err)
 	}
-	xo := replay.ExecOptions{
+	res := replay.Exec(m, cfg, ops, replay.ExecOptions{
 		Threads: *threads,
 		Passes:  *passes,
 		Assign:  pol,
-	}
-	rec := newRecorder(name)
-	if inj != nil || rec != nil {
-		// Degrade and record the replay system through the exec hook,
-		// after construction and before the run. Faults attach before
-		// telemetry so the recorder registers the fault gauges.
-		xo.Run = func(sys *machine.System) sim.Cycles {
-			if inj != nil {
-				sys.AttachFaults(inj)
-			}
-			if rec != nil {
-				sys.AttachTelemetry(rec)
-			}
-			return sys.Run()
-		}
-	}
-	res := replay.Exec(cfg, ops, xo)
-	if rec != nil {
-		if err := writeTelemetry(rec.Snapshot()); err != nil {
-			return fail(err)
-		}
+	})
+	if err := writeTelemetry(m.Rec); err != nil {
+		return fail(err)
 	}
 	fmt.Printf("replayed %s: %d ops (%s format, %d lines, %d skipped), %d machine ops over %d thread(s), %d pass(es)\n",
 		name, stats.Ops, stats.Format, stats.Lines, stats.Skipped, res.Ops, *threads, *passes)
@@ -289,6 +266,6 @@ func runReplay() int {
 	}
 	fmt.Println()
 	fmt.Println(res.PM.String())
-	printFaultStats(inj)
+	printFaultStats(m.Inj)
 	return 0
 }

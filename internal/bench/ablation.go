@@ -22,9 +22,9 @@ type AblationResult struct {
 }
 
 // Ablations runs all design-choice ablations from DESIGN.md.
-func Ablations() []AblationResult { return ablations(new(Meter)) }
+func Ablations() []AblationResult { return ablations(new(machine.Meter)) }
 
-func ablations(m *Meter) []AblationResult {
+func ablations(m *machine.Meter) []AblationResult {
 	return []AblationResult{
 		ablationReadBufferExclusivity(m),
 		ablationPeriodicWriteback(m),
@@ -36,7 +36,7 @@ func ablations(m *Meter) []AblationResult {
 // ablationReadBufferExclusivity: without cache-exclusive consumption,
 // Fig. 2's repeated reads would hit the read buffer forever and RA would
 // collapse toward 0 instead of flooring at 1 — the paper's C1 evidence.
-func ablationReadBufferExclusivity(m *Meter) AblationResult {
+func ablationReadBufferExclusivity(m *machine.Meter) AblationResult {
 	run := func(retain bool) float64 {
 		cfg := G1.Config(1)
 		cfg.PM.ReadBufRetainsServedLines = retain
@@ -72,7 +72,7 @@ func ablationReadBufferExclusivity(m *Meter) AblationResult {
 // ablationPeriodicWriteback: disabling G1's ~5000-cycle full-line
 // write-back makes small full writes coalesce in the buffer (WA -> 0),
 // contradicting Fig. 3's full-write curve that sits at 1.
-func ablationPeriodicWriteback(m *Meter) AblationResult {
+func ablationPeriodicWriteback(m *machine.Meter) AblationResult {
 	run := func(disable bool) float64 {
 		o := Fig3Options{Gen: G1, WSS: []int{8 * KB}, Passes: 10}
 		o.defaults()
@@ -93,7 +93,7 @@ func ablationPeriodicWriteback(m *Meter) AblationResult {
 
 // ablationBatchEviction: replacing G1's batch eviction with G2-style
 // single-victim eviction softens Fig. 4's sharp 12 KB knee.
-func ablationBatchEviction(m *Meter) AblationResult {
+func ablationBatchEviction(m *machine.Meter) AblationResult {
 	run := func(batch int) float64 {
 		cfg := G1.Config(1)
 		cfg.PM.WriteBufBatchEvict = batch
@@ -132,7 +132,7 @@ func ablationBatchEviction(m *Meter) AblationResult {
 // ablationEADR: with the §6 extended-ADR platform, cacheline flushes are
 // unnecessary and the strict-persistency element update gets much
 // cheaper — the forward-looking platform change the paper discusses.
-func ablationEADR(m *Meter) AblationResult {
+func ablationEADR(m *machine.Meter) AblationResult {
 	run := func(eadr bool) float64 {
 		cfg := G2.Config(1)
 		cfg.CPU.EADR = eadr
@@ -172,7 +172,7 @@ func ablationEADR(m *Meter) AblationResult {
 
 // fig3RunWithConfig is fig3Run with an explicit machine configuration
 // (for ablations that tweak the DIMM profile).
-func fig3RunWithConfig(m *Meter, cfg machine.Config, wss, linesPerXPL, passes int) float64 {
+func fig3RunWithConfig(m *machine.Meter, cfg machine.Config, wss, linesPerXPL, passes int) float64 {
 	sys := m.System(cfg)
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
@@ -206,7 +206,7 @@ func fig3RunWithConfig(m *Meter, cfg machine.Config, wss, linesPerXPL, passes in
 // ablationUnits returns the experiment's single unit; the individual
 // ablations are quick enough that fan-out is not worth the panel split.
 func ablationUnits(o Options) []Unit {
-	return []Unit{o.unit("ablation", "", func(m *Meter) UnitResult {
+	return []Unit{o.unit("ablation", "", func(m *machine.Meter) UnitResult {
 		results := ablations(m)
 		return UnitResult{Data: results, Text: FormatAblations(results)}
 	})}

@@ -48,9 +48,9 @@ func (o *BandwidthOptions) defaults() {
 // builds on: read bandwidth far exceeds write bandwidth (~3x at the
 // device level), and write bandwidth stops scaling after a handful of
 // threads while reads keep scaling.
-func Bandwidth(o BandwidthOptions) []BandwidthPoint { return bandwidth(new(Meter), o) }
+func Bandwidth(o BandwidthOptions) []BandwidthPoint { return bandwidth(new(machine.Meter), o) }
 
-func bandwidth(m *Meter, o BandwidthOptions) []BandwidthPoint {
+func bandwidth(m *machine.Meter, o BandwidthOptions) []BandwidthPoint {
 	o.defaults()
 	points := make([]BandwidthPoint, 0, len(o.Threads))
 	for _, th := range o.Threads {
@@ -63,7 +63,7 @@ func bandwidth(m *Meter, o BandwidthOptions) []BandwidthPoint {
 	return points
 }
 
-func bandwidthRun(m *Meter, o BandwidthOptions, threads int, write bool) float64 {
+func bandwidthRun(m *machine.Meter, o BandwidthOptions, threads int, write bool) float64 {
 	cfg := o.Gen.Config(threads)
 	cfg.PMDIMMs = o.DIMMs
 	sys := m.System(cfg)
@@ -115,7 +115,7 @@ func bandwidthRun(m *Meter, o BandwidthOptions, threads int, write bool) float64
 func bandwidthUnits(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		units = append(units, o.unit("bandwidth", gen.String(), func(m *Meter) UnitResult {
+		units = append(units, o.unit("bandwidth", gen.String(), func(m *machine.Meter) UnitResult {
 			opts := BandwidthOptions{Gen: gen, BytesPerThread: o.scale(2*MB, 512*KB)}
 			pts := bandwidth(m, opts)
 			return UnitResult{Data: pts, Text: FormatBandwidth(opts, pts)}

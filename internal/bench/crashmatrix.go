@@ -17,6 +17,7 @@ import (
 	"optanesim/internal/cceh"
 	"optanesim/internal/crash"
 	"optanesim/internal/kvstore"
+	"optanesim/internal/machine"
 	"optanesim/internal/pmem"
 	"optanesim/internal/radix"
 	"optanesim/internal/sim"
@@ -134,7 +135,7 @@ func crashmatrixUnits(o Options) []Unit {
 		o.matrixSeed(11, 0), o.matrixSeed(12, 1), o.matrixSeed(13, 2), o.matrixSeed(14, 3),
 	}
 	return []Unit{
-		{Experiment: "crashmatrix", Name: "btree", body: func(*Meter) UnitResult {
+		{Experiment: "crashmatrix", Name: "btree", body: func(*machine.Meter) UnitResult {
 			ops := crashTrace(41, nOps, 150, 5)
 			h := pmem.NewPMHeap(1 << 20)
 			s := pmem.NewFreeSession(h)
@@ -167,7 +168,7 @@ func crashmatrixUnits(o Options) []Unit {
 				})
 			return runCrashUnit("btree", seeds[0], len(ops), out)
 		}},
-		{Experiment: "crashmatrix", Name: "cceh", body: func(*Meter) UnitResult {
+		{Experiment: "crashmatrix", Name: "cceh", body: func(*machine.Meter) UnitResult {
 			ops := crashTrace(42, nOps*3, nOps*2, 8)
 			h := pmem.NewPMHeap(1 << 21)
 			s := pmem.NewFreeSession(h)
@@ -198,7 +199,7 @@ func crashmatrixUnits(o Options) []Unit {
 				})
 			return runCrashUnit("cceh", seeds[1], len(ops), out)
 		}},
-		{Experiment: "crashmatrix", Name: "radix", body: func(*Meter) UnitResult {
+		{Experiment: "crashmatrix", Name: "radix", body: func(*machine.Meter) UnitResult {
 			ops := crashTrace(43, nOps, 300, 6)
 			h := pmem.NewPMHeap(1 << 22)
 			s := pmem.NewFreeSession(h)
@@ -228,7 +229,7 @@ func crashmatrixUnits(o Options) []Unit {
 				})
 			return runCrashUnit("radix", seeds[2], len(ops), out)
 		}},
-		{Experiment: "crashmatrix", Name: "kvstore", body: func(*Meter) UnitResult {
+		{Experiment: "crashmatrix", Name: "kvstore", body: func(*machine.Meter) UnitResult {
 			ops := crashTrace(44, nOps, 200, 0) // puts only
 			h := pmem.NewPMHeap(1 << 22)
 			s := pmem.NewFreeSession(h)

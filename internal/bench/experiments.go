@@ -67,7 +67,7 @@ type Unit struct {
 	// opts supplies the telemetry factory and fault config of the meter
 	// body runs under (Run); units not built by Options.unit carry none.
 	opts Options
-	body func(*Meter) UnitResult
+	body func(*machine.Meter) UnitResult
 }
 
 // Run computes the unit's structured result: the body runs under a meter
@@ -75,7 +75,7 @@ type Unit struct {
 // and the meter's simulated cycles and frozen recording are stamped into
 // the result together with the unit's identity.
 func (u Unit) Run() UnitResult {
-	m := &Meter{}
+	m := &machine.Meter{}
 	if u.opts.Telemetry != nil {
 		m.Rec = u.opts.Telemetry(u.ID())
 	}
@@ -119,56 +119,9 @@ type UnitResult struct {
 	SimCycles sim.Cycles `json:"-"`
 }
 
-// Meter is the one way the bench layer builds and runs machine systems:
-// every experiment takes its unit's Meter, builds each system with
-// Meter.System and runs it with Meter.Run, which attaches the unit's
-// fault injector and telemetry recorder and accumulates simulated
-// cycles. The exported drivers (Fig2 etc.) run under a zero Meter,
-// which only builds and runs.
-type Meter struct {
-	// Rec is the unit's recorder, nil when telemetry is off.
-	Rec *telemetry.Recorder
-	// Inj is the unit's fault injector, nil when faults are off. One
-	// injector spans the unit's systems, so poison and wear accumulate
-	// across a sweep the way they would on one physical module.
-	Inj *fault.Injector
-	// SimCycles accumulates the end times of every metered run.
-	SimCycles sim.Cycles
-	// last is the previous system System built: the donor of the next.
-	last *machine.System
-}
-
-// System builds a fresh system for cfg into the storage of the previous
-// system this meter built (machine.NewSystemReusing), so a sweep's cells
-// recycle the cache geometry instead of re-allocating it. The result is
-// observably identical to machine.NewSystem's, and valid until the next
-// call: its storage then passes to the next system.
-func (m *Meter) System(cfg machine.Config) *machine.System {
-	donor := m.last
-	// Drop the field first: a donor of another geometry (fig4 alternates
-	// G1 and G2) must be collectable while its replacement allocates.
-	m.last = nil
-	m.last = machine.MustNewSystemReusing(cfg, donor)
-	return m.last
-}
-
-// Run executes sys to completion under the meter. Faults attach before
-// telemetry so the recorder registers the fault gauges.
-func (m *Meter) Run(sys *machine.System) sim.Cycles {
-	if m.Inj != nil {
-		sys.AttachFaults(m.Inj)
-	}
-	if m.Rec != nil {
-		sys.AttachTelemetry(m.Rec)
-	}
-	end := sys.Run()
-	m.SimCycles += end
-	return end
-}
-
 // unit builds the registry unit exp/name, whose body runs under a meter
 // built from these options (Unit.Run).
-func (o Options) unit(exp, name string, body func(*Meter) UnitResult) Unit {
+func (o Options) unit(exp, name string, body func(*machine.Meter) UnitResult) Unit {
 	return Unit{Experiment: exp, Name: name, opts: o, body: body}
 }
 

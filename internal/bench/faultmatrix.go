@@ -174,9 +174,9 @@ func runPoisonUnit(workload string, seed uint64, n, nPoison int,
 // timedPair runs the same single-thread workload on a healthy system
 // and on one degraded by cfg, returning both end times and the
 // degraded run's injector. The cell owns its injectors, so the meter's
-// run-wide one is dropped; faults attach before the meter so telemetry
-// (when on) registers the fault gauges.
-func timedPair(m *Meter, workload func(*machine.Thread), cfg fault.Config) (base, faulted sim.Cycles, inj *fault.Injector) {
+// run-wide one is dropped for the healthy run and replaced by the
+// cell's for the degraded one.
+func timedPair(m *machine.Meter, workload func(*machine.Thread), cfg fault.Config) (base, faulted sim.Cycles, inj *fault.Injector) {
 	m.Inj = nil
 	sysB := m.System(machine.G1Config(1))
 	sysB.Go("healthy", 0, false, workload)
@@ -184,10 +184,9 @@ func timedPair(m *Meter, workload func(*machine.Thread), cfg fault.Config) (base
 
 	sysF := m.System(machine.G1Config(1))
 	inj = fault.New(cfg)
-	sysF.AttachFaults(inj)
+	m.Inj = inj
 	sysF.Go("degraded", 0, false, workload)
-	faulted = m.Run(sysF)
-	return base, faulted, inj
+	return base, m.Run(sysF), inj
 }
 
 // pctSlower renders the degradation for the text line.
@@ -210,7 +209,7 @@ func faultmatrixUnits(o Options) []Unit {
 	const window = 8 << 20 // cold-read aperture, larger than any cache
 
 	units := []Unit{
-		{Experiment: "faultmatrix", Name: "poison/btree", body: func(*Meter) UnitResult {
+		{Experiment: "faultmatrix", Name: "poison/btree", body: func(*machine.Meter) UnitResult {
 			return runPoisonUnit("btree", seeds[0], nKeys, nPoison, func(s *pmem.Session, h *pmem.Heap) faultIndex {
 				tr := btree.New(s, h, btree.RedoLog)
 				w := tr.NewWriter(s, nil)
@@ -222,7 +221,7 @@ func faultmatrixUnits(o Options) []Unit {
 				return func(k uint64) (uint64, bool) { return tr.Get(s, k) }
 			})
 		}},
-		{Experiment: "faultmatrix", Name: "poison/cceh", body: func(*Meter) UnitResult {
+		{Experiment: "faultmatrix", Name: "poison/cceh", body: func(*machine.Meter) UnitResult {
 			return runPoisonUnit("cceh", seeds[1], nKeys, nPoison, func(s *pmem.Session, h *pmem.Heap) faultIndex {
 				tb := cceh.New(s, h, 0)
 				for k := uint64(1); k <= uint64(nKeys); k++ {
@@ -233,7 +232,7 @@ func faultmatrixUnits(o Options) []Unit {
 				return func(k uint64) (uint64, bool) { return tb.Lookup(s, k) }
 			})
 		}},
-		{Experiment: "faultmatrix", Name: "poison/radix", body: func(*Meter) UnitResult {
+		{Experiment: "faultmatrix", Name: "poison/radix", body: func(*machine.Meter) UnitResult {
 			return runPoisonUnit("radix", seeds[2], nKeys, nPoison, func(s *pmem.Session, h *pmem.Heap) faultIndex {
 				tr := radix.New(s, h)
 				for k := uint64(1); k <= uint64(nKeys); k++ {
@@ -244,7 +243,7 @@ func faultmatrixUnits(o Options) []Unit {
 				return func(k uint64) (uint64, bool) { return tr.Get(s, k) }
 			})
 		}},
-		{Experiment: "faultmatrix", Name: "poison/kvstore", body: func(*Meter) UnitResult {
+		{Experiment: "faultmatrix", Name: "poison/kvstore", body: func(*machine.Meter) UnitResult {
 			return runPoisonUnit("kvstore", seeds[3], nKeys, nPoison, func(s *pmem.Session, h *pmem.Heap) faultIndex {
 				st := kvstore.New(s, h, kvstore.Batched, 1<<18)
 				for k := uint64(1); k <= uint64(nKeys); k++ {
@@ -260,7 +259,7 @@ func faultmatrixUnits(o Options) []Unit {
 		// the UNHARDENED path. The injector must flag every one of those
 		// reads as silent absorption — if it does not, poison slipped
 		// through the stack undetected and the matrix fails.
-		{Experiment: "faultmatrix", Name: "control/unhardened-btree", body: func(*Meter) UnitResult {
+		{Experiment: "faultmatrix", Name: "control/unhardened-btree", body: func(*machine.Meter) UnitResult {
 			seed := seeds[4]
 			h := pmem.NewPMHeap(1 << 23)
 			s := pmem.NewFreeSession(h)
@@ -309,7 +308,7 @@ func faultmatrixUnits(o Options) []Unit {
 				"btree", nKeys, rec.Injected, rec.Unreported, rec.Repaired, seed)}
 		}},
 
-		o.unit("faultmatrix", "thermal/seq-write", func(m *Meter) UnitResult {
+		o.unit("faultmatrix", "thermal/seq-write", func(m *machine.Meter) UnitResult {
 			seed := seeds[5]
 			// One line per XPLine: partial entries take the eviction RMW
 			// path, so derated media ports backpressure the store stream
@@ -317,12 +316,12 @@ func faultmatrixUnits(o Options) []Unit {
 			// periodic write-back and hide the throttling).
 			wl := func(t *machine.Thread) {
 				for i := 0; i < nOps; i++ {
-					t.Apply(mem.OpNTStore, mem.PMBase+mem.Addr(i*mem.XPLineSize%window))
+					t.NTStore(mem.PMBase + mem.Addr(i*mem.XPLineSize%window))
 					if i%16 == 15 {
-						t.Apply(mem.OpSFence, 0)
+						t.SFence()
 					}
 				}
-				t.Apply(mem.OpSFence, 0)
+				t.SFence()
 			}
 			base, faulted, inj := timedPair(m, wl, fault.Config{
 				Seed:    seed,
@@ -341,7 +340,7 @@ func faultmatrixUnits(o Options) []Unit {
 				"faultmatrix thermal  %-10s %5d ops   %9dc healthy  %9dc throttled  (+%.1f%%, %d throttled ops, seed %d)",
 				"seq-write", nOps, base, faulted, pctSlower(base, faulted), st.ThrottledOps, seed)}
 		}),
-		o.unit("faultmatrix", "thermal/rand-read", func(m *Meter) UnitResult {
+		o.unit("faultmatrix", "thermal/rand-read", func(m *machine.Meter) UnitResult {
 			seed := seeds[6]
 			r := sim.NewRand(seed)
 			addrs := make([]mem.Addr, nOps)
@@ -350,7 +349,7 @@ func faultmatrixUnits(o Options) []Unit {
 			}
 			wl := func(t *machine.Thread) {
 				for _, a := range addrs {
-					t.Apply(mem.OpLoad, a)
+					t.Load(a)
 				}
 			}
 			base, faulted, inj := timedPair(m, wl, fault.Config{
@@ -370,16 +369,16 @@ func faultmatrixUnits(o Options) []Unit {
 				"faultmatrix thermal  %-10s %5d ops   %9dc healthy  %9dc throttled  (+%.1f%%, %d throttled ops, seed %d)",
 				"rand-read", nOps, base, faulted, pctSlower(base, faulted), st.ThrottledOps, seed)}
 		}),
-		o.unit("faultmatrix", "stall/nt-store", func(m *Meter) UnitResult {
+		o.unit("faultmatrix", "stall/nt-store", func(m *machine.Meter) UnitResult {
 			seed := seeds[7]
 			wl := func(t *machine.Thread) {
 				for i := 0; i < nOps; i++ {
-					t.Apply(mem.OpNTStore, mem.PMBase+mem.Addr(i*mem.CachelineSize%window))
+					t.NTStore(mem.PMBase + mem.Addr(i*mem.CachelineSize%window))
 					if i%8 == 7 {
-						t.Apply(mem.OpSFence, 0)
+						t.SFence()
 					}
 				}
-				t.Apply(mem.OpSFence, 0)
+				t.SFence()
 			}
 			base, faulted, inj := timedPair(m, wl, fault.Config{
 				Seed:  seed,
@@ -398,7 +397,7 @@ func faultmatrixUnits(o Options) []Unit {
 				"faultmatrix stall    %-10s %5d ops   %9dc healthy  %9dc stalled    (+%.1f%%, %d stalled writes, seed %d)",
 				"nt-store", nOps, base, faulted, pctSlower(base, faulted), st.Stalls, seed)}
 		}),
-		o.unit("faultmatrix", "media/wear-rw", func(m *Meter) UnitResult {
+		o.unit("faultmatrix", "media/wear-rw", func(m *machine.Meter) UnitResult {
 			seed := seeds[8]
 			wl := func(t *machine.Thread) {
 				// Write sweep: fill whole XPLines so WCB evictions drive
@@ -406,17 +405,17 @@ func faultmatrixUnits(o Options) []Unit {
 				for i := 0; i < nXPL; i++ {
 					base := mem.PMBase + mem.Addr(i*mem.XPLineSize)
 					for l := 0; l < mem.LinesPerXPLine; l++ {
-						t.Apply(mem.OpNTStore, base+mem.Addr(l*mem.CachelineSize))
+						t.NTStore(base + mem.Addr(l*mem.CachelineSize))
 					}
 					if i%8 == 7 {
-						t.Apply(mem.OpSFence, 0)
+						t.SFence()
 					}
 				}
-				t.Apply(mem.OpSFence, 0)
+				t.SFence()
 				// ...then a read sweep: media reads of armed XPLines pay
 				// the UE detect penalty.
 				for i := 0; i < nXPL; i++ {
-					t.Apply(mem.OpLoad, mem.PMBase+mem.Addr(i*mem.XPLineSize))
+					t.Load(mem.PMBase + mem.Addr(i*mem.XPLineSize))
 				}
 			}
 			base, faulted, inj := timedPair(m, wl, fault.Config{

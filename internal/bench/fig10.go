@@ -60,9 +60,9 @@ func (o *Fig10Options) defaults() {
 // Fig10 reproduces §4.1's Fig. 10: CCEH insert latency and throughput
 // versus worker count, with and without a speculative helper thread
 // bound to each worker's sibling hyperthread, on PM or DRAM.
-func Fig10(o Fig10Options) []Fig10Point { return fig10(new(Meter), o) }
+func Fig10(o Fig10Options) []Fig10Point { return fig10(new(machine.Meter), o) }
 
-func fig10(m *Meter, o Fig10Options) []Fig10Point {
+func fig10(m *machine.Meter, o Fig10Options) []Fig10Point {
 	o.defaults()
 	points := make([]Fig10Point, 0, len(o.Workers))
 	for _, w := range o.Workers {
@@ -77,7 +77,7 @@ func fig10(m *Meter, o Fig10Options) []Fig10Point {
 	return points
 }
 
-func fig10Run(m *Meter, o Fig10Options, workers int, helper bool) (cyclesPerInsert, mops float64) {
+func fig10Run(m *machine.Meter, o Fig10Options, workers int, helper bool) (cyclesPerInsert, mops float64) {
 	mcfg := o.Gen.Config(workers)
 	mcfg.PMDIMMs = o.DIMMs
 	sys := m.System(mcfg)
@@ -173,7 +173,7 @@ func fig10Units(o Options) []Unit {
 	}
 	units := make([]Unit, 0, len(cells))
 	for _, cell := range cells {
-		units = append(units, o.unit("fig10", cell.name, func(m *Meter) UnitResult {
+		units = append(units, o.unit("fig10", cell.name, func(m *machine.Meter) UnitResult {
 			opts := base
 			opts.OnDRAM = cell.onDRAM
 			opts.DIMMs = cell.dimms

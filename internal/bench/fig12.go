@@ -52,9 +52,9 @@ func (o *Fig12Options) defaults() {
 // Fig12 reproduces §4.2's Fig. 12: insert latency and throughput of the
 // FAST & FAIR-style B+-tree with in-place (per-shift persistence
 // barrier) versus out-of-place (redo-log) updates, on a single DIMM.
-func Fig12(o Fig12Options) []Fig12Point { return fig12(new(Meter), o) }
+func Fig12(o Fig12Options) []Fig12Point { return fig12(new(machine.Meter), o) }
 
-func fig12(m *Meter, o Fig12Options) []Fig12Point {
+func fig12(m *machine.Meter, o Fig12Options) []Fig12Point {
 	o.defaults()
 	// One PM heap serves every cell, sized for the largest. Nodes are
 	// 1 KB with 60 slots and split into halves of 30, so a key takes at
@@ -103,7 +103,7 @@ func fig12Prebuild(heap *pmem.Heap, n int, mode btree.Mode) fig12Tree {
 	return fig12Tree{mode: mode, mark: heap.Mark(), super: tr.Super()}
 }
 
-func fig12Run(m *Meter, o Fig12Options, threads int, heap *pmem.Heap, pre fig12Tree) (cyclesPerInsert, mops float64) {
+func fig12Run(m *machine.Meter, o Fig12Options, threads int, heap *pmem.Heap, pre fig12Tree) (cyclesPerInsert, mops float64) {
 	sys := m.System(o.Gen.Config(threads))
 
 	heap.Rewind(pre.mark)
@@ -145,7 +145,7 @@ func fig12Run(m *Meter, o Fig12Options, threads int, heap *pmem.Heap, pre fig12T
 func fig12Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		units = append(units, o.unit("fig12", gen.String(), func(m *Meter) UnitResult {
+		units = append(units, o.unit("fig12", gen.String(), func(m *machine.Meter) UnitResult {
 			pts := fig12(m, Fig12Options{
 				Gen:              gen,
 				PrebuildKeys:     o.scale(800_000, 300_000),

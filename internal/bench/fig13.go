@@ -46,9 +46,9 @@ func (o *Fig13Options) defaults() {
 // Fig13 reproduces §4.3's Fig. 13: the §3.4 random-block benchmark with
 // all CPU prefetchers enabled, versus the AVX redirection optimization,
 // measuring the amount of data actually loaded relative to demand.
-func Fig13(o Fig13Options) []Fig13Point { return fig13(new(Meter), o) }
+func Fig13(o Fig13Options) []Fig13Point { return fig13(new(machine.Meter), o) }
 
-func fig13(m *Meter, o Fig13Options) []Fig13Point {
+func fig13(m *machine.Meter, o Fig13Options) []Fig13Point {
 	o.defaults()
 	points := make([]Fig13Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
@@ -68,7 +68,7 @@ func fig13(m *Meter, o Fig13Options) []Fig13Point {
 // fig13Cell measures one working-set size on a fresh system, with
 // direct or redirected (optimized) accesses after a warmup of direct
 // ones that only fills caches and on-DIMM buffers.
-func fig13Cell(m *Meter, o Fig13Options, wss int, optimized bool) trace.Counters {
+func fig13Cell(m *machine.Meter, o Fig13Options, wss int, optimized bool) trace.Counters {
 	sys := m.System(o.Gen.Config(1))
 	nBlocks := wss / mem.XPLineSize
 	if nBlocks == 0 {
@@ -105,7 +105,7 @@ func fig13Cell(m *Meter, o Fig13Options, wss int, optimized bool) trace.Counters
 func fig13Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		units = append(units, o.unit("fig13", gen.String(), func(m *Meter) UnitResult {
+		units = append(units, o.unit("fig13", gen.String(), func(m *machine.Meter) UnitResult {
 			pts := fig13(m, Fig13Options{Gen: gen, MaxVisits: o.scale(40000, 10000)})
 			return UnitResult{Data: pts, Text: FormatFig13(gen, pts)}
 		}))

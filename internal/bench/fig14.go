@@ -56,9 +56,9 @@ func (o *Fig14Options) defaults() {
 // redirecting XPLine-aligned random accesses through a DRAM staging
 // buffer. The extra copy hurts at small thread counts; once
 // misprefetching saturates the PM bandwidth, the redirected path wins.
-func Fig14(o Fig14Options) []Fig14Point { return fig14(new(Meter), o) }
+func Fig14(o Fig14Options) []Fig14Point { return fig14(new(machine.Meter), o) }
 
-func fig14(m *Meter, o Fig14Options) []Fig14Point {
+func fig14(m *machine.Meter, o Fig14Options) []Fig14Point {
 	o.defaults()
 	points := make([]Fig14Point, 0, len(o.Threads))
 	for _, th := range o.Threads {
@@ -73,7 +73,7 @@ func fig14(m *Meter, o Fig14Options) []Fig14Point {
 	return points
 }
 
-func fig14Run(m *Meter, o Fig14Options, threads int, optimized bool) (cyclesPerBlock, gbs float64) {
+func fig14Run(m *machine.Meter, o Fig14Options, threads int, optimized bool) (cyclesPerBlock, gbs float64) {
 	sys := m.System(o.Gen.Config(threads))
 	nBlocks := o.WSS / mem.XPLineSize
 	base := mem.PMBase
@@ -122,7 +122,7 @@ func fig14Run(m *Meter, o Fig14Options, threads int, optimized bool) (cyclesPerB
 func fig14Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		units = append(units, o.unit("fig14", gen.String(), func(m *Meter) UnitResult {
+		units = append(units, o.unit("fig14", gen.String(), func(m *machine.Meter) UnitResult {
 			opts := Fig14Options{Gen: gen, BlocksPerThread: o.scale(6000, 2000)}
 			if o.Quick {
 				opts.Threads = []int{1, 2, 4, 8, 12, 16}

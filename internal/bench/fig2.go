@@ -45,9 +45,9 @@ func (o *Fig2Options) defaults() {
 // every cacheline flushed (clflushopt) immediately after it is read so
 // all traffic reaches the DIMM. It reports read amplification as the
 // working set grows.
-func Fig2(o Fig2Options) []Fig2Point { return fig2(new(Meter), o) }
+func Fig2(o Fig2Options) []Fig2Point { return fig2(new(machine.Meter), o) }
 
-func fig2(m *Meter, o Fig2Options) []Fig2Point {
+func fig2(m *machine.Meter, o Fig2Options) []Fig2Point {
 	o.defaults()
 	points := make([]Fig2Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
@@ -61,7 +61,7 @@ func fig2(m *Meter, o Fig2Options) []Fig2Point {
 }
 
 // fig2Cell measures RA for one (wss, cpx) cell on a fresh system.
-func fig2Cell(m *Meter, o Fig2Options, wss, cpx int) float64 {
+func fig2Cell(m *machine.Meter, o Fig2Options, wss, cpx int) float64 {
 	sys := m.System(o.Gen.Config(1))
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
@@ -101,7 +101,7 @@ func fig2Cell(m *Meter, o Fig2Options, wss, cpx int) float64 {
 func fig2Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		units = append(units, o.unit("fig2", gen.String(), func(m *Meter) UnitResult {
+		units = append(units, o.unit("fig2", gen.String(), func(m *machine.Meter) UnitResult {
 			pts := fig2(m, Fig2Options{Gen: gen, Passes: o.scale(8, 3)})
 			return UnitResult{Data: pts, Text: fmt.Sprintf("[%s] %s", gen, FormatFig2(pts))}
 		}))

@@ -45,9 +45,9 @@ func (o *Fig3Options) defaults() {
 // Fig3 reproduces §3.2's write-amplification experiment: non-temporal
 // stores writing 1..4 cachelines of each XPLine (partial vs full
 // writes), bypassing the CPU caches, measuring media-vs-iMC write bytes.
-func Fig3(o Fig3Options) []Fig3Point { return fig3(new(Meter), o) }
+func Fig3(o Fig3Options) []Fig3Point { return fig3(new(machine.Meter), o) }
 
-func fig3(m *Meter, o Fig3Options) []Fig3Point {
+func fig3(m *machine.Meter, o Fig3Options) []Fig3Point {
 	o.defaults()
 	points := make([]Fig3Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
@@ -61,7 +61,7 @@ func fig3(m *Meter, o Fig3Options) []Fig3Point {
 }
 
 // fig3Cell measures WA for one (wss, linesPerXPL) cell on a fresh system.
-func fig3Cell(m *Meter, o Fig3Options, wss, linesPerXPL int) float64 {
+func fig3Cell(m *machine.Meter, o Fig3Options, wss, linesPerXPL int) float64 {
 	sys := m.System(o.Gen.Config(1))
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
@@ -112,7 +112,7 @@ func fig3Cell(m *Meter, o Fig3Options, wss, linesPerXPL int) float64 {
 func fig3Units(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		units = append(units, o.unit("fig3", gen.String(), func(m *Meter) UnitResult {
+		units = append(units, o.unit("fig3", gen.String(), func(m *machine.Meter) UnitResult {
 			pts := fig3(m, Fig3Options{Gen: gen, Passes: o.scale(12, 4)})
 			return UnitResult{Data: pts, Text: fmt.Sprintf("[%s] %s", gen, FormatFig3(pts))}
 		}))

@@ -38,9 +38,9 @@ func (o *Fig4Options) defaults() {
 // absorbed by the write buffer, on both generations. G1's batch eviction
 // at its 12 KB high watermark produces the sharp knee; G2's single
 // random-victim eviction declines gracefully past a larger knee.
-func Fig4(o Fig4Options) []Fig4Point { return fig4(new(Meter), o) }
+func Fig4(o Fig4Options) []Fig4Point { return fig4(new(machine.Meter), o) }
 
-func fig4(m *Meter, o Fig4Options) []Fig4Point {
+func fig4(m *machine.Meter, o Fig4Options) []Fig4Point {
 	o.defaults()
 	points := make([]Fig4Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
@@ -53,7 +53,7 @@ func fig4(m *Meter, o Fig4Options) []Fig4Point {
 	return points
 }
 
-func fig4Run(m *Meter, gen Gen, wss, writes int) float64 {
+func fig4Run(m *machine.Meter, gen Gen, wss, writes int) float64 {
 	sys := m.System(gen.Config(1))
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
@@ -89,7 +89,7 @@ func fig4Run(m *Meter, gen Gen, wss, writes int) float64 {
 // fig4Units returns the experiment's single unit (both generations run
 // inside one sweep).
 func fig4Units(o Options) []Unit {
-	return []Unit{o.unit("fig4", "", func(m *Meter) UnitResult {
+	return []Unit{o.unit("fig4", "", func(m *machine.Meter) UnitResult {
 		pts := fig4(m, Fig4Options{Writes: o.scale(20000, 5000)})
 		return UnitResult{Data: pts, Text: FormatFig4(pts)}
 	})}

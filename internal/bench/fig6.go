@@ -84,9 +84,9 @@ func (o *Fig6Options) defaults() {
 // cachelines of each block sequentially and flushing the block from the
 // CPU cache afterwards, with one CPU prefetcher enabled at a time. It
 // reports the PM (media/demand) and iMC (iMC/demand) read ratios.
-func Fig6(o Fig6Options) []Fig6Point { return fig6(new(Meter), o) }
+func Fig6(o Fig6Options) []Fig6Point { return fig6(new(machine.Meter), o) }
 
-func fig6(m *Meter, o Fig6Options) []Fig6Point {
+func fig6(m *machine.Meter, o Fig6Options) []Fig6Point {
 	o.defaults()
 	points := make([]Fig6Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
@@ -95,7 +95,7 @@ func fig6(m *Meter, o Fig6Options) []Fig6Point {
 	return points
 }
 
-func fig6Run(m *Meter, gen Gen, setting PrefetchSetting, wss, maxVisits int) Fig6Point {
+func fig6Run(m *machine.Meter, gen Gen, setting PrefetchSetting, wss, maxVisits int) Fig6Point {
 	cfg := gen.Config(1)
 	cfg.Prefetch = setting.Config()
 	sys := m.System(cfg)
@@ -143,7 +143,7 @@ func fig6Units(o Options) []Unit {
 	units := make([]Unit, 0, 8)
 	for _, gen := range []Gen{G1, G2} {
 		for _, set := range []PrefetchSetting{PFNone, PFHardware, PFAdjacent, PFDCUStreamer} {
-			units = append(units, o.unit("fig6", gen.String()+" "+set.String(), func(m *Meter) UnitResult {
+			units = append(units, o.unit("fig6", gen.String()+" "+set.String(), func(m *machine.Meter) UnitResult {
 				pts := fig6(m, Fig6Options{Gen: gen, Setting: set, MaxVisits: o.scale(40000, 8000)})
 				return UnitResult{Data: pts, Text: FormatFig6(gen, set, pts)}
 			}))

@@ -74,9 +74,9 @@ func (o *Fig7Options) defaults() {
 // walk a 4 KB region one cacheline at a time, persisting each line
 // (store+clwb or nt-store, then a fence), then loading the line persisted
 // `distance` iterations earlier. It reports average cycles per iteration.
-func Fig7(o Fig7Options) []Fig7Point { return fig7(new(Meter), o) }
+func Fig7(o Fig7Options) []Fig7Point { return fig7(new(machine.Meter), o) }
 
-func fig7(m *Meter, o Fig7Options) []Fig7Point {
+func fig7(m *machine.Meter, o Fig7Options) []Fig7Point {
 	o.defaults()
 	points := make([]Fig7Point, 0, len(o.Distances))
 	for _, d := range o.Distances {
@@ -85,7 +85,7 @@ func fig7(m *Meter, o Fig7Options) []Fig7Point {
 	return points
 }
 
-func fig7Run(m *Meter, o Fig7Options, distance int) float64 {
+func fig7Run(m *machine.Meter, o Fig7Options, distance int) float64 {
 	cfg := o.Gen.Config(1)
 	// The latency probe runs with CPU prefetchers disabled: its read
 	// stream is sequential, and prefetching would hide exactly the
@@ -151,7 +151,7 @@ func Fig7Variants(pm bool) []RAPVariant {
 
 // fig7Curves runs all of one panel's variants and returns the raw
 // series.
-func fig7Curves(m *Meter, gen Gen, pm, remote bool, opts Fig7Options) map[RAPVariant][]Fig7Point {
+func fig7Curves(m *machine.Meter, gen Gen, pm, remote bool, opts Fig7Options) map[RAPVariant][]Fig7Point {
 	opts.Gen = gen
 	opts.PM = pm
 	opts.Remote = remote
@@ -195,7 +195,7 @@ func fig7Units(o Options) []Unit {
 		for _, cell := range []struct{ pm, remote bool }{
 			{true, false}, {false, false}, {true, true}, {false, true},
 		} {
-			units = append(units, o.unit("fig7", fig7PanelName(gen, cell.pm, cell.remote), func(m *Meter) UnitResult {
+			units = append(units, o.unit("fig7", fig7PanelName(gen, cell.pm, cell.remote), func(m *machine.Meter) UnitResult {
 				curves := fig7Curves(m, gen, cell.pm, cell.remote, opts)
 				ordered := make([]Fig7Curve, 0, len(curves))
 				for _, v := range Fig7Variants(cell.pm) {

@@ -91,9 +91,9 @@ func (o *Fig8Options) defaults() {
 // list is its traversal order (workload.ChaseOrder): each visit issues
 // the dependent load of the element's next pointer, so no data plane is
 // needed.
-func Fig8(o Fig8Options) []Fig8Point { return fig8(new(Meter), o) }
+func Fig8(o Fig8Options) []Fig8Point { return fig8(new(machine.Meter), o) }
 
-func fig8(m *Meter, o Fig8Options) []Fig8Point {
+func fig8(m *machine.Meter, o Fig8Options) []Fig8Point {
 	o.defaults()
 	points := make([]Fig8Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
@@ -102,7 +102,7 @@ func fig8(m *Meter, o Fig8Options) []Fig8Point {
 	return points
 }
 
-func fig8Run(m *Meter, o Fig8Options, wss int) float64 {
+func fig8Run(m *machine.Meter, o Fig8Options, wss int) float64 {
 	sys := m.System(o.Gen.Config(1))
 	nElems := wss / workload.ElementSize
 	if nElems < 2 {
@@ -185,7 +185,7 @@ type Fig8Series struct {
 }
 
 // fig8Panel computes one panel of Fig. 8.
-func fig8Panel(m *Meter, gen Gen, mode Fig8Mode, opts Fig8Options) []Fig8Series {
+func fig8Panel(m *machine.Meter, gen Gen, mode Fig8Mode, opts Fig8Options) []Fig8Series {
 	opts.Gen = gen
 	opts.Mode = mode
 	var out []Fig8Series
@@ -236,7 +236,7 @@ func fig8Units(o Options) []Unit {
 	units := make([]Unit, 0, 8)
 	for _, gen := range []Gen{G1, G2} {
 		for _, mode := range fig8PanelModes {
-			units = append(units, o.unit("fig8", gen.String()+" "+mode.String(), func(m *Meter) UnitResult {
+			units = append(units, o.unit("fig8", gen.String()+" "+mode.String(), func(m *machine.Meter) UnitResult {
 				series := fig8Panel(m, gen, mode, Fig8Options{MaxElements: o.scale(150000, 30000)})
 				return UnitResult{Data: series, Text: FormatFig8(gen, mode, series)}
 			}))

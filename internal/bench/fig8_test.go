@@ -3,6 +3,8 @@ package bench
 import (
 	"reflect"
 	"testing"
+
+	"optanesim/internal/machine"
 )
 
 // TestFig8SmallCellsPinned pins fig8's exact cycles per element on G1
@@ -47,7 +49,7 @@ func TestFig8SmallCellsPinned(t *testing.T) {
 		},
 	}
 	for _, mode := range append(append([]Fig8Mode(nil), fig8PanelModes...), Fig8Epoch) {
-		series := fig8Panel(new(Meter), G1, mode, Fig8Options{WSS: wss, MaxElements: 2000})
+		series := fig8Panel(new(machine.Meter), G1, mode, Fig8Options{WSS: wss, MaxElements: 2000})
 		if len(series) != len(want[mode]) {
 			t.Errorf("%s: %d series, want %d", mode, len(series), len(want[mode]))
 		}

@@ -47,9 +47,9 @@ func (o *IndexesOptions) defaults() {
 // work (Lersch et al.), run on the simulated DIMM: it shows how each
 // structure's access pattern (probe count, pointer-chase depth, persist
 // pattern) maps onto the §3 buffer mechanics.
-func Indexes(o IndexesOptions) []IndexResult { return indexes(new(Meter), o) }
+func Indexes(o IndexesOptions) []IndexResult { return indexes(new(machine.Meter), o) }
 
-func indexes(m *Meter, o IndexesOptions) []IndexResult {
+func indexes(m *machine.Meter, o IndexesOptions) []IndexResult {
 	o.defaults()
 	return []IndexResult{
 		indexRun(m, o, "cceh", func(n int) uint64 { return cceh.HeapFor(n) }, func(s *pmem.Session, h *pmem.Heap) indexOps {
@@ -103,7 +103,7 @@ type indexOps struct {
 // btreeHeapFor sizes a B+-tree heap for n keys.
 func btreeHeapFor(n int) uint64 { return uint64(n)*48 + (64 << 20) }
 
-func indexRun(m *Meter, o IndexesOptions, name string, heapFor func(int) uint64, build func(*pmem.Session, *pmem.Heap) indexOps) IndexResult {
+func indexRun(m *machine.Meter, o IndexesOptions, name string, heapFor func(int) uint64, build func(*pmem.Session, *pmem.Heap) indexOps) IndexResult {
 	sys := m.System(o.Gen.Config(1))
 	h := pmem.NewPMHeap(heapFor(o.PrebuildKeys + 4*o.Ops))
 	free := pmem.NewFreeSession(h)
@@ -145,7 +145,7 @@ func indexRun(m *Meter, o IndexesOptions, name string, heapFor func(int) uint64,
 
 // indexesUnits returns the experiment's single unit.
 func indexesUnits(o Options) []Unit {
-	return []Unit{o.unit("indexes", "", func(m *Meter) UnitResult {
+	return []Unit{o.unit("indexes", "", func(m *machine.Meter) UnitResult {
 		opts := IndexesOptions{
 			PrebuildKeys: o.scale(600_000, 200_000),
 			Ops:          o.scale(4_000, 1_500),

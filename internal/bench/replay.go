@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"optanesim/internal/machine"
 	"optanesim/internal/replay"
 	"optanesim/internal/sim"
 )
@@ -58,7 +59,7 @@ type ReplayResult struct {
 }
 
 // replayTrace parses and replays one bundled trace at the given scale.
-func replayTrace(m *Meter, gen Gen, spec replaySpec, passes int) (ReplayResult, error) {
+func replayTrace(m *machine.Meter, gen Gen, spec replaySpec, passes int) (ReplayResult, error) {
 	raw, err := replayTraces.ReadFile(spec.Path)
 	if err != nil {
 		return ReplayResult{}, fmt.Errorf("bench: bundled trace %s: %w", spec.Path, err)
@@ -67,11 +68,10 @@ func replayTrace(m *Meter, gen Gen, spec replaySpec, passes int) (ReplayResult, 
 	if err != nil {
 		return ReplayResult{}, fmt.Errorf("bench: parsing %s: %w", spec.Path, err)
 	}
-	res := replay.Exec(gen.Config(spec.Threads), ops, replay.ExecOptions{
+	res := replay.Exec(m, gen.Config(spec.Threads), ops, replay.ExecOptions{
 		Threads: spec.Threads,
 		Assign:  spec.Assign,
 		Passes:  passes,
-		Run:     m.Run,
 	})
 	return ReplayResult{
 		Trace:           spec.Key,
@@ -98,7 +98,7 @@ func replayUnits(o Options) []Unit {
 	units := make([]Unit, 0, len(replaySpecs)*2)
 	for _, spec := range replaySpecs {
 		for _, gen := range []Gen{G1, G2} {
-			units = append(units, o.unit("replay", gen.String()+" "+spec.Key, func(m *Meter) UnitResult {
+			units = append(units, o.unit("replay", gen.String()+" "+spec.Key, func(m *machine.Meter) UnitResult {
 				r, err := replayTrace(m, gen, spec, o.scale(12, 3))
 				if err != nil {
 					panic(err) // bundled traces are committed; a parse failure is a bug

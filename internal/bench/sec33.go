@@ -32,9 +32,9 @@ type Sec33Result struct {
 }
 
 // Sec33 runs both §3.3 experiments on G1.
-func Sec33() Sec33Result { return sec33(new(Meter)) }
+func Sec33() Sec33Result { return sec33(new(machine.Meter)) }
 
-func sec33(m *Meter) Sec33Result {
+func sec33(m *machine.Meter) Sec33Result {
 	var r Sec33Result
 
 	// --- Separation: interleaved accesses.
@@ -142,7 +142,7 @@ func sec33(m *Meter) Sec33Result {
 
 // sec33Units returns the experiment's single unit.
 func sec33Units(o Options) []Unit {
-	return []Unit{o.unit("sec33", "", func(m *Meter) UnitResult {
+	return []Unit{o.unit("sec33", "", func(m *machine.Meter) UnitResult {
 		r := sec33(m)
 		return UnitResult{Data: r, Text: FormatSec33(r)}
 	})}
@@ -152,7 +152,7 @@ func sec33Units(o Options) []Unit {
 func latencyUnits(o Options) []Unit {
 	units := make([]Unit, 0, 2)
 	for _, gen := range []Gen{G1, G2} {
-		units = append(units, o.unit("latency", gen.String(), func(m *Meter) UnitResult {
+		units = append(units, o.unit("latency", gen.String(), func(m *machine.Meter) UnitResult {
 			rows := latencyTable(m, gen)
 			return UnitResult{Data: rows, Text: FormatLatencyTable(gen, rows)}
 		}))
@@ -192,9 +192,9 @@ type LatencyRow struct {
 // system: random PM reads are far slower than persists (the paper's
 // "surprising" asymmetry: writes commit at the ADR domain while reads
 // must touch the 3D-XPoint media).
-func LatencyTable(gen Gen) []LatencyRow { return latencyTable(new(Meter), gen) }
+func LatencyTable(gen Gen) []LatencyRow { return latencyTable(new(machine.Meter), gen) }
 
-func latencyTable(m *Meter, gen Gen) []LatencyRow {
+func latencyTable(m *machine.Meter, gen Gen) []LatencyRow {
 	measure := func(fn func(t *machine.Thread, i int)) float64 {
 		sys := m.System(gen.Config(1))
 		const n = 2000

@@ -53,9 +53,9 @@ func (o *Table1Options) defaults() {
 // Table1 reproduces §4.1's Table 1: the time breakdown of CCEH key
 // insertion (segment metadata access vs persists vs the rest) for
 // {1, 5} threads on {1, 6} interleaved DIMMs.
-func Table1(o Table1Options) []Table1Row { return table1(new(Meter), o) }
+func Table1(o Table1Options) []Table1Row { return table1(new(machine.Meter), o) }
 
-func table1(m *Meter, o Table1Options) []Table1Row {
+func table1(m *machine.Meter, o Table1Options) []Table1Row {
 	o.defaults()
 	var rows []Table1Row
 	for _, cfg := range []struct{ threads, dimms int }{
@@ -66,7 +66,7 @@ func table1(m *Meter, o Table1Options) []Table1Row {
 	return rows
 }
 
-func table1Run(m *Meter, o Table1Options, threads, dimms int) Table1Row {
+func table1Run(m *machine.Meter, o Table1Options, threads, dimms int) Table1Row {
 	mcfg := o.Gen.Config(threads)
 	mcfg.PMDIMMs = dimms
 	sys := m.System(mcfg)
@@ -107,7 +107,7 @@ func table1Run(m *Meter, o Table1Options, threads, dimms int) Table1Row {
 // table1Units returns the experiment's single unit (the four
 // thread/DIMM configurations run inside one sweep).
 func table1Units(o Options) []Unit {
-	return []Unit{o.unit("table1", "", func(m *Meter) UnitResult {
+	return []Unit{o.unit("table1", "", func(m *machine.Meter) UnitResult {
 		rows := table1(m, Table1Options{
 			PrebuildKeys:     o.scale(2_000_000, 500_000),
 			InsertsPerThread: o.scale(2_500, 1_000),

@@ -16,7 +16,7 @@ import (
 // lines-cacheline set. Each thread labels itself with SetTenant, so the
 // attribution layer splits every latency histogram per tenant — the
 // noisy-neighbor view of §3's buffer contention.
-func tenants(m *Meter, lines, rounds int) {
+func tenants(m *machine.Meter, lines, rounds int) {
 	sys := m.System(G1.Config(2))
 	span := lines * mem.CachelineSize
 
@@ -57,7 +57,7 @@ func tenants(m *Meter, lines, rounds int) {
 // must not depend on which telemetry or fault flags the CLI run happened
 // to pass.
 func tenantsUnits(o Options) []Unit {
-	return []Unit{{Experiment: "tenants", Name: "G1", body: func(m *Meter) UnitResult {
+	return []Unit{{Experiment: "tenants", Name: "G1", body: func(m *machine.Meter) UnitResult {
 		m.Rec = telemetry.NewRecorder("tenants/G1", telemetry.Config{Breakdown: true})
 		tenants(m, o.scale(256, 96), o.scale(12, 4))
 		bd := m.Rec.Snapshot().Breakdown

@@ -16,7 +16,7 @@ import (
 )
 
 // reuseSweeps are the experiments whose every sweep cell builds into the
-// previous cell's finished system (machine.MustNewSystemReusing).
+// previous cell's finished system (machine.Meter.System).
 var reuseSweeps = []string{"fig2", "fig3", "fig13"}
 
 // experimentUnits returns the units of the named experiments in order,
@@ -64,7 +64,7 @@ func checkQuickDigests(t *testing.T, label string, names []string, structured []
 // TestWarmReuseByteIdentical pins that reusing a finished — warm —
 // system as the storage for the next sweep cell changes no result: each
 // fig2, fig3 and fig13 cell builds into the previous cell's system,
-// which NewSystemReusing resets to the fresh state, so the structured
+// which Meter.System resets to the fresh state, so the structured
 // JSONL must hash to the committed -quick digests (recorded from
 // fresh-system builds), sequentially and on a worker pool.
 func TestWarmReuseByteIdentical(t *testing.T) {

@@ -90,9 +90,9 @@ func (o *YCSBOptions) defaults() {
 }
 
 // YCSB runs workloads A, B and C over a prebuilt CCEH table.
-func YCSB(o YCSBOptions) []YCSBResult { return ycsb(new(Meter), o) }
+func YCSB(o YCSBOptions) []YCSBResult { return ycsb(new(machine.Meter), o) }
 
-func ycsb(m *Meter, o YCSBOptions) []YCSBResult {
+func ycsb(m *machine.Meter, o YCSBOptions) []YCSBResult {
 	o.defaults()
 	var heap *pmem.Heap
 	if o.OnDRAM {
@@ -117,7 +117,7 @@ func ycsb(m *Meter, o YCSBOptions) []YCSBResult {
 	return out
 }
 
-func ycsbRun(m *Meter, o YCSBOptions, wl YCSBWorkload, heap *pmem.Heap, tbl *cceh.Table, keys []uint64) YCSBResult {
+func ycsbRun(m *machine.Meter, o YCSBOptions, wl YCSBWorkload, heap *pmem.Heap, tbl *cceh.Table, keys []uint64) YCSBResult {
 	sys := m.System(o.Gen.Config(1))
 	res := YCSBResult{
 		Workload: wl,
@@ -174,7 +174,7 @@ func ycsbUnits(o Options) []Unit {
 		if onDRAM {
 			name = "DRAM"
 		}
-		units = append(units, o.unit("ycsb", name, func(m *Meter) UnitResult {
+		units = append(units, o.unit("ycsb", name, func(m *machine.Meter) UnitResult {
 			opts := YCSBOptions{
 				TableKeys: o.scale(1_000_000, 300_000),
 				Ops:       o.scale(30_000, 8_000),

@@ -3,6 +3,7 @@ package calib
 import (
 	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -179,6 +180,32 @@ func TestMeasureIsDeterministicAndComplete(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("metric %s not deterministic: %v vs %v", a[i].Metric, a[i].Value, b[i].Value)
+		}
+	}
+}
+
+// TestMeasureMatchesGolden pins every calibration value to the committed
+// CALIB_golden.json with exact float64 equality. CI's drift gate allows
+// 10%, so this is the check that sees any calibration cell move at all.
+func TestMeasureMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full calibration measurements; skipped in -short mode")
+	}
+	data, err := os.ReadFile("../../CALIB_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ParseGolden(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Measure()
+	if len(got) != len(g.Values) {
+		t.Fatalf("Measure returned %d values, the golden holds %d", len(got), len(g.Values))
+	}
+	for i, v := range got {
+		if v != g.Values[i] {
+			t.Errorf("value %d: measured %+v, golden %+v", i, v, g.Values[i])
 		}
 	}
 }

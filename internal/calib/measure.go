@@ -38,15 +38,6 @@ var metricDefs = []metricDef{
 	{"pm_wa_seq", "ratio"},
 }
 
-// MetricNames returns the canonical metric vocabulary in report order.
-func MetricNames() []string {
-	names := make([]string, len(metricDefs))
-	for i, d := range metricDefs {
-		names[i] = d.Name
-	}
-	return names
-}
-
 // metricUnit returns the unit of a known metric ("" for unknown).
 func metricUnit(name string) string {
 	for _, d := range metricDefs {
@@ -61,20 +52,34 @@ func metricUnit(name string) string {
 // experiments and returns one value per metric in metricDefs. All
 // measurements run the G1 testbed (the generation both reference
 // studies characterize) at a fixed scale, so the output is a pure
-// function of the simulator — byte-stable until the model changes.
+// function of the simulator — byte-stable until the model changes. The
+// idle random-read and persist latencies are the §2.2 latency table's
+// cells (bench.LatencyTable): dependent cold loads and 64 B
+// ntstore+sfence pairs at a 4 KB stride, the idle pointer-chase and
+// persist latencies of both studies.
 func Measure() []SimValue {
 	g1 := machine.G1Config(1)
 	toNS := func(cycles float64) float64 {
 		return cycles / g1.CPU.FrequencyGHz
 	}
+	idle := bench.LatencyTable(bench.G1)
+	row := func(op string) float64 {
+		for _, r := range idle {
+			if r.Op == op {
+				return r.Cycles
+			}
+		}
+		panic(fmt.Sprintf("calib: the latency table has no %q row", op))
+	}
 
+	m := new(machine.Meter)
 	vals := map[string]float64{
-		"pm_read_lat_rand_ns":   toNS(latRandRead(mem.PMBase)),
-		"pm_read_lat_seq_ns":    toNS(latSeqRead()),
-		"dram_read_lat_rand_ns": toNS(latRandRead(1 << 24)),
-		"pm_ntstore_lat_ns":     toNS(latNTStore()),
-		"pm_wa_rand64":          waSparse(),
-		"pm_wa_seq":             waSeq(),
+		"pm_read_lat_rand_ns":   toNS(row("PM random read (cold)")),
+		"pm_read_lat_seq_ns":    toNS(latSeqRead(m)),
+		"dram_read_lat_rand_ns": toNS(row("DRAM random read (cold)")),
+		"pm_ntstore_lat_ns":     toNS(row("PM nt-store+sfence")),
+		"pm_wa_rand64":          waSparse(m),
+		"pm_wa_seq":             waSeq(m),
 	}
 	readBW, writeBW := peakBandwidth()
 	vals["pm_read_bw_dimm_gbs"] = readBW
@@ -90,31 +95,13 @@ func Measure() []SimValue {
 	return out
 }
 
-// latRandRead measures dependent cold loads at a 4 KB stride starting
-// at base (average cycles per load), the idle pointer-chase latency of
-// both studies.
-func latRandRead(base mem.Addr) float64 {
-	const n = 2000
-	sys := machine.MustNewSystem(machine.G1Config(1))
-	var total float64
-	sys.Go("lat", 0, false, func(t *machine.Thread) {
-		start := t.Now()
-		for i := 0; i < n; i++ {
-			t.LoadDep(base + mem.Addr(i)*4096)
-		}
-		total = float64(t.Now()-start) / n
-	})
-	sys.Run()
-	return total
-}
-
 // latSeqRead measures dependent sequential cacheline loads over a
 // fresh region (average cycles per load): every line is a compulsory
 // cache miss, but the prefetchers and the on-DIMM read buffer absorb
 // most of the media cost — the studies' sequential-latency number.
-func latSeqRead() float64 {
+func latSeqRead(m *machine.Meter) float64 {
 	const n = 8192 // 512 KB, each line touched once
-	sys := machine.MustNewSystem(machine.G1Config(1))
+	sys := m.System(machine.G1Config(1))
 	var total float64
 	sys.Go("lat", 0, false, func(t *machine.Thread) {
 		start := t.Now()
@@ -123,25 +110,7 @@ func latSeqRead() float64 {
 		}
 		total = float64(t.Now()-start) / n
 	})
-	sys.Run()
-	return total
-}
-
-// latNTStore measures 64 B ntstore+sfence pairs at a 4 KB stride
-// (average cycles per persist).
-func latNTStore() float64 {
-	const n = 2000
-	sys := machine.MustNewSystem(machine.G1Config(1))
-	var total float64
-	sys.Go("lat", 0, false, func(t *machine.Thread) {
-		start := t.Now()
-		for i := 0; i < n; i++ {
-			t.NTStore(mem.PMBase + mem.Addr(i)*4096)
-			t.SFence()
-		}
-		total = float64(t.Now()-start) / n
-	})
-	sys.Run()
+	m.Run(sys)
 	return total
 }
 
@@ -169,8 +138,8 @@ func peakBandwidth() (readGBs, writeGBs float64) {
 // one ntstore per XPLine over a 1 MB region, fenced every 16 — each
 // dirty line forces a 256 B media RMW once it leaves the write buffer,
 // the EWR-0.25 case of the reference studies.
-func waSparse() float64 {
-	sys := machine.MustNewSystem(machine.G1Config(1))
+func waSparse(m *machine.Meter) float64 {
+	sys := m.System(machine.G1Config(1))
 	const xplines = 4096 // 1 MB region
 	sys.Go("wa", 0, false, func(t *machine.Thread) {
 		pass := func() {
@@ -187,7 +156,7 @@ func waSparse() float64 {
 		pass()
 		pass()
 	})
-	sys.Run()
+	m.Run(sys)
 	return sys.PMCounters().WA()
 }
 
@@ -195,8 +164,8 @@ func waSparse() float64 {
 // writes: every cacheline of a 1 MB region ntstored in order, so whole
 // XPLines coalesce in the write buffer and reach the media without
 // RMW.
-func waSeq() float64 {
-	sys := machine.MustNewSystem(machine.G1Config(1))
+func waSeq(m *machine.Meter) float64 {
+	sys := m.System(machine.G1Config(1))
 	const lines = 16384 // 1 MB region
 	sys.Go("wa", 0, false, func(t *machine.Thread) {
 		pass := func() {
@@ -213,7 +182,7 @@ func waSeq() float64 {
 		pass()
 		pass()
 	})
-	sys.Run()
+	m.Run(sys)
 	return sys.PMCounters().WA()
 }
 

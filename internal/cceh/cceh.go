@@ -60,8 +60,7 @@ type Table struct {
 	dir     mem.Addr // address of the directory block
 	dirSize int      // entries in the directory
 
-	segments int // allocated segments (statistics)
-	splits   int
+	splits int
 }
 
 // hashKey mixes a key into a uniform 64-bit hash.
@@ -103,12 +102,6 @@ func Open(s *pmem.Session, h *pmem.Heap, super mem.Addr) *Table {
 // pointer), for reopening with Open.
 func (t *Table) Super() mem.Addr { return t.super }
 
-// Dir returns the current directory block address.
-func (t *Table) Dir() mem.Addr { return t.dir }
-
-// DirSize returns the number of directory entries.
-func (t *Table) DirSize() int { return t.dirSize }
-
 func (t *Table) dirEntry(i int) mem.Addr { return t.dir + mem.Addr(8*(1+i)) }
 
 // newSegment allocates and initializes a segment with the given local
@@ -117,7 +110,6 @@ func (t *Table) newSegment(s *pmem.Session, localDepth uint) mem.Addr {
 	seg := t.heap.Alloc(SegmentBytes, mem.XPLineSize)
 	s.Store64(seg, uint64(localDepth))
 	s.Persist(seg, 8)
-	t.segments++
 	return seg
 }
 
@@ -125,9 +117,6 @@ func (t *Table) newSegment(s *pmem.Session, localDepth uint) mem.Addr {
 func (t *Table) GlobalDepth(s *pmem.Session) uint {
 	return uint(s.Peek64(t.dir))
 }
-
-// Segments returns the number of segments allocated so far.
-func (t *Table) Segments() int { return t.segments }
 
 // Splits returns the number of segment splits performed.
 func (t *Table) Splits() int { return t.splits }

@@ -108,9 +108,6 @@ type Tracker struct {
 	metaFn    func() any
 	baseMeta  any
 	events    []Event
-
-	// live per-line classification state for State().
-	live map[mem.Addr]*lineTrack
 }
 
 // lineTrack carries one line's replay state: the latest
@@ -134,7 +131,7 @@ func NewTracker(heaps ...*pmem.Heap) *Tracker {
 	if len(heaps) == 0 {
 		panic("crash: NewTracker needs at least one heap")
 	}
-	t := &Tracker{heaps: heaps, live: make(map[mem.Addr]*lineTrack)}
+	t := &Tracker{heaps: heaps}
 	for _, h := range heaps {
 		t.baselines = append(t.baselines, h.Snapshot())
 	}
@@ -164,7 +161,6 @@ func (t *Tracker) Attach(s *pmem.Session) { s.SetObserver(t) }
 // current content.
 func (t *Tracker) Reset() {
 	t.events = t.events[:0]
-	t.live = make(map[mem.Addr]*lineTrack)
 	t.baselines = t.baselines[:0]
 	for _, h := range t.heaps {
 		t.baselines = append(t.baselines, h.Snapshot())
@@ -209,7 +205,7 @@ func (t *Tracker) baselineLine(hi int, line mem.Addr) []byte {
 	return t.baselines[hi][off : off+n]
 }
 
-// record appends an event and updates the live classification.
+// record appends an event to the trace.
 func (t *Tracker) record(kind EventKind, line mem.Addr) {
 	var data []byte
 	if kind != EvFence {
@@ -224,7 +220,6 @@ func (t *Tracker) record(kind EventKind, line mem.Addr) {
 		e.Meta = t.metaFn()
 	}
 	t.events = append(t.events, e)
-	applyEvent(t.live, e, t.eadr)
 }
 
 // applyEvent advances a replay map by one event. Under eADR every store
@@ -274,10 +269,13 @@ func applyEvent(lines map[mem.Addr]*lineTrack, e Event, eadr bool) {
 }
 
 // State classifies line's persistence state at the end of the recorded
-// trace.
+// trace, replaying the whole trace to answer.
 func (t *Tracker) State(line mem.Addr) LineState {
-	line = line.Line()
-	lt := t.live[line]
+	lines := make(map[mem.Addr]*lineTrack)
+	for _, e := range t.events {
+		applyEvent(lines, e, t.eadr)
+	}
+	lt := lines[line.Line()]
 	if lt == nil {
 		return StateClean
 	}

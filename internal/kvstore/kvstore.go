@@ -66,8 +66,6 @@ type Store struct {
 	// Volatile batch staging (Batched mode).
 	pendingKeys []uint64
 	pendingVals []uint64
-
-	puts uint64
 }
 
 // New builds a store with a value log of logBytes.
@@ -83,12 +81,6 @@ func New(s *pmem.Session, h *pmem.Heap, mode AppendMode, logBytes uint64) *Store
 
 // Mode returns the append mode.
 func (st *Store) Mode() AppendMode { return st.mode }
-
-// Puts returns the number of completed Put operations.
-func (st *Store) Puts() uint64 { return st.puts }
-
-// LogBytes returns the bytes of log consumed.
-func (st *Store) LogBytes() uint64 { return st.logOff }
 
 // LogBase returns the PM address of the value log, for RecoverIndex.
 func (st *Store) LogBase() mem.Addr { return st.logBase }
@@ -128,7 +120,6 @@ func (st *Store) Put(s *pmem.Session, key, value uint64) error {
 			}
 		}
 	}
-	st.puts++
 	return nil
 }
 
@@ -232,7 +223,6 @@ func RecoverIndex(s *pmem.Session, h *pmem.Heap, mode AppendMode, logBase mem.Ad
 		if err := st.index.Insert(s, key, uint64(rec)); err != nil {
 			return nil, err
 		}
-		st.puts++
 	}
 	return st, nil
 }

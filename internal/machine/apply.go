@@ -9,10 +9,7 @@ import (
 // Apply executes one memory operation selected by its mem.OpKind tag —
 // the entry point for op streams that arrive as data rather than code,
 // such as replayed external traces (internal/replay). Fence kinds ignore
-// addr. OpCLFlush is modeled as OpCLFlushOpt (the legacy encoding maps
-// to the same write-back-and-invalidate behaviour); OpCompute and
-// OpAVXCopy carry operands a (kind, addr) pair cannot express and are
-// rejected.
+// addr.
 func (t *Thread) Apply(kind mem.OpKind, addr mem.Addr) {
 	switch kind {
 	case mem.OpLoad:
@@ -23,7 +20,7 @@ func (t *Thread) Apply(kind mem.OpKind, addr mem.Addr) {
 		t.NTStore(addr)
 	case mem.OpCLWB:
 		t.CLWB(addr)
-	case mem.OpCLFlushOpt, mem.OpCLFlush:
+	case mem.OpCLFlushOpt:
 		t.CLFlushOpt(addr)
 	case mem.OpSFence:
 		t.SFence()

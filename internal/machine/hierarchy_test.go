@@ -73,7 +73,7 @@ func TestHierarchyWalk(t *testing.T) {
 
 			sys := MustNewSystem(walkConfig())
 			rec := telemetry.NewRecorder("walk", telemetry.Config{Breakdown: true})
-			sys.AttachTelemetry(rec)
+			sys.attachTelemetry(rec)
 			levels := cacheLevels(sys)
 			var got sim.Cycles
 			sys.Go("t", 0, false, func(th *Thread) {

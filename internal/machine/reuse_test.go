@@ -118,7 +118,7 @@ func goSnapOps(s *System, ops [][]snapOp) snapOutcome {
 // TestReusingBuildMatchesFresh is the donor-build determinism property
 // every fig2/fig3/fig13 cell rests on: for randomized op mixes across
 // generations, DIMM counts and thread counts, a system built by
-// NewSystemReusing into a donor that already ran a different op mix
+// newSystemReusing into a donor that already ran a different op mix
 // produces byte-for-byte the outcome of a fresh build — identical end
 // cycles, traffic counters, per-thread clocks (final and sampled
 // mid-run) and op counts — and so does a second build into that
@@ -153,7 +153,7 @@ func TestReusingBuildMatchesFresh(t *testing.T) {
 
 			donor := MustNewSystem(cfg)
 			goSnapOps(donor, dirt)
-			reused := MustNewSystemReusing(cfg, donor)
+			reused := mustReuse(t, cfg, donor)
 			if reused.l3 != donor.l3 || reused.cores[0].L1 != donor.cores[0].L1 || reused.cores[0].L2 != donor.cores[0].L2 {
 				t.Fatal("same-geometry donor's cache storage was not reused")
 			}
@@ -161,14 +161,14 @@ func TestReusingBuildMatchesFresh(t *testing.T) {
 				t.Errorf("build into a dirtied donor diverged from a fresh build: %s", d)
 			}
 			// The finished system is the next cell's donor, as in a sweep.
-			again := MustNewSystemReusing(cfg, reused)
+			again := mustReuse(t, cfg, reused)
 			if d := goSnapOps(again, ops).diff(want); d != "" {
 				t.Errorf("second build into recycled storage diverged from a fresh build: %s", d)
 			}
 
 			foreign := MustNewSystem(other)
 			goSnapOps(foreign, dirt)
-			built := MustNewSystemReusing(cfg, foreign)
+			built := mustReuse(t, cfg, foreign)
 			if built.l3 == foreign.l3 || built.cores[0].L1 == foreign.cores[0].L1 || built.cores[0].L2 == foreign.cores[0].L2 {
 				t.Fatal("other generation's cache storage was reused")
 			}
@@ -177,4 +177,14 @@ func TestReusingBuildMatchesFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustReuse is newSystemReusing for the known-good test configurations.
+func mustReuse(t *testing.T, cfg Config, donor *System) *System {
+	t.Helper()
+	s, err := newSystemReusing(cfg, donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -124,7 +124,7 @@ func runScenario(sc schedScenario, compat bool) schedOutcome {
 	var rec *telemetry.Recorder
 	if sc.record {
 		rec = telemetry.NewRecorder("prop", telemetry.Config{SampleEvery: 200, Breakdown: true})
-		sys.AttachTelemetry(rec)
+		sys.attachTelemetry(rec)
 	}
 	threads := make([]*Thread, len(sc.scripts))
 	samples := make([][]sim.Cycles, len(sc.scripts))

@@ -107,28 +107,28 @@ type System struct {
 	compatSched bool
 
 	// rec/telProbe, when non-nil, route telemetry from this system (see
-	// AttachTelemetry). telProbe is the machine layer's own source;
+	// attachTelemetry). telProbe is the machine layer's own source;
 	// component probes live inside the components.
 	rec      *telemetry.Recorder
 	telProbe *telemetry.Probe
 
 	// faults, when non-nil, is the injector degrading this system's PM
-	// devices (see AttachFaults).
+	// devices (see attachFaults).
 	faults *fault.Injector
 }
 
 // NewSystem builds a testbed from cfg.
-func NewSystem(cfg Config) (*System, error) { return NewSystemReusing(cfg, nil) }
+func NewSystem(cfg Config) (*System, error) { return newSystemReusing(cfg, nil) }
 
-// NewSystemReusing is NewSystem with donor storage: the donor's cache
-// arrays — the bulk of a System's footprint (a G1 L3 alone is 28.8 MB
-// of line frames) — are sparsely reset in place (cache.NewReusing) and
-// reused instead of allocated, so a sweep that builds one system per
-// cell recycles geometry instead of paying the allocator's full
-// re-zeroing each time. Every other component is built fresh; the
-// resulting system is observably identical to NewSystem's. Ownership
-// transfers: the donor must not be used after this call.
-func NewSystemReusing(cfg Config, donor *System) (*System, error) {
+// newSystemReusing is NewSystem with donor storage (Meter.System): the
+// donor's cache arrays — the bulk of a System's footprint (a G1 L3 alone
+// is 28.8 MB of line frames) — are sparsely reset in place
+// (cache.NewReusing) and reused instead of allocated, so a sweep that
+// builds one system per cell recycles geometry instead of paying the
+// allocator's full re-zeroing each time. Every other component is built
+// fresh; the resulting system is observably identical to NewSystem's.
+// Ownership transfers: the donor must not be used after this call.
+func newSystemReusing(cfg Config, donor *System) (*System, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
@@ -192,16 +192,6 @@ func MustNewSystem(cfg Config) *System {
 	return s
 }
 
-// MustNewSystemReusing is NewSystemReusing for known-good
-// configurations.
-func MustNewSystemReusing(cfg Config, donor *System) *System {
-	s, err := NewSystemReusing(cfg, donor)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Config returns the system's configuration.
 func (s *System) Config() Config { return s.cfg }
 
@@ -210,9 +200,6 @@ func (s *System) Core(i int) *Core { return s.cores[i] }
 
 // Cores returns the number of cores.
 func (s *System) Cores() int { return len(s.cores) }
-
-// PMDIMM returns Optane DIMM i (for introspection in tests).
-func (s *System) PMDIMM(i int) *optane.DIMM { return s.pmDIMMs[i] }
 
 // controller routes an address to its memory controller.
 func (s *System) controller(addr mem.Addr) *imc.Controller {
@@ -250,14 +237,12 @@ func (s *System) ResetCounters() {
 	s.dramDev.Counters().Reset()
 }
 
-// AttachFaults wires a fault injector (see internal/fault) into the PM
+// attachFaults wires a fault injector (see internal/fault) into the PM
 // path: the PM controller gains WPQ accept-pause stalls and every Optane
 // DIMM gains thermal derating and poisoned-XPLine media behavior. The
-// DRAM path stays healthy. Passing nil detaches.
-//
-// Call between NewSystem and Run, and — when combining with telemetry —
-// before AttachTelemetry, so the fault gauges register.
-func (s *System) AttachFaults(inj *fault.Injector) {
+// DRAM path stays healthy. Meter.Run calls it before attachTelemetry, so
+// the fault gauges register.
+func (s *System) attachFaults(inj *fault.Injector) {
 	s.faults = inj
 	s.pmc.SetFaults(inj)
 	for _, d := range s.pmDIMMs {
@@ -265,53 +250,39 @@ func (s *System) AttachFaults(inj *fault.Injector) {
 	}
 }
 
-// Faults returns the attached injector (nil when healthy).
-func (s *System) Faults() *fault.Injector { return s.faults }
-
-// AttachTelemetry routes this system's decision-point events and sampled
+// attachTelemetry routes this system's decision-point events and sampled
 // gauges into rec: per-level cache fills/evictions, WPQ and hazard
 // traffic on the PM controller, on-DIMM buffer and media events, and
 // persistence milestones, plus gauges for WPQ depth, buffer occupancy,
 // PM read/write amplification, and the L1 way-predictor hit ratio.
 //
-// Call any time between NewSystem and Run (registered threads are wired
-// at Run start). A sweep unit running several systems in sequence
-// attaches the same recorder to each; probe identity and gauge series
-// continue across systems on one rebased unit timeline. Passing nil
-// detaches everything.
-func (s *System) AttachTelemetry(rec *telemetry.Recorder) {
+// Meter.Run calls it between building and running (registered threads
+// are wired at Run start). A sweep unit running several systems in
+// sequence attaches the same recorder to each; probe identity and gauge
+// series continue across systems on one rebased unit timeline.
+func (s *System) attachTelemetry(rec *telemetry.Recorder) {
 	s.rec = rec
-	// One wiring list serves attach and detach: with rec nil every probe
-	// and the attribution scratchpad are nil. Registration order fixes
-	// the source IDs.
-	probe := func(string) *telemetry.Probe { return nil }
-	var attr *telemetry.OpAttr
-	if rec != nil {
-		probe = rec.Probe
-		attr = rec.Attr()
-	}
-	s.telProbe = probe("machine")
-	s.l3.SetTelemetry(probe("L3"))
+	// Registration order fixes the source IDs.
+	s.telProbe = rec.Probe("machine")
+	s.l3.SetTelemetry(rec.Probe("L3"))
 	for i, c := range s.cores {
-		c.L1.SetTelemetry(probe(fmt.Sprintf("L1(core%d)", i)))
-		c.L2.SetTelemetry(probe(fmt.Sprintf("L2(core%d)", i)))
+		c.L1.SetTelemetry(rec.Probe(fmt.Sprintf("L1(core%d)", i)))
+		c.L2.SetTelemetry(rec.Probe(fmt.Sprintf("L2(core%d)", i)))
 	}
-	s.pmc.SetTelemetry(probe("imc-pm"))
-	s.dramc.SetTelemetry(probe("imc-dram"))
+	s.pmc.SetTelemetry(rec.Probe("imc-pm"))
+	s.dramc.SetTelemetry(rec.Probe("imc-dram"))
 	for i, d := range s.pmDIMMs {
-		d.SetTelemetry(probe(fmt.Sprintf("dimm%d", i)))
+		d.SetTelemetry(rec.Probe(fmt.Sprintf("dimm%d", i)))
 	}
 	// Cycle attribution: the recorder's scratchpad (nil when breakdown
 	// is off) fans out to every component that charges latency into it.
+	attr := rec.Attr()
 	s.pmc.SetAttr(attr)
 	s.dramc.SetAttr(attr)
 	for _, d := range s.pmDIMMs {
 		d.SetAttr(attr)
 	}
 	s.dramDev.SetAttr(attr)
-	if rec == nil {
-		return
-	}
 
 	rec.RegisterGauge("wpq_occupancy", func(now sim.Cycles) float64 {
 		return float64(s.pmc.WPQOccupancy(now))

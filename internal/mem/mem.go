@@ -69,9 +69,6 @@ const (
 	OpCLWB
 	// OpCLFlushOpt writes back (if dirty) and invalidates a cacheline.
 	OpCLFlushOpt
-	// OpCLFlush is the legacy serializing flush; modeled as CLFlushOpt
-	// plus an implicit ordering cost.
-	OpCLFlush
 	// OpSFence orders stores/flushes: it completes when all prior flushes
 	// have been accepted into the ADR domain (the WPQ). Loads are NOT
 	// ordered by it.
@@ -79,13 +76,6 @@ const (
 	// OpMFence orders loads and stores: like SFence, but subsequent loads
 	// may not begin before it completes.
 	OpMFence
-	// OpAVXCopy is a streaming SIMD copy of one whole XPLine from
-	// persistent memory into a DRAM staging buffer. It reads four
-	// cachelines without engaging the CPU prefetchers (the §4.3
-	// optimization).
-	OpAVXCopy
-	// OpCompute models n cycles of pure computation (no memory access).
-	OpCompute
 )
 
 var opKindNames = [...]string{
@@ -94,11 +84,8 @@ var opKindNames = [...]string{
 	OpNTStore:    "nt-store",
 	OpCLWB:       "clwb",
 	OpCLFlushOpt: "clflushopt",
-	OpCLFlush:    "clflush",
 	OpSFence:     "sfence",
 	OpMFence:     "mfence",
-	OpAVXCopy:    "avx-copy",
-	OpCompute:    "compute",
 }
 
 // String returns the conventional mnemonic for the op kind.
@@ -107,27 +94,4 @@ func (k OpKind) String() string {
 		return opKindNames[k]
 	}
 	return fmt.Sprintf("opkind(%d)", uint8(k))
-}
-
-// Op is one memory operation in a simulated instruction stream.
-// For fences, Addr is ignored. For OpCompute, Arg is the cycle count.
-// For OpAVXCopy, Addr is the PM source XPLine and Arg the DRAM
-// destination address.
-type Op struct {
-	Kind OpKind
-	Addr Addr
-	Arg  uint64
-}
-
-func (o Op) String() string {
-	switch o.Kind {
-	case OpSFence, OpMFence:
-		return o.Kind.String()
-	case OpCompute:
-		return fmt.Sprintf("compute(%d)", o.Arg)
-	case OpAVXCopy:
-		return fmt.Sprintf("avx-copy %v -> %#x", o.Addr, o.Arg)
-	default:
-		return fmt.Sprintf("%v %v", o.Kind, o.Addr)
-	}
 }

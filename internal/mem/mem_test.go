@@ -74,21 +74,6 @@ func TestOpKindStrings(t *testing.T) {
 	}
 }
 
-func TestOpString(t *testing.T) {
-	op := Op{Kind: OpLoad, Addr: PMBase + 64}
-	if op.String() == "" {
-		t.Fatal("empty op string")
-	}
-	fence := Op{Kind: OpSFence}
-	if fence.String() != "sfence" {
-		t.Fatalf("fence string = %q", fence.String())
-	}
-	cp := Op{Kind: OpCompute, Arg: 42}
-	if cp.String() != "compute(42)" {
-		t.Fatalf("compute string = %q", cp.String())
-	}
-}
-
 func TestAddrString(t *testing.T) {
 	if Addr(64).String() != "dram:0x40" {
 		t.Fatalf("dram addr render: %q", Addr(64).String())

@@ -92,11 +92,6 @@ func (wb *writeBuffer) Contains(addr mem.Addr) bool {
 	return e.hasBase || e.written[addr.LineInXPLine()]
 }
 
-// ContainsXPLine reports whether the XPLine containing addr has an entry.
-func (wb *writeBuffer) ContainsXPLine(addr mem.Addr) bool {
-	return wb.tbl.get(addr.XPLine()) != nil
-}
-
 // Merge records a 64 B write into an existing entry, reporting whether
 // one was present. When the write completes the XPLine, the entry is
 // queued for G1's periodic write-back.

@@ -16,12 +16,9 @@ import (
 // write-to-clear semantics.
 //
 // A session and the machine.System it times should share one injector
-// (machine.System.AttachFaults) so the functional and timing planes
-// degrade together; free sessions attach the injector alone.
+// (the machine.Meter's Inj) so the functional and timing planes degrade
+// together; free sessions attach the injector alone.
 func (s *Session) SetFaults(inj *fault.Injector) { s.faults = inj }
-
-// Faults returns the session's injector (nil when healthy).
-func (s *Session) Faults() *fault.Injector { return s.faults }
 
 // noteRead classifies one functional-plane load of addr's cacheline.
 // Inside a checked scope a poisoned line records the scope's error;

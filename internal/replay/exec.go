@@ -66,10 +66,6 @@ type ExecOptions struct {
 	Passes int
 	// Assign selects the thread-assignment policy.
 	Assign Assign
-	// Run, when non-nil, executes each built system (e.g. a bench
-	// Meter's Run, which attaches telemetry); nil runs sys.Run
-	// directly.
-	Run func(*machine.System) sim.Cycles
 }
 
 func (o *ExecOptions) defaults() {
@@ -114,26 +110,6 @@ type execOp struct {
 	addr mem.Addr
 }
 
-// machineKind maps a trace record class to the machine op it executes.
-func machineKind(k Kind) mem.OpKind {
-	switch k {
-	case Read:
-		return mem.OpLoad
-	case Write:
-		return mem.OpStore
-	case NTWrite:
-		return mem.OpNTStore
-	case Flush:
-		return mem.OpCLWB
-	case FlushInv:
-		return mem.OpCLFlushOpt
-	case Fence:
-		return mem.OpSFence
-	default:
-		return mem.OpMFence
-	}
-}
-
 // fnv1a hashes a cacheline address for AssignAddr.
 func fnv1a(v uint64) uint64 {
 	h := uint64(14695981039346656037)
@@ -159,7 +135,7 @@ func threadOf(op Op, idx, threads int, a Assign) int {
 		}
 	}
 	// AssignAddr, and AssignTrace records without a thread field.
-	if op.Kind == Fence || op.Kind == FenceAll {
+	if op.Kind == mem.OpSFence || op.Kind == mem.OpMFence {
 		return 0
 	}
 	return int(fnv1a(op.Addr&^(mem.CachelineSize-1)) % uint64(threads))
@@ -169,9 +145,8 @@ func threadOf(op Op, idx, threads int, a Assign) int {
 // cacheline the [Addr, Addr+Size) footprint covers, folded into the PM
 // window.
 func expand(dst []execOp, op Op, window uint64) []execOp {
-	kind := machineKind(op.Kind)
-	if op.Kind == Fence || op.Kind == FenceAll {
-		return append(dst, execOp{kind: kind})
+	if op.Kind == mem.OpSFence || op.Kind == mem.OpMFence {
+		return append(dst, execOp{kind: op.Kind})
 	}
 	size := uint64(op.Size)
 	if size == 0 {
@@ -184,7 +159,7 @@ func expand(dst []execOp, op Op, window uint64) []execOp {
 	}
 	last := end &^ (mem.CachelineSize - 1)
 	for la := first; ; la += mem.CachelineSize {
-		dst = append(dst, execOp{kind: kind, addr: mem.PMBase + mem.Addr(la%window)})
+		dst = append(dst, execOp{kind: op.Kind, addr: mem.PMBase + mem.Addr(la%window)})
 		if la == last || la > la+mem.CachelineSize { // la+64 would wrap
 			break
 		}
@@ -192,13 +167,14 @@ func expand(dst []execOp, op Op, window uint64) []execOp {
 	return dst
 }
 
-// Exec replays parsed records on a fresh machine built from cfg. The
-// records are partitioned over o.Threads simulated threads by the
-// assignment policy, each thread executes its sub-stream in trace
-// order (o.Passes times), and the threads contend for the shared
-// memory system under the deterministic scheduler — so the result is a
-// pure function of (cfg, ops, o).
-func Exec(cfg machine.Config, ops []Op, o ExecOptions) Result {
+// Exec replays parsed records on a machine built from cfg and run by m,
+// which attaches its fault injector and telemetry recorder. The records
+// are partitioned over o.Threads simulated threads by the assignment
+// policy, each thread executes its sub-stream in trace order (o.Passes
+// times), and the threads contend for the shared memory system under
+// the deterministic scheduler — so on a bare meter the result is a pure
+// function of (cfg, ops, o).
+func Exec(m *machine.Meter, cfg machine.Config, ops []Op, o ExecOptions) Result {
 	o.defaults()
 	if cfg.Cores < o.Threads {
 		cfg.Cores = o.Threads
@@ -209,7 +185,7 @@ func Exec(cfg machine.Config, ops []Op, o ExecOptions) Result {
 		streams[w] = expand(streams[w], op, o.Window)
 	}
 
-	sys := machine.MustNewSystem(cfg)
+	sys := m.System(cfg)
 	res := Result{Threads: make([]ThreadStat, o.Threads)}
 	threads := make([]*machine.Thread, o.Threads)
 	for w := 0; w < o.Threads; w++ {
@@ -223,11 +199,7 @@ func Exec(cfg machine.Config, ops []Op, o ExecOptions) Result {
 			}
 		})
 	}
-	run := o.Run
-	if run == nil {
-		run = func(s *machine.System) sim.Cycles { return s.Run() }
-	}
-	res.EndCycles = run(sys)
+	res.EndCycles = m.Run(sys)
 	for w, t := range threads {
 		res.Threads[w] = ThreadStat{Name: t.Name(), Ops: t.Ops(), Cycles: t.Now()}
 		res.Ops += t.Ops()

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"optanesim/internal/mem"
 )
 
 // FuzzReader drives the streaming parser with arbitrary bytes in every
@@ -56,10 +58,10 @@ func FuzzReader(f *testing.F) {
 					t.Fatalf("stats.Ops=%d but %d records", st.Ops, len(ops))
 				}
 				for _, op := range ops {
-					if op.Kind > FenceAll {
+					if op.Kind > mem.OpMFence {
 						t.Fatalf("invalid kind %v", op.Kind)
 					}
-					isFence := op.Kind == Fence || op.Kind == FenceAll
+					isFence := op.Kind == mem.OpSFence || op.Kind == mem.OpMFence
 					if !isFence && (op.Size < 1 || op.Size > MaxOpSize) {
 						t.Fatalf("size %d out of range", op.Size)
 					}
@@ -89,7 +91,7 @@ func FuzzExpand(f *testing.F) {
 			size = 1
 		}
 		size = size%MaxOpSize + 1
-		got := expand(nil, Op{Kind: Write, Addr: addr, Size: size}, 64<<20)
+		got := expand(nil, Op{Kind: mem.OpStore, Addr: addr, Size: size}, 64<<20)
 		maxLines := size/64 + 2
 		if len(got) < 1 || len(got) > maxLines {
 			t.Fatalf("addr=%#x size=%d: %d lines (max %d)", addr, size, len(got), maxLines)

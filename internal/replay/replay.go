@@ -45,6 +45,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"optanesim/internal/mem"
 )
 
 // Format selects the trace line format.
@@ -87,47 +89,6 @@ func ParseFormat(s string) (Format, error) {
 	return FormatAuto, fmt.Errorf("replay: unknown trace format %q", s)
 }
 
-// Kind is the operation class of one trace record.
-type Kind uint8
-
-const (
-	// Read is a cacheable load.
-	Read Kind = iota
-	// Write is a cacheable store.
-	Write
-	// NTWrite is a non-temporal store (cache-bypassing, posted to the
-	// WPQ).
-	NTWrite
-	// Flush is a cacheline write-back (clwb).
-	Flush
-	// FlushInv is a cacheline write-back plus invalidate (clflushopt).
-	FlushInv
-	// Fence is a store fence marker (sfence).
-	Fence
-	// FenceAll is a full fence marker (mfence).
-	FenceAll
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Read:
-		return "read"
-	case Write:
-		return "write"
-	case NTWrite:
-		return "nt-write"
-	case Flush:
-		return "flush"
-	case FlushInv:
-		return "flush-inv"
-	case Fence:
-		return "sfence"
-	case FenceAll:
-		return "mfence"
-	}
-	return fmt.Sprintf("kind(%d)", k)
-}
-
 // MaxOpSize caps the byte size of a single trace record; larger sizes
 // are malformed. It bounds the per-line expansion into cacheline
 // operations (16384 lines), so a corrupt size field cannot make the
@@ -137,7 +98,9 @@ const MaxOpSize = 1 << 20
 // Op is one parsed trace record, in raw trace coordinates (the
 // executor folds addresses into the simulated PM region).
 type Op struct {
-	Kind Kind
+	// Kind is the machine operation the record executes: OpLoad,
+	// OpStore, OpNTStore, OpCLWB, OpCLFlushOpt, OpSFence or OpMFence.
+	Kind mem.OpKind
 	// Addr is the raw trace address. Zero for fences.
 	Addr uint64
 	// Size is the access footprint in bytes (1..MaxOpSize); the
@@ -326,19 +289,19 @@ func parseCori(line string) (Op, error) {
 	op := Op{Size: 64, Thread: -1}
 	switch strings.ToUpper(f[0]) {
 	case "R", "L", "LD", "READ", "LOAD":
-		op.Kind = Read
+		op.Kind = mem.OpLoad
 	case "W", "S", "ST", "WRITE", "STORE":
-		op.Kind = Write
+		op.Kind = mem.OpStore
 	case "NT", "NTS", "NTSTORE":
-		op.Kind = NTWrite
+		op.Kind = mem.OpNTStore
 	case "F", "FL", "FLUSH", "CLWB":
-		op.Kind = Flush
+		op.Kind = mem.OpCLWB
 	case "CLFLUSH", "CLFLUSHOPT":
-		op.Kind = FlushInv
+		op.Kind = mem.OpCLFlushOpt
 	case "SFENCE", "FENCE":
-		return parseFence(Fence, f[1:])
+		return parseFence(mem.OpSFence, f[1:])
 	case "MFENCE":
-		return parseFence(FenceAll, f[1:])
+		return parseFence(mem.OpMFence, f[1:])
 	default:
 		return Op{}, errOp
 	}
@@ -368,7 +331,7 @@ func parseCori(line string) (Op, error) {
 }
 
 // parseFence parses the optional thread field of a fence marker.
-func parseFence(kind Kind, rest []string) (Op, error) {
+func parseFence(kind mem.OpKind, rest []string) (Op, error) {
 	op := Op{Kind: kind, Thread: -1}
 	switch len(rest) {
 	case 0:
@@ -393,9 +356,9 @@ func parseRamulator(line string) (Op, error) {
 	op := Op{Size: 64, Thread: -1}
 	switch strings.ToUpper(f[0]) {
 	case "LD":
-		op.Kind = Read
+		op.Kind = mem.OpLoad
 	case "ST":
-		op.Kind = Write
+		op.Kind = mem.OpStore
 	default:
 		addr, err := parseAddr(f[0])
 		if err != nil {
@@ -403,9 +366,9 @@ func parseRamulator(line string) (Op, error) {
 		}
 		switch strings.ToUpper(f[1]) {
 		case "R":
-			op.Kind = Read
+			op.Kind = mem.OpLoad
 		case "W":
-			op.Kind = Write
+			op.Kind = mem.OpStore
 		default:
 			return Op{}, errOp
 		}

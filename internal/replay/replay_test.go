@@ -8,6 +8,7 @@ import (
 
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
+	"optanesim/internal/telemetry"
 )
 
 func TestParseCoriFields(t *testing.T) {
@@ -28,13 +29,13 @@ func TestParseCoriFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Op{
-		{Kind: Read, Addr: 0x1000, Size: 64, Thread: -1, SrcLine: 2},
-		{Kind: Write, Addr: 0x2000, Size: 128, Thread: 1, SrcLine: 3},
-		{Kind: NTWrite, Addr: 4096, Size: 256, Thread: 0, SrcLine: 4},
-		{Kind: Flush, Addr: 0x1000, Size: 64, Thread: 1, SrcLine: 5},
-		{Kind: FlushInv, Addr: 0x3000, Size: 64, Thread: -1, SrcLine: 6},
-		{Kind: Fence, Thread: 1, SrcLine: 7},
-		{Kind: FenceAll, Thread: -1, SrcLine: 8},
+		{Kind: mem.OpLoad, Addr: 0x1000, Size: 64, Thread: -1, SrcLine: 2},
+		{Kind: mem.OpStore, Addr: 0x2000, Size: 128, Thread: 1, SrcLine: 3},
+		{Kind: mem.OpNTStore, Addr: 4096, Size: 256, Thread: 0, SrcLine: 4},
+		{Kind: mem.OpCLWB, Addr: 0x1000, Size: 64, Thread: 1, SrcLine: 5},
+		{Kind: mem.OpCLFlushOpt, Addr: 0x3000, Size: 64, Thread: -1, SrcLine: 6},
+		{Kind: mem.OpSFence, Thread: 1, SrcLine: 7},
+		{Kind: mem.OpMFence, Thread: -1, SrcLine: 8},
 	}
 	if !reflect.DeepEqual(ops, want) {
 		t.Fatalf("ops mismatch:\n got %+v\nwant %+v", ops, want)
@@ -53,7 +54,7 @@ func TestParseRamulatorBothForms(t *testing.T) {
 	if st.Format != FormatRamulator {
 		t.Fatalf("detected %v, want ramulator", st.Format)
 	}
-	kinds := []Kind{Read, Write, Read, Write}
+	kinds := []mem.OpKind{mem.OpLoad, mem.OpStore, mem.OpLoad, mem.OpStore}
 	addrs := []uint64{0x100, 0x200, 0x300, 768}
 	for i, op := range ops {
 		if op.Kind != kinds[i] || op.Addr != addrs[i] || op.Size != 64 || op.Thread != -1 {
@@ -137,9 +138,9 @@ func TestOverlongLineErrors(t *testing.T) {
 }
 
 func TestAssignPolicies(t *testing.T) {
-	withTID := Op{Kind: Read, Addr: 0x1000, Thread: 5}
-	noTID := Op{Kind: Read, Addr: 0x1000, Thread: -1}
-	fence := Op{Kind: Fence, Thread: -1}
+	withTID := Op{Kind: mem.OpLoad, Addr: 0x1000, Thread: 5}
+	noTID := Op{Kind: mem.OpLoad, Addr: 0x1000, Thread: -1}
+	fence := Op{Kind: mem.OpSFence, Thread: -1}
 	if got := threadOf(withTID, 9, 4, AssignTrace); got != 1 {
 		t.Errorf("trace policy: got %d, want 5 mod 4 = 1", got)
 	}
@@ -151,7 +152,7 @@ func TestAssignPolicies(t *testing.T) {
 	}
 	// Addr policy: stable, in range, and line-granular.
 	a := threadOf(noTID, 0, 4, AssignAddr)
-	b := threadOf(Op{Kind: Read, Addr: 0x1020, Thread: -1}, 7, 4, AssignAddr)
+	b := threadOf(Op{Kind: mem.OpLoad, Addr: 0x1020, Thread: -1}, 7, 4, AssignAddr)
 	if a != b {
 		t.Errorf("same cacheline must map to same thread: %d vs %d", a, b)
 	}
@@ -163,7 +164,7 @@ func TestAssignPolicies(t *testing.T) {
 func TestExpandFoldsIntoWindow(t *testing.T) {
 	var dst []execOp
 	// 128 B footprint starting mid-line: covers 3 cachelines.
-	dst = expand(dst, Op{Kind: Read, Addr: 0x1020, Size: 128}, 1<<20)
+	dst = expand(dst, Op{Kind: mem.OpLoad, Addr: 0x1020, Size: 128}, 1<<20)
 	if len(dst) != 3 {
 		t.Fatalf("got %d ops, want 3", len(dst))
 	}
@@ -174,17 +175,20 @@ func TestExpandFoldsIntoWindow(t *testing.T) {
 		}
 	}
 	// An address past the window folds back inside it.
-	dst = expand(dst[:0], Op{Kind: Write, Addr: 1<<20 + 0x40, Size: 64}, 1<<20)
+	dst = expand(dst[:0], Op{Kind: mem.OpStore, Addr: 1<<20 + 0x40, Size: 64}, 1<<20)
 	if dst[0].addr != mem.PMBase+0x40 {
 		t.Fatalf("fold: got %v", dst[0].addr)
 	}
 	// A footprint at the top of the address space clamps, no panic.
-	dst = expand(dst[:0], Op{Kind: Read, Addr: ^uint64(0) - 10, Size: 4096}, 1<<20)
+	dst = expand(dst[:0], Op{Kind: mem.OpLoad, Addr: ^uint64(0) - 10, Size: 4096}, 1<<20)
 	if len(dst) == 0 {
 		t.Fatal("clamped footprint produced no ops")
 	}
 }
 
+// TestExecDeterministicAcrossRuns replays one trace twice, the second
+// time through a meter with a recorder: the results are identical, the
+// recording holds events, and the meter accumulates the run's end time.
 func TestExecDeterministicAcrossRuns(t *testing.T) {
 	src := strings.Join([]string{
 		"W 0x000 256 0", "F 0x000 256 0", "SFENCE 0",
@@ -192,14 +196,15 @@ func TestExecDeterministicAcrossRuns(t *testing.T) {
 		"R 0x000 256 0", "R 0x400 256 1",
 		"NT 0x800 64 0", "SFENCE 0",
 	}, "\n")
-	run := func() Result {
+	run := func(m *machine.Meter) Result {
 		ops, _, err := ReadAll(strings.NewReader(src), Options{Strict: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Exec(machine.G1Config(2), ops, ExecOptions{Threads: 2, Passes: 3})
+		return Exec(m, machine.G1Config(2), ops, ExecOptions{Threads: 2, Passes: 3})
 	}
-	a, b := run(), run()
+	m := &machine.Meter{Rec: telemetry.NewRecorder("replay", telemetry.Config{})}
+	a, b := run(new(machine.Meter)), run(m)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two replays differ:\n%+v\n%+v", a, b)
 	}
@@ -209,6 +214,10 @@ func TestExecDeterministicAcrossRuns(t *testing.T) {
 	if len(a.Threads) != 2 || a.Threads[0].Ops == 0 || a.Threads[1].Ops == 0 {
 		t.Fatalf("thread split wrong: %+v", a.Threads)
 	}
+	if len(m.Rec.Snapshot().Events) == 0 || m.SimCycles != b.EndCycles {
+		t.Fatalf("recording meter: %d events, %d cycles for a run ending at %d",
+			len(m.Rec.Snapshot().Events), m.SimCycles, b.EndCycles)
+	}
 }
 
 func TestExecSingleThreadRamulator(t *testing.T) {
@@ -217,7 +226,7 @@ func TestExecSingleThreadRamulator(t *testing.T) {
 	if err != nil || st.Format != FormatRamulator {
 		t.Fatalf("stats=%+v err=%v", st, err)
 	}
-	res := Exec(machine.G2Config(1), ops, ExecOptions{})
+	res := Exec(new(machine.Meter), machine.G2Config(1), ops, ExecOptions{})
 	if res.Ops != 100 || res.EndCycles == 0 {
 		t.Fatalf("result: %+v", res)
 	}

@@ -33,12 +33,10 @@ import (
 	"strconv"
 	"strings"
 
-	"optanesim/internal/fault"
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
 	"optanesim/internal/prefetch"
 	"optanesim/internal/sim"
-	"optanesim/internal/telemetry"
 )
 
 // Program is a parsed script.
@@ -300,13 +298,10 @@ type Result struct {
 	Report    machine.Report
 }
 
-// Run executes the program and returns per-thread and system results.
-func Run(p *Program) (*Result, error) { return RunWith(p, nil, nil) }
-
-// RunWith is Run with a telemetry recorder and a fault injector, either
-// of which may be nil. Faults attach before telemetry so the recorder
-// registers the fault gauges (pm_throttled, poison_hits).
-func RunWith(p *Program, rec *telemetry.Recorder, inj *fault.Injector) (*Result, error) {
+// Run executes the program on a system built and run by m, which
+// attaches its fault injector and telemetry recorder, and returns
+// per-thread and system results.
+func Run(p *Program, m *machine.Meter) *Result {
 	cfg := machine.G1Config(1)
 	if p.Gen == 2 {
 		cfg = machine.G2Config(1)
@@ -320,16 +315,7 @@ func RunWith(p *Program, rec *telemetry.Recorder, inj *fault.Injector) (*Result,
 		}
 	}
 	cfg.Cores = maxCore + 1
-	sys, err := machine.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if inj != nil {
-		sys.AttachFaults(inj)
-	}
-	if rec != nil {
-		sys.AttachTelemetry(rec)
-	}
+	sys := m.System(cfg)
 
 	// Lay the regions out with guard gaps.
 	bases := map[string]mem.Addr{}
@@ -365,9 +351,9 @@ func RunWith(p *Program, rec *telemetry.Recorder, inj *fault.Injector) (*Result,
 			slot.Cycles = t.Now()
 		})
 	}
-	res.EndCycles = sys.Run()
+	res.EndCycles = m.Run(sys)
 	res.Report = sys.Report()
-	return res, nil
+	return res
 }
 
 type threadState struct {

@@ -1,8 +1,13 @@
 package script
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"optanesim/internal/fault"
+	"optanesim/internal/machine"
+	"optanesim/internal/telemetry"
 )
 
 const demo = `
@@ -48,10 +53,7 @@ func TestRunDemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(p, new(machine.Meter))
 	if res.EndCycles == 0 {
 		t.Fatal("no simulated time")
 	}
@@ -88,10 +90,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(p, new(machine.Meter))
 	if len(res.Threads) != 2 {
 		t.Fatal("thread results missing")
 	}
@@ -103,13 +102,38 @@ end
 
 func TestRunDeterministic(t *testing.T) {
 	p, _ := Parse(demo)
-	a, err := Run(p)
+	a := Run(p, new(machine.Meter))
+	b := Run(p, new(machine.Meter))
+	if a.EndCycles != b.EndCycles {
+		t.Fatalf("script runs differ: %v vs %v", a.EndCycles, b.EndCycles)
+	}
+}
+
+// TestRunThroughMeters runs the demo through a bare meter, a recording
+// meter and a meter with a thermal-only injector: recording changes no
+// result and records events; throttling ends the run later and counts
+// derated ops.
+func TestRunThroughMeters(t *testing.T) {
+	p, err := Parse(demo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Run(p)
-	if a.EndCycles != b.EndCycles {
-		t.Fatalf("script runs differ: %v vs %v", a.EndCycles, b.EndCycles)
+	bare := Run(p, new(machine.Meter))
+	rec := &machine.Meter{Rec: telemetry.NewRecorder("demo", telemetry.Config{})}
+	if got := Run(p, rec); !reflect.DeepEqual(got, bare) {
+		t.Fatalf("recorded run differs from a bare one:\n got %+v\nwant %+v", got, bare)
+	}
+	if len(rec.Rec.Snapshot().Events) == 0 {
+		t.Fatal("recorded run produced no events")
+	}
+	hot := &machine.Meter{Inj: fault.New(fault.Config{
+		Seed:    7,
+		Thermal: fault.ThermalProfile{Period: 400000, Window: 200000, DeratePct: 150},
+	})}
+	got := Run(p, hot)
+	if st := hot.Inj.Stats(); got.EndCycles <= bare.EndCycles || st.ThrottledOps == 0 {
+		t.Fatalf("throttled run ended at %d (healthy %d) with %d throttled ops",
+			got.EndCycles, bare.EndCycles, st.ThrottledOps)
 	}
 }
 

@@ -189,21 +189,19 @@ func MultiDIMM4(b *testing.B) { multiDIMM(b, 4) }
 // MultiDIMM8 measures nt-store streaming over an 8-DIMM interleave.
 func MultiDIMM8(b *testing.B) { multiDIMM(b, 8) }
 
-// attachRecorder turns telemetry on for a benchmark system: every probe
-// goes live and the gauge sampler runs at its default period, so the
-// telemetry benchmarks measure the full recording cost, not a stub.
-func attachRecorder(sys *machine.System) *telemetry.Recorder {
-	rec := telemetry.NewRecorder("simbench", telemetry.Config{})
-	sys.AttachTelemetry(rec)
-	return rec
+// recordingMeter turns telemetry on for a benchmark's system: every
+// probe goes live and the gauge sampler runs at its default period, so
+// the telemetry benchmarks measure the full recording cost, not a stub.
+func recordingMeter() *machine.Meter {
+	return &machine.Meter{Rec: telemetry.NewRecorder("simbench", telemetry.Config{})}
 }
 
 // LoadTelemetry is Load with a telemetry recorder attached, so the
 // BENCH_simcore.json artifact records the overhead of live probes and
 // sampling against the plain-Load baseline.
 func LoadTelemetry(b *testing.B) {
-	sys := machine.MustNewSystem(machine.G1Config(1))
-	attachRecorder(sys)
+	m := recordingMeter()
+	sys := m.System(machine.G1Config(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	sys.Go("bench-load", 0, false, func(t *machine.Thread) {
@@ -211,7 +209,7 @@ func LoadTelemetry(b *testing.B) {
 			t.Load(line(i))
 		}
 	})
-	sys.Run()
+	m.Run(sys)
 }
 
 // FlushFenceTelemetry is FlushFence with a telemetry recorder attached:
@@ -219,8 +217,8 @@ func LoadTelemetry(b *testing.B) {
 // write-buffer transitions and persist events all fire), so it bounds
 // the recording overhead from above.
 func FlushFenceTelemetry(b *testing.B) {
-	sys := machine.MustNewSystem(machine.G1Config(1))
-	attachRecorder(sys)
+	m := recordingMeter()
+	sys := m.System(machine.G1Config(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	sys.Go("bench-persist", 0, false, func(t *machine.Thread) {
@@ -231,7 +229,7 @@ func FlushFenceTelemetry(b *testing.B) {
 			t.SFence()
 		}
 	})
-	sys.Run()
+	m.Run(sys)
 }
 
 // warm drives the mixed persist-heavy loop over the working set until
@@ -250,21 +248,21 @@ func warm(t *machine.Thread) {
 	}
 }
 
-// BuildReusing measures a donor-backed system build: MustNewSystemReusing
-// into a G1 system warmed by the persist-heavy working-set loop, the
-// per-cell cost of a sweep that builds every cell into the previous
-// cell's finished system (fig2, fig3, fig13). Warming the donor is not
-// timed.
+// BuildReusing measures a donor-backed system build: Meter.System into
+// a G1 system warmed by the persist-heavy working-set loop, the per-cell
+// cost of a sweep that builds every cell into the previous cell's
+// finished system. Warming the donor is not timed.
 func BuildReusing(b *testing.B) {
 	cfg := machine.G1Config(1)
-	sys := machine.MustNewSystem(cfg)
+	m := new(machine.Meter)
+	sys := m.System(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		sys.Go("bench-build", 0, false, warm)
-		sys.Run()
+		m.Run(sys)
 		b.StartTimer()
-		sys = machine.MustNewSystemReusing(cfg, sys)
+		sys = m.System(cfg)
 	}
 }

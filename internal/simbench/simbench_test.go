@@ -65,9 +65,10 @@ func BenchmarkSimCoreBuildReusing(b *testing.B) { BuildReusing(b) }
 // preallocated histograms, so steady state must still be allocation-free
 // (tenant interning happens once, inside the warmup run).
 // The reused subtest runs on a system built into a warmed donor
-// (machine.MustNewSystemReusing, the build every fig2/fig3/fig13 cell
-// uses): recycled cache storage must be just as allocation-free at
-// steady state as a fresh build.
+// (Meter.System, the build every experiment cell uses): recycled cache
+// storage must be just as allocation-free at steady state as a fresh
+// build. Every subtest builds, degrades, records and runs through a
+// machine.Meter.
 func TestHotPathAllocs(t *testing.T) {
 	t.Run("plain", func(t *testing.T) { testHotPathAllocs(t, false, false, false, false) })
 	t.Run("telemetry", func(t *testing.T) { testHotPathAllocs(t, true, false, false, false) })
@@ -77,18 +78,18 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, reused bool) {
-	sys := machine.MustNewSystem(machine.G1Config(1))
+	m := new(machine.Meter)
+	sys := m.System(machine.G1Config(1))
 	if reused {
 		sys.Go("donor", 0, false, warm)
-		sys.Run()
-		sys = machine.MustNewSystemReusing(machine.G1Config(1), sys)
+		m.Run(sys)
+		sys = m.System(machine.G1Config(1))
 	}
 	if faultsOn {
-		sys.AttachFaults(fault.New(fault.Config{}))
+		m.Inj = fault.New(fault.Config{})
 	}
 	if telemetryOn {
-		rec := telemetry.NewRecorder("alloc-probe", telemetry.Config{SampleEvery: 1 << 40, Breakdown: breakdownOn})
-		sys.AttachTelemetry(rec)
+		m.Rec = telemetry.NewRecorder("alloc-probe", telemetry.Config{SampleEvery: 1 << 40, Breakdown: breakdownOn})
 	}
 	type probe struct {
 		name string
@@ -156,7 +157,7 @@ func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, reused 
 		warm(th)
 		probeBody(th)
 	})
-	sys.Run()
+	m.Run(sys)
 	for name, allocs := range got {
 		if allocs != 0 {
 			t.Errorf("steady-state %s path allocates: %.1f allocs per batch (want 0)", name, allocs)

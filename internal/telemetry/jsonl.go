@@ -117,7 +117,7 @@ type UnitSeries struct {
 
 // ReadSamplesJSONL parses a WriteSamplesJSONL document back into
 // per-unit series, preserving first-appearance order of units and of
-// series within a unit — the round-trip internal/plot consumes.
+// series within a unit; the tests read the samples sink through it.
 func ReadSamplesJSONL(r io.Reader) ([]UnitSeries, error) {
 	var out []UnitSeries
 	unitIdx := make(map[string]int)

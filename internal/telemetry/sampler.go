@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"optanesim/internal/plot"
-	"optanesim/internal/sim"
-)
+import "optanesim/internal/sim"
 
 // Sample is one gauge observation on the unit timeline.
 type Sample struct {
@@ -16,18 +13,6 @@ type Sample struct {
 type Series struct {
 	Name    string   `json:"series"`
 	Samples []Sample `json:"samples"`
-}
-
-// Plot converts the series into an internal/plot curve (x = simulated
-// cycles, y = gauge value) so sampler output renders on the same ASCII
-// charts as the paper's figures.
-func (s Series) Plot() plot.Series {
-	p := plot.Series{Label: s.Name, X: make([]float64, len(s.Samples)), Y: make([]float64, len(s.Samples))}
-	for i, sm := range s.Samples {
-		p.X[i] = float64(sm.T)
-		p.Y[i] = sm.V
-	}
-	return p
 }
 
 // Recording is a frozen snapshot of one unit's telemetry, safe to hand

@@ -235,11 +235,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 				t.Fatalf("series %q sample %d = %+v, want %+v", s.Name, j, sm, orig.Samples[j])
 			}
 		}
-		// The plot bridge consumes the round-tripped series directly.
-		ps := s.Plot()
-		if ps.Label != s.Name || len(ps.X) != len(s.Samples) {
-			t.Fatalf("Plot() bridge broken for %q", s.Name)
-		}
 	}
 }
 
