@@ -18,7 +18,7 @@ func main() {
 	// and the 27.5 MB LLC, so accesses behave like a large data store.
 	const regionBytes = 64 << 20
 	heap := optanesim.NewPMHeap(regionBytes)
-	region := heap.Alloc(regionBytes-4096, optanesim.XPLineSize)
+	region := heap.Alloc(regionBytes, optanesim.XPLineSize)
 
 	const ops = 20000
 	var perOp float64

@@ -66,8 +66,9 @@ func fig10(m *machine.Meter, o Fig10Options) []Fig10Point {
 	o.defaults()
 	points := make([]Fig10Point, 0, len(o.Workers))
 	for _, w := range o.Workers {
-		baseCyc, baseMops := fig10Run(m, o, w, false)
-		helpCyc, helpMops := fig10Run(m, o, w, true)
+		shards := fig10Prebuild(o, w)
+		baseCyc, baseMops := fig10Run(m, o, shards, false)
+		helpCyc, helpMops := fig10Run(m, o, shards, true)
 		points = append(points, Fig10Point{
 			Workers:    w,
 			BaseCycles: baseCyc, HelpCycles: helpCyc,
@@ -77,17 +78,23 @@ func fig10(m *machine.Meter, o Fig10Options) []Fig10Point {
 	return points
 }
 
-func fig10Run(m *machine.Meter, o Fig10Options, workers int, helper bool) (cyclesPerInsert, mops float64) {
-	mcfg := o.Gen.Config(workers)
-	mcfg.PMDIMMs = o.DIMMs
-	sys := m.System(mcfg)
+// fig10Shard is one worker's private table shard as prebuilt: its heap,
+// the heap's Mark after the prebuild, the table's superblock and the
+// worker→helper progress block.
+type fig10Shard struct {
+	heap  *pmem.Heap
+	mark  []byte
+	super mem.Addr
+	prog  mem.Addr
+}
 
-	// Each worker owns a private table shard carved from one parent heap
-	// (disjoint address ranges, private bump pointers), and the
-	// worker→helper pacing flows through a progress cacheline in
-	// simulated memory (cceh.HelperPlan).
+// fig10Prebuild builds one worker count's shards, once for its base and
+// its helper cell. Each worker owns a private table shard carved from
+// one parent heap (disjoint address ranges, private bump pointers), and
+// the worker→helper pacing flows through a progress cacheline in
+// simulated memory (cceh.HelperPlan).
+func fig10Prebuild(o Fig10Options, workers int) []fig10Shard {
 	perWorker := o.TotalInserts / workers
-	warmPer := perWorker / 8
 	prebuildPer := o.PrebuildKeys / workers
 	shardBytes := cceh.HeapFor(prebuildPer+4*perWorker) + cceh.ProgressBytes + mem.XPLineSize
 	var parent *pmem.Heap
@@ -96,16 +103,35 @@ func fig10Run(m *machine.Meter, o Fig10Options, workers int, helper bool) (cycle
 	} else {
 		parent = pmem.NewPMHeap(uint64(workers) * (shardBytes + mem.XPLineSize))
 	}
-
-	var busy sim.Cycles
-	var inserted int
-	var endMax sim.Cycles
-	for w := 0; w < workers; w++ {
+	shards := make([]fig10Shard, workers)
+	for w := range shards {
 		shard := parent.Carve(shardBytes, mem.XPLineSize)
 		free := pmem.NewFreeSession(shard)
 		tbl := cceh.New(free, shard, 8)
 		tbl.InsertBatch(free, workload.SequenceKeys(1<<40|uint64(w)<<32, prebuildPer), 0)
 		prog := shard.Alloc(cceh.ProgressBytes, mem.CachelineSize)
+		shards[w] = fig10Shard{heap: shard, mark: shard.Mark(), super: tbl.Super(), prog: prog}
+	}
+	return shards
+}
+
+// fig10Run runs one cell on the shards, each rewound to its prebuild
+// (see fig12Prebuild).
+func fig10Run(m *machine.Meter, o Fig10Options, shards []fig10Shard, helper bool) (cyclesPerInsert, mops float64) {
+	workers := len(shards)
+	mcfg := o.Gen.Config(workers)
+	mcfg.PMDIMMs = o.DIMMs
+	sys := m.System(mcfg)
+
+	perWorker := o.TotalInserts / workers
+	warmPer := perWorker / 8
+	var busy sim.Cycles
+	var inserted int
+	var endMax sim.Cycles
+	for w, sh := range shards {
+		shard, prog := sh.heap, sh.prog
+		shard.Rewind(sh.mark)
+		tbl := cceh.Open(pmem.NewFreeSession(shard), shard, sh.super)
 
 		warm := workload.SequenceKeys(1<<41|uint64(w)<<32, warmPer)
 		keys := workload.SequenceKeys(1<<42|uint64(w)<<32, perWorker)

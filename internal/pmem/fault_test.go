@@ -8,14 +8,15 @@ import (
 )
 
 // faultSession builds a free session over a small PM heap with an
-// injector attached, returning both plus one allocated line.
+// injector attached, returning both plus the first of two allocated
+// lines.
 func faultSession(t *testing.T) (*Session, *fault.Injector, mem.Addr) {
 	t.Helper()
 	h := NewPMHeap(1 << 16)
 	s := NewFreeSession(h)
 	inj := fault.New(fault.Config{})
 	s.SetFaults(inj)
-	return s, inj, h.Alloc(mem.CachelineSize, mem.CachelineSize)
+	return s, inj, h.Alloc(2*mem.CachelineSize, mem.CachelineSize)
 }
 
 func TestUncheckedLoadAbsorbsSilently(t *testing.T) {

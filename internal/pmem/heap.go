@@ -1,8 +1,9 @@
 // Package pmem is the persistent-memory programming layer the case
-// studies build on: simulated-address heaps backed by real Go memory (so
-// data structures are functionally correct), sessions that couple the
-// data plane to a simulated thread's timing plane, and the persist
-// helpers (flush+fence) persistent programs use.
+// studies build on: simulated-address heaps whose allocations are
+// backed by real Go memory (so data structures are functionally
+// correct), sessions that couple the data plane to a simulated thread's
+// timing plane, and the persist helpers (flush+fence) persistent
+// programs use.
 package pmem
 
 import (
@@ -13,39 +14,72 @@ import (
 )
 
 // Heap is a bump allocator over a contiguous region of the simulated
-// address space, backed by a Go byte slice that holds the actual data.
+// address space. Its capacity is reserved address space only: the Go
+// byte slice holding the data covers the allocated cachelines (Used
+// rounded up to a cacheline) and grows with Alloc, so a heap sized
+// generously costs host memory only for what it allocates.
 type Heap struct {
 	name string
 	base mem.Addr
-	buf  []byte
+	size uint64
 	off  uint64
+	// buf backs the allocated cachelines: len(buf) is Used rounded up to
+	// a cacheline and capped at size. Growth within cap(buf) is a
+	// reslice, so buf[len(buf):cap(buf)] holds what a fresh allocation
+	// reads: zeros (Alloc and Rewind keep it so), or the rest of a
+	// CloneWith image.
+	buf []byte
 }
 
-// NewPMHeap returns a heap of size bytes in the persistent-memory
-// region.
+// UnallocatedError is the panic value of a data-plane access (Bytes,
+// Uint64, PutUint64 and every Session access) that reaches past the
+// heap's allocated cachelines: the bytes [Off, Off+N) from the heap's
+// base were never allocated, or were carved out to a child heap.
+type UnallocatedError struct {
+	Heap string
+	Off  uint64
+	N    int
+}
+
+func (e UnallocatedError) Error() string {
+	return fmt.Sprintf("pmem: %s heap access of %d bytes at offset %#x is past its allocations", e.Heap, e.N, e.Off)
+}
+
+// NewPMHeap returns a heap with a capacity of size bytes in the
+// persistent-memory region. It holds no host memory until Alloc.
 func NewPMHeap(size uint64) *Heap {
-	return &Heap{name: "pm", base: mem.PMBase, buf: make([]byte, size)}
+	return &Heap{name: "pm", base: mem.PMBase, size: size}
 }
 
-// NewDRAMHeap returns a heap of size bytes in the DRAM region, starting
-// at mem.DRAMBase.
+// NewDRAMHeap returns a heap with a capacity of size bytes in the DRAM
+// region, starting at mem.DRAMBase. It holds no host memory until
+// Alloc.
 func NewDRAMHeap(size uint64) *Heap {
-	return &Heap{name: "dram", base: mem.DRAMBase, buf: make([]byte, size)}
+	return &Heap{name: "dram", base: mem.DRAMBase, size: size}
 }
 
 // Base returns the heap's first address.
 func (h *Heap) Base() mem.Addr { return h.base }
 
 // Size returns the heap's capacity in bytes.
-func (h *Heap) Size() uint64 { return uint64(len(h.buf)) }
+func (h *Heap) Size() uint64 { return h.size }
 
 // Used returns the bytes allocated so far.
 func (h *Heap) Used() uint64 { return h.off }
 
 // Alloc reserves n bytes aligned to align (a power of two) and returns
-// the first address. It panics when the heap is exhausted — simulation
-// workloads size their heaps up front.
+// the first address; the bytes read zero until written. It panics when
+// the heap is exhausted — simulation workloads size their heaps up
+// front.
 func (h *Heap) Alloc(n, align uint64) mem.Addr {
+	off := h.reserve(n, align)
+	h.fit()
+	return h.base + mem.Addr(off)
+}
+
+// reserve advances the bump pointer past n bytes aligned to align and
+// returns the offset of the first, without backing them.
+func (h *Heap) reserve(n, align uint64) uint64 {
 	if align == 0 {
 		align = 1
 	}
@@ -53,34 +87,52 @@ func (h *Heap) Alloc(n, align uint64) mem.Addr {
 		panic(fmt.Sprintf("pmem: alignment %d is not a power of two", align))
 	}
 	off := (h.off + align - 1) &^ (align - 1)
-	if off+n > uint64(len(h.buf)) {
-		panic(fmt.Sprintf("pmem: %s heap exhausted: need %d at %d of %d", h.name, n, off, len(h.buf)))
+	if off+n > h.size {
+		panic(fmt.Sprintf("pmem: %s heap exhausted: need %d at %d of %d", h.name, n, off, h.size))
 	}
 	h.off = off + n
-	return h.base + mem.Addr(off)
+	return off
+}
+
+// fit sizes the backing to the allocated cachelines, growing it
+// geometrically (up to the capacity) by copying into a fresh slice.
+func (h *Heap) fit() {
+	lim := min((h.off+mem.CachelineSize-1)&^(mem.CachelineSize-1), h.size)
+	if lim > uint64(cap(h.buf)) {
+		buf := make([]byte, lim, min(max(2*uint64(cap(h.buf)), lim), h.size))
+		copy(buf, h.buf)
+		h.buf = buf
+	}
+	h.buf = h.buf[:lim]
 }
 
 // Carve reserves size bytes (aligned to align) and returns a heap
-// owning exactly that range: the same backing bytes viewed through a
-// private bump pointer. Carving a parent heap once per simulated
-// thread before Run gives each thread a disjoint slice of the address
-// space to allocate from mid-run (e.g. CCEH segment splits), so one
-// thread's allocations never shift another's addresses.
+// owning exactly that range, with its own backing and bump pointer. The
+// parent does not back the range, so the child's bytes live only in the
+// child, and reading them through the parent panics. Carving a parent
+// heap once per simulated thread before Run gives each thread a
+// disjoint slice of the address space to allocate from mid-run (e.g.
+// CCEH segment splits), so one thread's allocations never shift
+// another's addresses.
 func (h *Heap) Carve(size, align uint64) *Heap {
-	a := h.Alloc(size, align)
-	start := uint64(a - h.base)
-	return &Heap{name: h.name, base: a, buf: h.buf[start : start+size]}
+	off := h.reserve(size, align)
+	return &Heap{name: h.name, base: h.base + mem.Addr(off), size: size}
 }
 
-// Contains reports whether addr falls inside the heap.
+// Contains reports whether addr falls inside the heap's capacity.
 func (h *Heap) Contains(addr mem.Addr) bool {
-	return addr >= h.base && addr < h.base+mem.Addr(len(h.buf))
+	return addr >= h.base && addr < h.base+mem.Addr(h.size)
 }
 
-// Bytes returns the live backing bytes for [addr, addr+n).
+// Bytes returns the live backing bytes for [addr, addr+n). It panics
+// with an UnallocatedError when the range reaches past the allocated
+// cachelines, whatever the capacity.
 func (h *Heap) Bytes(addr mem.Addr, n int) []byte {
-	off := int(addr - h.base)
-	return h.buf[off : off+n]
+	off := uint64(addr - h.base)
+	if off+uint64(n) > uint64(len(h.buf)) {
+		panic(UnallocatedError{h.name, off, n})
+	}
+	return h.buf[off : off+uint64(n)]
 }
 
 // Uint64 reads the data-plane value at addr.
@@ -106,18 +158,20 @@ func (h *Heap) Mark() []byte {
 // Writes that stayed inside the heap's allocations are all undone, so a
 // sweep can prebuild a data structure once and rewind to it per cell.
 func (h *Heap) Rewind(mark []byte) {
-	n := copy(h.buf, mark)
-	if h.off > uint64(n) {
-		clear(h.buf[n:h.off])
-	}
-	h.off = uint64(n)
+	clear(h.buf[min(len(mark), len(h.buf)):])
+	h.off = uint64(len(mark))
+	h.fit()
+	copy(h.buf, mark)
 }
 
-// Snapshot returns a copy of the heap's backing bytes (the full data
-// plane at this instant). The crash subsystem uses snapshots as the
-// durable baseline images it patches survivable writes into.
+// Snapshot returns a full-capacity image of the heap's data plane at
+// this instant (unallocated bytes read zero). The crash subsystem uses
+// snapshots as the durable baseline images it patches survivable writes
+// into.
 func (h *Heap) Snapshot() []byte {
-	return append([]byte(nil), h.buf...)
+	img := make([]byte, h.size)
+	copy(img, h.buf)
+	return img
 }
 
 // CloneWith builds a heap at the same base and name whose contents are a
@@ -125,13 +179,10 @@ func (h *Heap) Snapshot() []byte {
 // allocation pointer matches the current heap — so recovery code running
 // on the clone can allocate without overlapping live regions.
 func (h *Heap) CloneWith(data []byte) *Heap {
-	if uint64(len(data)) != uint64(len(h.buf)) {
-		panic(fmt.Sprintf("pmem: CloneWith size %d != heap size %d", len(data), len(h.buf)))
+	if uint64(len(data)) != h.size {
+		panic(fmt.Sprintf("pmem: CloneWith size %d != heap size %d", len(data), h.size))
 	}
-	return &Heap{
-		name: h.name,
-		base: h.base,
-		buf:  append([]byte(nil), data...),
-		off:  h.off,
-	}
+	c := &Heap{name: h.name, base: h.base, size: h.size, off: h.off}
+	c.buf = append([]byte(nil), data...)[:len(h.buf)]
+	return c
 }

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -98,23 +99,83 @@ func TestHeapMarkRewind(t *testing.T) {
 	if h.Used() != uint64(len(mark)) {
 		t.Fatalf("used %d after rewind, want %d", h.Used(), len(mark))
 	}
+	if again := h.Alloc(64, 64); again != first {
+		t.Fatalf("first alloc after rewind at %#x, want %#x", again, first)
+	}
+	// Everything past the mark, allocated again, reads zero.
+	h.Alloc(h.Size()-h.Used(), 1)
 	for i, b := range h.Bytes(h.Base()+mem.Addr(len(mark)), int(h.Size())-len(mark)) {
 		if b != 0 {
 			t.Fatalf("byte %d past the mark is %#x after rewind", len(mark)+i, b)
 		}
-	}
-	if again := h.Alloc(64, 64); again != first {
-		t.Fatalf("first alloc after rewind at %#x, want %#x", again, first)
 	}
 
 	h.Rewind(nil)
 	if h.Used() != 0 {
 		t.Fatalf("used %d after rewind to nil", h.Used())
 	}
+	h.Alloc(h.Size(), 1)
 	for i, b := range h.Bytes(h.Base(), int(h.Size())) {
 		if b != 0 {
 			t.Fatalf("byte %d is %#x after rewind to nil", i, b)
 		}
+	}
+}
+
+// wantUnallocated runs access and fails unless it panics with the
+// UnallocatedError of heap h at addr.
+func wantUnallocated(t *testing.T, h *Heap, addr mem.Addr, access func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		e, ok := recover().(UnallocatedError)
+		if !ok || e.Heap != h.name || e.Off != uint64(addr-h.Base()) {
+			t.Fatalf("access at %#x: panic %#v, want UnallocatedError at offset %#x", addr, e, addr-h.Base())
+		}
+	}()
+	access()
+}
+
+// TestHeapBackingFollowsAllocations pins that a heap holds host memory
+// for its allocated cachelines, not for its capacity, and that the data
+// plane refuses every byte past them at every growth step.
+func TestHeapBackingFollowsAllocations(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := NewPMHeap(1 << 30)
+	a := h.Alloc(1<<20, mem.CachelineSize)
+	runtime.ReadMemStats(&after)
+	if moved := after.TotalAlloc - before.TotalAlloc; moved >= 8<<20 {
+		t.Fatalf("a 1 GiB heap with 1 MB allocated took %d bytes of host memory", moved)
+	}
+	if h.Size() != 1<<30 || !h.Contains(h.Base()+(1<<30)-1) {
+		t.Fatalf("capacity %d, want 1 GiB", h.Size())
+	}
+	h.PutUint64(a+(1<<20)-8, 1)
+	wantUnallocated(t, h, a+1<<20, func() { h.Uint64(a + 1<<20) })
+
+	// The check follows the allocated lines, not the backing's slack.
+	g := NewPMHeap(1 << 20)
+	for i := 0; i < 100; i++ {
+		end := g.Alloc(uint64(1+i*i), 8) + mem.Addr(1+i*i)
+		line := (end + mem.CachelineSize - 1).Line()
+		g.PutUint64(line-8, uint64(i))
+		wantUnallocated(t, g, line, func() { g.PutUint64(line, 1) })
+	}
+
+	// A carved range belongs to the child: the parent does not back it.
+	child := h.Carve(1<<20, mem.XPLineSize)
+	c := child.Alloc(64, 64)
+	child.PutUint64(c, 7)
+	wantUnallocated(t, h, c, func() { h.Uint64(c) })
+
+	// Snapshot is still a full-capacity image.
+	s := NewPMHeap(1 << 16)
+	b := s.Alloc(8, 8)
+	s.PutUint64(b, 42)
+	img := s.Snapshot()
+	if uint64(len(img)) != s.Size() || img[0] != 42 || !bytes.Equal(img[8:], make([]byte, len(img)-8)) {
+		t.Fatalf("snapshot of %d bytes does not image the heap's %d", len(img), s.Size())
 	}
 }
 

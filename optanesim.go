@@ -75,8 +75,8 @@ type (
 
 // Persistent-memory programming layer.
 type (
-	// Heap is a bump allocator over a simulated memory region backed by
-	// real bytes.
+	// Heap is a bump allocator over a simulated memory region whose
+	// allocated cachelines are backed by real bytes.
 	Heap = pmem.Heap
 	// Session couples a heap (data plane) to a thread (timing plane).
 	Session = pmem.Session
@@ -142,10 +142,14 @@ func OptaneG1() OptaneProfile { return optane.G1() }
 // OptaneG2 returns the 200-series DIMM profile.
 func OptaneG2() OptaneProfile { return optane.G2() }
 
-// NewPMHeap returns a heap in the persistent-memory region.
+// NewPMHeap returns a heap with a capacity of size bytes in the
+// persistent-memory region. Host memory backs only the cachelines it
+// allocates, and an access past them panics.
 func NewPMHeap(size uint64) *Heap { return pmem.NewPMHeap(size) }
 
-// NewDRAMHeap returns a heap in the DRAM region.
+// NewDRAMHeap returns a heap with a capacity of size bytes in the DRAM
+// region. Host memory backs only the cachelines it allocates, and an
+// access past them panics.
 func NewDRAMHeap(size uint64) *Heap { return pmem.NewDRAMHeap(size) }
 
 // NewSession couples a thread to one or more heaps.
