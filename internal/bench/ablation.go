@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"optanesim/internal/machine"
-	"optanesim/internal/mem"
-	"optanesim/internal/sim"
 )
 
 // AblationResult is one design-choice ablation: the same workload run
@@ -40,25 +38,7 @@ func ablationReadBufferExclusivity(m *machine.Meter) AblationResult {
 	run := func(retain bool) float64 {
 		cfg := G1.Config(1)
 		cfg.PM.ReadBufRetainsServedLines = retain
-		sys := m.System(cfg)
-		const wss = 8 * KB
-		nXPLines := wss / mem.XPLineSize
-		sys.Go("a", 0, false, func(t *machine.Thread) {
-			pass := func() {
-				for i := 0; i < nXPLines; i++ {
-					a := mem.PMBase + mem.Addr(i*mem.XPLineSize)
-					t.Load(a)
-					t.CLFlushOpt(a)
-				}
-			}
-			pass()
-			sys.ResetCounters()
-			for p := 0; p < 8; p++ {
-				pass()
-			}
-		})
-		m.Run(sys)
-		return sys.PMCounters().RA()
+		return fig2Cell(m, cfg, Fig2Options{Passes: 8}, 8*KB, 1)
 	}
 	return AblationResult{
 		Name:    "read-buffer cache exclusivity",
@@ -74,13 +54,11 @@ func ablationReadBufferExclusivity(m *machine.Meter) AblationResult {
 // contradicting Fig. 3's full-write curve that sits at 1.
 func ablationPeriodicWriteback(m *machine.Meter) AblationResult {
 	run := func(disable bool) float64 {
-		o := Fig3Options{Gen: G1, WSS: []int{8 * KB}, Passes: 10}
-		o.defaults()
 		cfg := G1.Config(1)
 		if disable {
 			cfg.PM.PeriodicWritebackCycles = 0
 		}
-		return fig3RunWithConfig(m, cfg, 8*KB, 4, o.Passes)
+		return fig3Cell(m, cfg, Fig3Options{Passes: 10}, 8*KB, 4)
 	}
 	return AblationResult{
 		Name:    "periodic full-line write-back (G1)",
@@ -97,28 +75,7 @@ func ablationBatchEviction(m *machine.Meter) AblationResult {
 	run := func(batch int) float64 {
 		cfg := G1.Config(1)
 		cfg.PM.WriteBufBatchEvict = batch
-		sys := m.System(cfg)
-		rng := sim.NewRand(7)
-		const nXPLines = 14 * KB / mem.XPLineSize
-		sys.Go("a", 0, false, func(t *machine.Thread) {
-			for i := 0; i < 2*nXPLines; i++ {
-				t.NTStore(mem.PMBase + mem.Addr(rng.Intn(nXPLines)*mem.XPLineSize))
-				if i%64 == 63 {
-					t.SFence()
-				}
-			}
-			t.SFence()
-			sys.ResetCounters()
-			for i := 0; i < 15000; i++ {
-				t.NTStore(mem.PMBase + mem.Addr(rng.Intn(nXPLines)*mem.XPLineSize))
-				if i%64 == 63 {
-					t.SFence()
-				}
-			}
-			t.SFence()
-		})
-		m.Run(sys)
-		return sys.PMCounters().WriteBufferHitRatio()
+		return fig4Run(m, cfg, 14*KB, 15000)
 	}
 	return AblationResult{
 		Name:    "G1 batch eviction at the 12KB watermark",
@@ -132,35 +89,16 @@ func ablationBatchEviction(m *machine.Meter) AblationResult {
 // ablationEADR: with the §6 extended-ADR platform, cacheline flushes are
 // unnecessary and the strict-persistency element update gets much
 // cheaper — the forward-looking platform change the paper discusses.
+// The cell is Fig. 8's strict sequential chase over 4 KB (16 elements),
+// measured over 512 visits.
 func ablationEADR(m *machine.Meter) AblationResult {
 	run := func(eadr bool) float64 {
 		cfg := G2.Config(1)
 		cfg.CPU.EADR = eadr
-		sys := m.System(cfg)
-		heapBase := mem.PMBase
-		var perElem float64
-		sys.Go("a", 0, false, func(t *machine.Thread) {
-			const elems = 16 // 4KB working set
-			var start sim.Cycles
-			for pass := 0; pass < 40; pass++ {
-				if pass == 8 {
-					start = t.Now()
-				}
-				for i := 0; i < elems; i++ {
-					a := heapBase + mem.Addr(i*mem.XPLineSize)
-					t.LoadDep(a)
-					t.Store(a + 64)
-					t.CLWB(a + 64)
-					t.SFence()
-				}
-			}
-			total := t.Now() - start
-			perElem = float64(total) / float64(32*elems)
-		})
-		m.Run(sys)
-		return perElem
+		o := Fig8Options{Mode: Fig8Strict, MaxElements: 512}
+		o.defaults()
+		return fig8Run(m, cfg, o, 4*KB)
 	}
-
 	return AblationResult{
 		Name:    "eADR (persistent CPU caches, §6)",
 		Metric:  "cycles/element, strict persists, 4KB WSS (G2)",
@@ -168,39 +106,6 @@ func ablationEADR(m *machine.Meter) AblationResult {
 		Ablated: run(true),
 		Comment: "with caches inside the persistence domain, the flush+fence tax collapses to the fence's issue cost",
 	}
-}
-
-// fig3RunWithConfig is fig3Run with an explicit machine configuration
-// (for ablations that tweak the DIMM profile).
-func fig3RunWithConfig(m *machine.Meter, cfg machine.Config, wss, linesPerXPL, passes int) float64 {
-	sys := m.System(cfg)
-	nXPLines := wss / mem.XPLineSize
-	if nXPLines == 0 {
-		nXPLines = 1
-	}
-	base := mem.PMBase
-	onePass := func(t *machine.Thread) {
-		for i := 0; i < nXPLines; i++ {
-			xpl := base + mem.Addr(i*mem.XPLineSize)
-			for c := 0; c < linesPerXPL; c++ {
-				t.NTStore(xpl + mem.Addr(c*mem.CachelineSize))
-			}
-		}
-		t.SFence()
-	}
-	sys.Go("fig3cfg", 0, false, func(t *machine.Thread) {
-		onePass(t)
-		sys.ResetCounters()
-		for p := 0; p < passes; p++ {
-			onePass(t)
-		}
-		t.Compute(4 * 5000)
-		t.NTStore(base)
-	})
-	m.Run(sys)
-	c := sys.PMCounters()
-	c.IMCWriteBytes -= mem.CachelineSize
-	return c.WA()
 }
 
 // ablationUnits returns the experiment's single unit; the individual

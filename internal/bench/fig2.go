@@ -53,16 +53,17 @@ func fig2(m *machine.Meter, o Fig2Options) []Fig2Point {
 	for _, wss := range o.WSS {
 		p := Fig2Point{WSSBytes: wss}
 		for cpx := 1; cpx <= mem.LinesPerXPLine; cpx++ {
-			p.RA[cpx-1] = fig2Cell(m, o, wss, cpx)
+			p.RA[cpx-1] = fig2Cell(m, o.Gen.Config(1), o, wss, cpx)
 		}
 		points = append(points, p)
 	}
 	return points
 }
 
-// fig2Cell measures RA for one (wss, cpx) cell on a fresh system.
-func fig2Cell(m *machine.Meter, o Fig2Options, wss, cpx int) float64 {
-	sys := m.System(o.Gen.Config(1))
+// fig2Cell measures RA for one (wss, cpx) cell on a fresh system built
+// from cfg; it reads only o.Passes.
+func fig2Cell(m *machine.Meter, cfg machine.Config, o Fig2Options, wss, cpx int) float64 {
+	sys := m.System(cfg)
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
 		nXPLines = 1

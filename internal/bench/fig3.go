@@ -53,16 +53,17 @@ func fig3(m *machine.Meter, o Fig3Options) []Fig3Point {
 	for _, wss := range o.WSS {
 		p := Fig3Point{WSSBytes: wss}
 		for lines := 1; lines <= mem.LinesPerXPLine; lines++ {
-			p.WA[lines-1] = fig3Cell(m, o, wss, lines)
+			p.WA[lines-1] = fig3Cell(m, o.Gen.Config(1), o, wss, lines)
 		}
 		points = append(points, p)
 	}
 	return points
 }
 
-// fig3Cell measures WA for one (wss, linesPerXPL) cell on a fresh system.
-func fig3Cell(m *machine.Meter, o Fig3Options, wss, linesPerXPL int) float64 {
-	sys := m.System(o.Gen.Config(1))
+// fig3Cell measures WA for one (wss, linesPerXPL) cell on a fresh
+// system built from cfg; it reads only o.Passes and o.RandomOrder.
+func fig3Cell(m *machine.Meter, cfg machine.Config, o Fig3Options, wss, linesPerXPL int) float64 {
+	sys := m.System(cfg)
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
 		nXPLines = 1

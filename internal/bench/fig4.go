@@ -46,15 +46,17 @@ func fig4(m *machine.Meter, o Fig4Options) []Fig4Point {
 	for _, wss := range o.WSS {
 		p := Fig4Point{WSSBytes: wss, HitRatio: make(map[Gen]float64, 2)}
 		for _, gen := range []Gen{G1, G2} {
-			p.HitRatio[gen] = fig4Run(m, gen, wss, o.Writes)
+			p.HitRatio[gen] = fig4Run(m, gen.Config(1), wss, o.Writes)
 		}
 		points = append(points, p)
 	}
 	return points
 }
 
-func fig4Run(m *machine.Meter, gen Gen, wss, writes int) float64 {
-	sys := m.System(gen.Config(1))
+// fig4Run measures the write-buffer hit ratio of one cell on a fresh
+// system built from cfg.
+func fig4Run(m *machine.Meter, cfg machine.Config, wss, writes int) float64 {
+	sys := m.System(cfg)
 	nXPLines := wss / mem.XPLineSize
 	if nXPLines == 0 {
 		nXPLines = 1

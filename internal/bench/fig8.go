@@ -97,13 +97,16 @@ func fig8(m *machine.Meter, o Fig8Options) []Fig8Point {
 	o.defaults()
 	points := make([]Fig8Point, 0, len(o.WSS))
 	for _, wss := range o.WSS {
-		points = append(points, Fig8Point{WSSBytes: wss, Cycles: fig8Run(m, o, wss)})
+		points = append(points, Fig8Point{WSSBytes: wss, Cycles: fig8Run(m, o.Gen.Config(1), o, wss)})
 	}
 	return points
 }
 
-func fig8Run(m *machine.Meter, o Fig8Options, wss int) float64 {
-	sys := m.System(o.Gen.Config(1))
+// fig8Run measures one cell's cycles per element on a fresh system
+// built from cfg; o must have its defaults applied, and its Gen and WSS
+// are not read.
+func fig8Run(m *machine.Meter, cfg machine.Config, o Fig8Options, wss int) float64 {
+	sys := m.System(cfg)
 	nElems := wss / workload.ElementSize
 	if nElems < 2 {
 		nElems = 2

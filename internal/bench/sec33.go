@@ -195,37 +195,24 @@ type LatencyRow struct {
 func LatencyTable(gen Gen) []LatencyRow { return latencyTable(new(machine.Meter), gen) }
 
 func latencyTable(m *machine.Meter, gen Gen) []LatencyRow {
-	measure := func(fn func(t *machine.Thread, i int)) float64 {
+	// measure times op over n ops, letting a non-nil setup run untimed
+	// before each one.
+	measure := func(setup, op func(t *machine.Thread, i int)) float64 {
 		sys := m.System(gen.Config(1))
 		const n = 2000
-		var total float64
+		var sum float64
 		sys.Go("lat", 0, false, func(t *machine.Thread) {
-			start := t.Now()
 			for i := 0; i < n; i++ {
-				fn(t, i)
-			}
-			total = float64(t.Now()-start) / n
-		})
-		m.Run(sys)
-		return total
-	}
-	// measureAfter times only op, letting setup run untimed first.
-	measureAfter := func(setup, op func(t *machine.Thread, i int)) float64 {
-		sys := m.System(gen.Config(1))
-		const n = 2000
-		var total float64
-		sys.Go("lat", 0, false, func(t *machine.Thread) {
-			var sum float64
-			for i := 0; i < n; i++ {
-				setup(t, i)
+				if setup != nil {
+					setup(t, i)
+				}
 				before := t.Now()
 				op(t, i)
 				sum += float64(t.Now() - before)
 			}
-			total = sum / n
 		})
 		m.Run(sys)
-		return total
+		return sum / n
 	}
 
 	// Strided, cold addresses so reads always miss.
@@ -233,18 +220,18 @@ func latencyTable(m *machine.Meter, gen Gen) []LatencyRow {
 	dramAddr := func(i int) mem.Addr { return mem.Addr(1<<20) + mem.Addr(i)*4096 }
 
 	return []LatencyRow{
-		{"PM random read (cold)", measure(func(t *machine.Thread, i int) { t.LoadDep(pmAddr(i)) })},
-		{"DRAM random read (cold)", measure(func(t *machine.Thread, i int) { t.LoadDep(dramAddr(i)) })},
-		{"PM persist (store+clwb+sfence)", measure(func(t *machine.Thread, i int) {
+		{"PM random read (cold)", measure(nil, func(t *machine.Thread, i int) { t.LoadDep(pmAddr(i)) })},
+		{"DRAM random read (cold)", measure(nil, func(t *machine.Thread, i int) { t.LoadDep(dramAddr(i)) })},
+		{"PM persist (store+clwb+sfence)", measure(nil, func(t *machine.Thread, i int) {
 			t.Store(pmAddr(i))
 			t.CLWB(pmAddr(i))
 			t.SFence()
 		})},
-		{"PM nt-store+sfence", measure(func(t *machine.Thread, i int) {
+		{"PM nt-store+sfence", measure(nil, func(t *machine.Thread, i int) {
 			t.NTStore(pmAddr(i))
 			t.SFence()
 		})},
-		{"PM read, on-DIMM buffer hit", measureAfter(
+		{"PM read, on-DIMM buffer hit", measure(
 			func(t *machine.Thread, i int) { t.LoadDep(pmAddr(i)) }, // install the XPLine
 			func(t *machine.Thread, i int) { t.LoadDep(pmAddr(i) + 64) },
 		)},

@@ -151,6 +151,18 @@ func TestFig14QuickDigest(t *testing.T) {
 	checkQuickDigests(t, "j2", names, runStructured(t, units, 2), counts)
 }
 
+// TestRewiredQuickDigests pins the -quick structured results of the
+// experiments that reuse another experiment's code path to the committed
+// digests: the ablations (all eight values, byte for byte) run the
+// fig2, fig3, fig4 and fig8 cells, the latency table times every row
+// through one loop, and the crash matrix baselines and clones its heaps
+// through heap marks.
+func TestRewiredQuickDigests(t *testing.T) {
+	names := []string{"ablation", "latency", "crashmatrix"}
+	units, counts := experimentUnits(t, names, bench.Options{Quick: true})
+	checkQuickDigests(t, "j2", names, runStructured(t, units, 2), counts)
+}
+
 // TestFig12CellsIndependent pins fig12's prebuilt trees: each unit
 // builds each mode's tree once, and every cell rewinds the unit's heap
 // to it, so a point must equal the point of its thread count run alone

@@ -2,6 +2,7 @@ package crash_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"optanesim/internal/crash"
@@ -173,6 +174,24 @@ func TestEnumerationCounts(t *testing.T) {
 	}
 }
 
+// A store that rewrites a line's baseline content survives as the
+// baseline image, including on the line that holds the end of the
+// heap's mark, whose baseline is the marked bytes and zeros past them.
+func TestNoOpStoreAtMarkEnd(t *testing.T) {
+	h := pmem.NewPMHeap(4096)
+	a := h.Alloc(8, 8) // the mark ends 8 bytes into a's line
+	h.PutUint64(a, 5)
+	s := pmem.NewFreeSession(h)
+	tr := crash.NewTracker(h)
+	tr.Attach(s)
+
+	s.Poke64(a, 5)
+	s.Persist(a, 8)
+	if got := len(tr.States(crash.Options{})); got != 1 {
+		t.Fatalf("no-op store on the mark's last line: want 1 distinct state, got %d", got)
+	}
+}
+
 // A deep random trace must enumerate deterministically for a fixed seed
 // and stay within the configured caps.
 func TestSamplingDeterministic(t *testing.T) {
@@ -210,5 +229,47 @@ func TestSamplingDeterministic(t *testing.T) {
 	}
 	if len(a) > 40*8+80 {
 		t.Fatalf("caps not respected: %d states", len(a))
+	}
+}
+
+// TestBaselineFollowsAllocations pins that crash images cost host memory
+// for what the heap allocated, not for its capacity: the baseline is the
+// heap's mark, and every materialized image is a clone of it, so a line
+// allocated after the baseline reads zero unless its store survived.
+func TestBaselineFollowsAllocations(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := pmem.NewPMHeap(256 << 20)
+	early := h.Alloc(4<<10, 64)
+	s := pmem.NewFreeSession(h)
+	s.Poke64(early, 5)
+	tr := crash.NewTracker(h)
+	tr.Attach(s)
+
+	late := h.Alloc(64, 64)
+	s.Poke64(late, 7)
+	s.Persist(late, 8)
+
+	seen := map[uint64]bool{}
+	o := tr.Check(crash.Options{}, func(img *pmem.Heap, _ any) error {
+		if v := img.Uint64(early); v != 5 {
+			return fmt.Errorf("baseline value %d, want 5", v)
+		}
+		v := img.Uint64(late)
+		if v != 0 && v != 7 {
+			return fmt.Errorf("late line reads %d, want 0 or 7", v)
+		}
+		seen[v] = true
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if o.Failed() {
+		t.Fatalf("violations: %v (%v)", o.Violations, o)
+	}
+	if !seen[0] || !seen[7] {
+		t.Fatalf("late line values seen %v, want both 0 and 7 (%v)", seen, o)
+	}
+	if moved := after.TotalAlloc - before.TotalAlloc; moved >= 8<<20 {
+		t.Fatalf("tracking a 256 MiB heap with 4 KB allocated took %d bytes of host memory over %v", moved, o)
 	}
 }

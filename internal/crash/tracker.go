@@ -103,7 +103,7 @@ type Event struct {
 // semantics).
 type Tracker struct {
 	heaps     []*pmem.Heap
-	baselines [][]byte
+	baselines [][]byte // each heap's Mark at the baseline
 	eadr      bool
 	metaFn    func() any
 	baseMeta  any
@@ -124,16 +124,17 @@ type snapshot struct {
 	data []byte
 }
 
-// NewTracker builds a tracker over the given heaps, snapshotting their
-// current content as the durable baseline (callers attach it after
-// setup, so the pre-trace structure counts as persisted).
+// NewTracker builds a tracker over the given heaps, marking their
+// current content (pmem.Heap.Mark) as the durable baseline (callers
+// attach it after setup, so the pre-trace structure counts as
+// persisted).
 func NewTracker(heaps ...*pmem.Heap) *Tracker {
 	if len(heaps) == 0 {
 		panic("crash: NewTracker needs at least one heap")
 	}
 	t := &Tracker{heaps: heaps}
 	for _, h := range heaps {
-		t.baselines = append(t.baselines, h.Snapshot())
+		t.baselines = append(t.baselines, h.Mark())
 	}
 	return t
 }
@@ -158,12 +159,12 @@ func (t *Tracker) SetMetaFunc(fn func() any) {
 func (t *Tracker) Attach(s *pmem.Session) { s.SetObserver(t) }
 
 // Reset drops the recorded trace and re-baselines the heaps at their
-// current content.
+// current marks.
 func (t *Tracker) Reset() {
 	t.events = t.events[:0]
 	t.baselines = t.baselines[:0]
 	for _, h := range t.heaps {
-		t.baselines = append(t.baselines, h.Snapshot())
+		t.baselines = append(t.baselines, h.Mark())
 	}
 	if t.metaFn != nil {
 		t.baseMeta = t.metaFn()
@@ -194,15 +195,27 @@ func (t *Tracker) sample(hi int, line mem.Addr) []byte {
 	return append([]byte(nil), h.Bytes(line, n)...)
 }
 
-// baselineLine returns line's content in the baseline image.
+// zeroLine is the baseline content of every line past a heap's mark.
+var zeroLine [mem.CachelineSize]byte
+
+// baselineLine returns line's content in the baseline image: the marked
+// bytes, and zeros past the mark. Like sample, it stops at the heap's
+// capacity.
 func (t *Tracker) baselineLine(hi int, line mem.Addr) []byte {
 	h := t.heaps[hi]
 	off := uint64(line - h.Base())
-	n := uint64(mem.CachelineSize)
-	if off+n > uint64(len(t.baselines[hi])) {
-		n = uint64(len(t.baselines[hi])) - off
+	n := min(uint64(mem.CachelineSize), h.Size()-off)
+	mark := t.baselines[hi]
+	switch {
+	case off >= uint64(len(mark)):
+		return zeroLine[:n]
+	case off+n <= uint64(len(mark)):
+		return mark[off : off+n]
 	}
-	return t.baselines[hi][off : off+n]
+	// The line holds the mark's end.
+	b := make([]byte, n)
+	copy(b, mark[off:])
+	return b
 }
 
 // record appends an event to the trace.

@@ -26,8 +26,7 @@ type Heap struct {
 	// buf backs the allocated cachelines: len(buf) is Used rounded up to
 	// a cacheline and capped at size. Growth within cap(buf) is a
 	// reslice, so buf[len(buf):cap(buf)] holds what a fresh allocation
-	// reads: zeros (Alloc and Rewind keep it so), or the rest of a
-	// CloneWith image.
+	// reads: zeros (Alloc and Rewind keep it so).
 	buf []byte
 }
 
@@ -146,8 +145,9 @@ func (h *Heap) PutUint64(addr mem.Addr, v uint64) {
 }
 
 // Mark returns a copy of the allocated prefix of the heap: its bytes
-// and, as the copy's length, its bump pointer. Rewind(mark) restores
-// both.
+// and, as the copy's length, its bump pointer. It is the heap's one
+// image format: Rewind(mark) restores both, and CloneWith builds a heap
+// from one.
 func (h *Heap) Mark() []byte {
 	return append([]byte(nil), h.buf[:h.off]...)
 }
@@ -157,32 +157,26 @@ func (h *Heap) Mark() []byte {
 // Alloc starts at len(mark). Rewind(nil) discards every allocation.
 // Writes that stayed inside the heap's allocations are all undone, so a
 // sweep can prebuild a data structure once and rewind to it per cell.
+// It panics when the mark is longer than the heap's capacity.
 func (h *Heap) Rewind(mark []byte) {
+	if uint64(len(mark)) > h.size {
+		panic(fmt.Sprintf("pmem: %s heap rewound to a %d-byte mark, past its capacity of %d", h.name, len(mark), h.size))
+	}
 	clear(h.buf[min(len(mark), len(h.buf)):])
 	h.off = uint64(len(mark))
 	h.fit()
 	copy(h.buf, mark)
 }
 
-// Snapshot returns a full-capacity image of the heap's data plane at
-// this instant (unallocated bytes read zero). The crash subsystem uses
-// snapshots as the durable baseline images it patches survivable writes
-// into.
-func (h *Heap) Snapshot() []byte {
-	img := make([]byte, h.size)
-	copy(img, h.buf)
-	return img
-}
-
-// CloneWith builds a heap at the same base and name whose contents are a
-// copy of data (which must be exactly the heap's size) and whose
-// allocation pointer matches the current heap — so recovery code running
-// on the clone can allocate without overlapping live regions.
-func (h *Heap) CloneWith(data []byte) *Heap {
-	if uint64(len(data)) != h.size {
-		panic(fmt.Sprintf("pmem: CloneWith size %d != heap size %d", len(data), h.size))
-	}
-	c := &Heap{name: h.name, base: h.base, size: h.size, off: h.off}
-	c.buf = append([]byte(nil), data...)[:len(h.buf)]
+// CloneWith builds a heap with h's base, name, capacity and allocation
+// pointer — so recovery code running on the clone can allocate without
+// overlapping live regions — holding mark's bytes and zeros past them.
+// mark is a Mark of h taken when h had allocated no more than it has
+// now; the crash subsystem clones its baseline marks this way.
+func (h *Heap) CloneWith(mark []byte) *Heap {
+	c := &Heap{name: h.name, base: h.base, size: h.size}
+	c.Rewind(mark)
+	c.off = h.off
+	c.fit()
 	return c
 }

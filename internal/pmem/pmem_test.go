@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,13 +170,49 @@ func TestHeapBackingFollowsAllocations(t *testing.T) {
 	child.PutUint64(c, 7)
 	wantUnallocated(t, h, c, func() { h.Uint64(c) })
 
-	// Snapshot is still a full-capacity image.
+	// A clone of a mark holds the marked bytes and zeros past them, with
+	// the source's allocation pointer.
 	s := NewPMHeap(1 << 16)
 	b := s.Alloc(8, 8)
 	s.PutUint64(b, 42)
-	img := s.Snapshot()
-	if uint64(len(img)) != s.Size() || img[0] != 42 || !bytes.Equal(img[8:], make([]byte, len(img)-8)) {
-		t.Fatalf("snapshot of %d bytes does not image the heap's %d", len(img), s.Size())
+	mark := s.Mark()
+	late := s.Alloc(100, 8)
+	s.PutUint64(late, 9)
+	cl := s.CloneWith(mark)
+	if cl.Used() != s.Used() || cl.Uint64(b) != 42 ||
+		!bytes.Equal(cl.Bytes(b+8, int(s.Used())-8), make([]byte, s.Used()-8)) {
+		t.Fatalf("clone of an 8-byte mark: used %d (source %d), bytes %x",
+			cl.Used(), s.Used(), cl.Bytes(b, int(cl.Used())))
+	}
+	if got, want := cl.Alloc(8, 8), s.Alloc(8, 8); got != want {
+		t.Fatalf("clone's next alloc at %#x, source's at %#x", got, want)
+	}
+}
+
+// TestHeapMarkPastCapacityPanics pins that a mark longer than the heap's
+// capacity fails where it is applied, naming the heap, instead of
+// surfacing later as an unrelated exhaustion.
+func TestHeapMarkPastCapacityPanics(t *testing.T) {
+	h := NewDRAMHeap(4096)
+	h.Alloc(64, 64)
+	long := make([]byte, h.Size()+1)
+	for name, apply := range map[string]func(){
+		"Rewind":    func() { h.Rewind(long) },
+		"CloneWith": func() { h.CloneWith(long) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "dram heap") {
+					t.Errorf("%s with a %d-byte mark on a %d-byte heap: panic %q, want one naming the dram heap",
+						name, len(long), h.Size(), msg)
+				}
+			}()
+			apply()
+		}()
+	}
+	if h.Used() != 64 {
+		t.Fatalf("failed Rewind moved the bump pointer to %d", h.Used())
 	}
 }
 
