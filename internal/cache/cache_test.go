@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"optanesim/internal/mem"
 	"optanesim/internal/sim"
@@ -21,12 +22,32 @@ func TestLookupMissThenHit(t *testing.T) {
 	}
 	c.Insert(a, false, false, 0)
 	l := c.Lookup(a)
-	if l == nil || l.Addr() != a.Line() {
+	if l == nil || lineAddr(c, l) != a.Line() {
 		t.Fatal("inserted line not found")
 	}
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("stats = (%d,%d), want (1,1)", hits, misses)
+	}
+}
+
+// lineAddr returns the address of the line c's frame l holds, read from
+// its tag.
+func lineAddr(c *Cache, l *Line) mem.Addr {
+	for i := range c.ways {
+		if &c.ways[i] == l {
+			return mem.Addr(c.tags[i] &^ 1)
+		}
+	}
+	panic("frame not in cache")
+}
+
+// TestLineFrameSize pins the frame at 32 bytes: two frames per host
+// cacheline, so the L3's frame array is half the size a 64-byte frame
+// would make it.
+func TestLineFrameSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 32", got)
 	}
 }
 
@@ -131,7 +152,7 @@ func TestNewReusingResets(t *testing.T) {
 	c.Insert(0x10000, false, false, 0)
 	for i := 0; i < 8; i++ {
 		if l := c.Peek(mem.Addr(i * mem.CachelineSize)); l != nil {
-			t.Fatalf("reused level kept line %v", l.Addr())
+			t.Fatalf("reused level kept line %v", lineAddr(c, l))
 		}
 	}
 
@@ -143,6 +164,33 @@ func TestNewReusingResets(t *testing.T) {
 	}
 	if h, _ := other.Stats(); h != 8 || other.Peek(0) == nil {
 		t.Fatal("mismatched donor was reset")
+	}
+}
+
+// TestNewReusingClearsEveryFrame fills every frame of levels whose line
+// counts are and are not multiples of the reset's eight-tag blocks, and
+// checks that the reset leaves every tag and frame zero.
+func TestNewReusingClearsEveryFrame(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "t", Size: 16 * mem.CachelineSize, Assoc: 2},
+		{Name: "t", Size: 9 * mem.CachelineSize, Assoc: 3},
+		{Name: "t", Size: 27 * mem.CachelineSize, Assoc: 3},
+	} {
+		c := New(cfg)
+		for i := 0; i < len(c.ways); i++ {
+			c.Insert(mem.Addr(i*mem.CachelineSize), true, true, 5)
+		}
+		for i := range c.tags {
+			if c.tags[i] == 0 {
+				t.Fatalf("%d lines: frame %d not filled", len(c.ways), i)
+			}
+		}
+		c = NewReusing(cfg, c)
+		for i := range c.tags {
+			if c.tags[i] != 0 || c.ways[i] != (Line{}) {
+				t.Fatalf("%d lines: frame %d survived the reset", len(c.ways), i)
+			}
+		}
 	}
 }
 

@@ -122,7 +122,7 @@ func NewSystem(cfg Config) (*System, error) { return newSystemReusing(cfg, nil) 
 
 // newSystemReusing is NewSystem with donor storage (Meter.System): the
 // donor's cache arrays — the bulk of a System's footprint (a G1 L3 alone
-// is 28.8 MB of line frames) — are sparsely reset in place
+// is 14.4 MB of line frames) — are sparsely reset in place
 // (cache.NewReusing) and reused instead of allocated, so a sweep that
 // builds one system per cell recycles geometry instead of paying the
 // allocator's full re-zeroing each time. Every other component is built

@@ -280,7 +280,7 @@ func (t *Thread) readPath(start sim.Cycles, addr mem.Addr, demand, dep bool) sim
 	for ; i < len(t.levels); i++ {
 		c := t.levels[i]
 		l := c.Lookup(la)
-		if l == nil || t.flushExpired(c, l, start) {
+		if l == nil || t.flushExpired(c, l, la, start) {
 			continue
 		}
 		confirmed = l.Prefetched
@@ -339,19 +339,20 @@ func (t *Thread) paceSeqRead(done sim.Cycles) sim.Cycles {
 
 // flushExpired applies G1's lazy clwb invalidation: a line with a
 // pending flush becomes unreadable once the invalidation delay elapses.
-func (t *Thread) flushExpired(c *cache.Cache, l *cache.Line, at sim.Cycles) bool {
+// l is c's frame for the line at la.
+func (t *Thread) flushExpired(c *cache.Cache, l *cache.Line, la mem.Addr, at sim.Cycles) bool {
 	if !l.Flushed {
 		return false
 	}
-	if l.FlushedBy == t.id && t.ops-l.FlushedSeq <= t.cpuProf.InvalidateDelayOps {
+	if int(l.FlushedBy) == t.id && t.ops-l.FlushedSeq <= t.cpuProf.InvalidateDelayOps {
 		return false
 	}
 	// The delayed invalidation lands now; a line re-dirtied since the
 	// clwb is written back on its way out.
 	if l.Dirty {
-		t.sys.controller(l.Addr()).Write(at, l.Addr())
+		t.sys.controller(la).Write(at, la)
 	}
-	c.Invalidate(l.Addr())
+	c.Invalidate(la)
 	return true
 }
 
@@ -427,7 +428,7 @@ func (t *Thread) Store(addr mem.Addr) {
 		l.Dirty = true
 		l.Prefetched = false
 		t.advance(t.now + t.feCost(cpu.StoreCycles))
-	} else if l := l1.Lookup(la); l != nil && (!l.Flushed || !t.flushExpired(l1, l, t.now)) {
+	} else if l := l1.Lookup(la); l != nil && (!l.Flushed || !t.flushExpired(l1, l, la, t.now)) {
 		// A pending clwb invalidation is NOT cancelled by the store: the
 		// line is re-dirtied but still gets evicted when the
 		// invalidation lands, which is what makes repeated
@@ -553,7 +554,7 @@ func (t *Thread) flush(addr mem.Addr, keepCached, lazy bool) {
 			l.Dirty = false
 			l.Flushed = true
 			l.FlushedSeq = t.ops
-			l.FlushedBy = t.id
+			l.FlushedBy = int32(t.id)
 			t.lazyFlushed = append(t.lazyFlushed, la)
 		case lazy:
 			l.Dirty = false

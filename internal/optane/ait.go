@@ -6,48 +6,51 @@ import "optanesim/internal/mem"
 // (AIT), which translates DIMM physical addresses to media locations.
 // Its coverage (entries x granule) is ~16 MB, producing the read-latency
 // knee the paper observes at a 16 MB working set (§3.6). Entries are kept
-// in LRU order with an intrusive doubly-linked list over a map.
+// in LRU order with an intrusive doubly-linked list over an addrTable
+// keyed by granule-aligned address; a miss at capacity reuses the LRU
+// tail's node for the new granule, so a full cache allocates nothing.
 type aitCache struct {
 	granuleBits uint
 	capacity    int
-	entries     map[uint64]*aitNode
+	entries     addrTable[aitNode]
 	head, tail  *aitNode // head = most recent
 
 	hits, misses uint64
 }
 
 type aitNode struct {
-	key        uint64
+	granule    mem.Addr
 	prev, next *aitNode
 }
 
 func newAITCache(entries int, granuleBits uint) *aitCache {
-	return &aitCache{
-		granuleBits: granuleBits,
-		capacity:    entries,
-		entries:     make(map[uint64]*aitNode, entries),
-	}
+	a := &aitCache{granuleBits: granuleBits, capacity: entries}
+	a.entries.init(addrTableInitialSlots)
+	return a
 }
 
 // Lookup touches the translation granule covering addr and reports
 // whether it was cached. On a miss the granule is installed, evicting the
 // least recently used entry if necessary.
 func (a *aitCache) Lookup(addr mem.Addr) bool {
-	key := uint64(addr) >> a.granuleBits
-	if n, ok := a.entries[key]; ok {
+	granule := addr >> a.granuleBits << a.granuleBits
+	if n := a.entries.get(granule); n != nil {
 		a.hits++
 		a.moveToFront(n)
 		return true
 	}
 	a.misses++
-	n := &aitNode{key: key}
-	a.entries[key] = n
-	a.pushFront(n)
-	if len(a.entries) > a.capacity {
-		victim := a.tail
-		a.unlink(victim)
-		delete(a.entries, victim.key)
+	var n *aitNode
+	if a.entries.live < a.capacity {
+		n = new(aitNode)
+	} else {
+		n = a.tail
+		a.unlink(n)
+		a.entries.del(n.granule)
 	}
+	n.granule = granule
+	a.entries.put(granule, n)
+	a.pushFront(n)
 	return false
 }
 
@@ -60,7 +63,7 @@ func (a *aitCache) HitRatio() float64 {
 	return float64(a.hits) / float64(total)
 }
 
-func (a *aitCache) Len() int { return len(a.entries) }
+func (a *aitCache) Len() int { return a.entries.live }
 
 func (a *aitCache) pushFront(n *aitNode) {
 	n.prev = nil

@@ -157,6 +157,8 @@ func (p *Profile) Validate() error {
 		return errConfig("WriteBufBatchEvict must be positive")
 	case p.AITEntries <= 0:
 		return errConfig("AITEntries must be positive")
+	case p.AITGranuleBits == 0:
+		return errConfig("AITGranuleBits must be positive")
 	case p.ReadPorts <= 0 || p.WritePorts <= 0:
 		return errConfig("port counts must be positive")
 	case p.MediaReadCycles <= 0 || p.MediaWriteCycles <= 0:

@@ -16,7 +16,7 @@ type readBuffer struct {
 	capacity int
 	// retainServed disables the cache-exclusive consumption (ablation).
 	retainServed bool
-	entries      map[mem.Addr]*rbEntry // keyed by XPLine address
+	entries      addrTable[rbEntry] // keyed by XPLine address
 	// fifo holds insertion order, oldest first from fifoHead; the popped
 	// prefix is compacted periodically so the backing array is reused.
 	fifo     []mem.Addr
@@ -39,19 +39,17 @@ type rbEntry struct {
 }
 
 func newReadBuffer(capacity int, retainServed bool) *readBuffer {
-	return &readBuffer{
-		capacity:     capacity,
-		retainServed: retainServed,
-		entries:      make(map[mem.Addr]*rbEntry, capacity),
-	}
+	rb := &readBuffer{capacity: capacity, retainServed: retainServed}
+	rb.entries.init(addrTableInitialSlots)
+	return rb
 }
 
 // Probe looks up the cacheline at addr. If present with its valid bit
 // set, it returns the entry's readyAt time and consumes the line
 // (clearing the valid bit, per the buffer's cache-exclusive behaviour).
 func (rb *readBuffer) Probe(addr mem.Addr) (readyAt sim.Cycles, ok bool) {
-	e, present := rb.entries[addr.XPLine()]
-	if !present {
+	e := rb.entries.get(addr.XPLine())
+	if e == nil {
 		return 0, false
 	}
 	idx := addr.LineInXPLine()
@@ -71,7 +69,7 @@ func (rb *readBuffer) Probe(addr mem.Addr) (readyAt sim.Cycles, ok bool) {
 // (read buffer entries are clean, so eviction is free).
 func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) {
 	xpl := addr.XPLine()
-	if e, present := rb.entries[xpl]; present {
+	if e := rb.entries.get(xpl); e != nil {
 		for i := range e.valid {
 			e.valid[i] = true
 		}
@@ -96,7 +94,7 @@ func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) 
 	if servedIdx >= 0 && !rb.retainServed {
 		e.valid[servedIdx] = false
 	}
-	rb.entries[xpl] = e
+	rb.entries.put(xpl, e)
 	if rb.fifoHead > 64 && rb.fifoHead*2 >= len(rb.fifo) {
 		n := copy(rb.fifo, rb.fifo[rb.fifoHead:])
 		rb.fifo = rb.fifo[:n]
@@ -104,7 +102,7 @@ func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) 
 	}
 	rb.fifo = append(rb.fifo, xpl)
 	rb.insertions++
-	for len(rb.entries) > rb.capacity {
+	for rb.entries.live > rb.capacity {
 		rb.evictOldest(readyAt)
 	}
 }
@@ -113,20 +111,17 @@ func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) 
 // (regardless of per-line valid bits): the full line data is on the DIMM
 // and can seed a write-buffer transition or satisfy an eviction RMW.
 func (rb *readBuffer) Contains(addr mem.Addr) bool {
-	_, present := rb.entries[addr.XPLine()]
-	return present
+	return rb.entries.get(addr.XPLine()) != nil
 }
 
 // Take removes the XPLine containing addr from the read buffer,
 // reporting whether it was present. Used when a write transitions the
 // line into the write-combining buffer (§3.3).
 func (rb *readBuffer) Take(addr mem.Addr) bool {
-	xpl := addr.XPLine()
-	e, present := rb.entries[xpl]
-	if !present {
+	e := rb.entries.del(addr.XPLine())
+	if e == nil {
 		return false
 	}
-	delete(rb.entries, xpl)
 	rb.free = append(rb.free, e)
 	// The FIFO slice may retain a stale address; evictOldest skips those.
 	return true
@@ -142,8 +137,7 @@ func (rb *readBuffer) evictOldest(at sim.Cycles) {
 			rb.fifo = rb.fifo[:0]
 			rb.fifoHead = 0
 		}
-		if e, present := rb.entries[oldest]; present {
-			delete(rb.entries, oldest)
+		if e := rb.entries.del(oldest); e != nil {
 			rb.free = append(rb.free, e)
 			rb.evictions++
 			if rb.tel != nil {
@@ -156,4 +150,4 @@ func (rb *readBuffer) evictOldest(at sim.Cycles) {
 }
 
 // Len reports the number of buffered XPLines.
-func (rb *readBuffer) Len() int { return len(rb.entries) }
+func (rb *readBuffer) Len() int { return rb.entries.live }

@@ -19,15 +19,13 @@ import (
 // missing bytes are read from the media (or taken from the read buffer)
 // before the 256 B media write.
 //
-// Residency is tracked in an open-addressed table rather than a runtime
-// map: the buffer is probed on every read and write the DIMM serves, and
-// the table keeps that probe to a multiply-shift hash plus a short scan
-// with zero steady-state allocation.
+// Residency is tracked in an addrTable rather than a runtime map: the
+// buffer is probed on every read and write the DIMM serves.
 type writeBuffer struct {
 	prof *Profile
 	rng  *sim.Rand
 
-	tbl   wbTable
+	tbl   addrTable[wbEntry]
 	order []mem.Addr // occupancy list for victim selection
 
 	// fullQueue holds fully written XPLines awaiting periodic write-back
@@ -77,7 +75,7 @@ type fullRec struct {
 
 func newWriteBuffer(prof *Profile, rng *sim.Rand) *writeBuffer {
 	wb := &writeBuffer{prof: prof, rng: rng}
-	wb.tbl.init(wbInitialSlots)
+	wb.tbl.init(addrTableInitialSlots)
 	return wb
 }
 
@@ -262,117 +260,3 @@ func (wb *writeBuffer) compactOrder() {
 
 // Len reports the number of resident XPLine entries.
 func (wb *writeBuffer) Len() int { return wb.tbl.live }
-
-// wbTable is a linear-probed open-addressed map from XPLine address to
-// its resident entry. Keys are xpl|1 (XPLines are 256-aligned, so the
-// low bit is free; 0 marks a never-used slot); a keyed slot with a nil
-// value is a tombstone keeping probe chains intact.
-type wbTable struct {
-	keys  []uint64
-	vals  []*wbEntry
-	live  int
-	used  int // occupied slots including tombstones (growth trigger)
-	shift uint
-}
-
-const wbInitialSlots = 1 << 9
-
-func (t *wbTable) init(slots int) {
-	t.keys = make([]uint64, slots)
-	t.vals = make([]*wbEntry, slots)
-	t.live = 0
-	t.used = 0
-	t.shift = 64
-	for s := slots; s > 1; s >>= 1 {
-		t.shift--
-	}
-}
-
-func (t *wbTable) slot(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
-}
-
-func (t *wbTable) get(xpl mem.Addr) *wbEntry {
-	key := uint64(xpl) | 1
-	mask := len(t.keys) - 1
-	for i := t.slot(key); ; i = (i + 1) & mask {
-		k := t.keys[i]
-		if k == key {
-			return t.vals[i]
-		}
-		if k == 0 {
-			return nil
-		}
-	}
-}
-
-func (t *wbTable) put(xpl mem.Addr, e *wbEntry) {
-	key := uint64(xpl) | 1
-	mask := len(t.keys) - 1
-	for i := t.slot(key); ; i = (i + 1) & mask {
-		k := t.keys[i]
-		if k == key {
-			if t.vals[i] == nil {
-				t.live++
-			}
-			t.vals[i] = e
-			return
-		}
-		if k == 0 {
-			t.keys[i] = key
-			t.vals[i] = e
-			t.live++
-			t.used++
-			if t.used*2 >= len(t.keys) {
-				t.rebuild()
-			}
-			return
-		}
-	}
-}
-
-// del removes and returns xpl's entry, or nil if absent.
-func (t *wbTable) del(xpl mem.Addr) *wbEntry {
-	key := uint64(xpl) | 1
-	mask := len(t.keys) - 1
-	for i := t.slot(key); ; i = (i + 1) & mask {
-		k := t.keys[i]
-		if k == key {
-			e := t.vals[i]
-			if e != nil {
-				t.vals[i] = nil
-				t.live--
-			}
-			return e
-		}
-		if k == 0 {
-			return nil
-		}
-	}
-}
-
-// rebuild re-inserts live entries into a table sized so occupancy is at
-// most a quarter, discarding tombstones.
-func (t *wbTable) rebuild() {
-	slots := wbInitialSlots
-	for slots < 4*(t.live+1) {
-		slots *= 2
-	}
-	oldKeys, oldVals := t.keys, t.vals
-	t.init(slots)
-	mask := slots - 1
-	for i, k := range oldKeys {
-		if k == 0 || oldVals[i] == nil {
-			continue
-		}
-		for j := t.slot(k); ; j = (j + 1) & mask {
-			if t.keys[j] == 0 {
-				t.keys[j] = k
-				t.vals[j] = oldVals[i]
-				break
-			}
-		}
-		t.live++
-		t.used++
-	}
-}

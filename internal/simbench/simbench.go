@@ -5,7 +5,8 @@
 // be driven both as go-test benchmarks (internal/simbench's
 // BenchmarkSimCore* wrappers) and programmatically by cmd/benchjson via
 // testing.Benchmark, which is how CI produces the BENCH_simcore.json
-// perf-trajectory artifact.
+// perf-trajectory artifact. The cold-path body (coldChase) is
+// unexported, so it runs only as a go-test benchmark.
 //
 // Every body measures HOST throughput of the simulator, never simulated
 // time: the cycle model is pinned by the golden and determinism tests,
@@ -18,7 +19,9 @@ import (
 
 	"optanesim/internal/machine"
 	"optanesim/internal/mem"
+	"optanesim/internal/sim"
 	"optanesim/internal/telemetry"
+	"optanesim/internal/workload"
 )
 
 // workingLines is the benchmark working set in cachelines. 256 lines =
@@ -31,6 +34,12 @@ const workingLines = 256
 func line(i int) mem.Addr {
 	return mem.PMBase + mem.Addr((i%workingLines)*mem.CachelineSize)
 }
+
+// coldSpan is the cold-path working set: 64 MB of PM, four times the
+// reach of the DIMM's 4,096-entry AIT cache and more than twice G1's
+// L3, so a load that lands on a line it has not touched recently misses
+// every cache level, the read buffer and the AIT.
+const coldSpan = 64 << 20
 
 // Load measures hot cacheable loads on a single thread: the
 // schedule/readPath/advance path with every access an L1 hit after the
@@ -188,6 +197,30 @@ func MultiDIMM4(b *testing.B) { multiDIMM(b, 4) }
 
 // MultiDIMM8 measures nt-store streaming over an 8-DIMM interleave.
 func MultiDIMM8(b *testing.B) { multiDIMM(b, 8) }
+
+// coldChase measures the cold path that dominates fig8: fig8 strict's
+// element mix (a dependent load of the element, then store + clwb of
+// its pad line, then sfence) over a shuffled chase of 256 B elements
+// across coldSpan, on G1 with every prefetcher on. Nearly every element
+// misses every cache level, the read buffer and the AIT. ns/op is per
+// element.
+func coldChase(b *testing.B) {
+	sys := machine.MustNewSystem(machine.G1Config(1))
+	elems := workload.ChaseOrder(mem.PMBase, sim.NewRand(5), coldSpan/workload.ElementSize, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sys.Go("bench-cold", 0, false, func(t *machine.Thread) {
+		for i := 0; i < b.N; i++ {
+			e := elems[i%len(elems)]
+			t.LoadDep(e)
+			pad := workload.PadLine(e, 1)
+			t.Store(pad)
+			t.CLWB(pad)
+			t.SFence()
+		}
+	})
+	sys.Run()
+}
 
 // recordingMeter turns telemetry on for a benchmark's system: every
 // probe goes live and the gauge sampler runs at its default period, so

@@ -5,6 +5,7 @@ import (
 
 	"optanesim/internal/fault"
 	"optanesim/internal/machine"
+	"optanesim/internal/mem"
 	"optanesim/internal/pmem"
 	"optanesim/internal/telemetry"
 )
@@ -39,6 +40,12 @@ func BenchmarkSimCoreMultiDIMM8(b *testing.B) { MultiDIMM8(b) }
 func BenchmarkSimCoreLoadTelemetry(b *testing.B)       { LoadTelemetry(b) }
 func BenchmarkSimCoreFlushFenceTelemetry(b *testing.B) { FlushFenceTelemetry(b) }
 
+// ColdChase runs fig8 strict's element mix over a 64 MB shuffled chase,
+// the only row whose accesses miss the caches and the on-DIMM buffers.
+// It is not gated in BENCH_simcore.json: memory-bound rows differ most
+// between host classes.
+func BenchmarkSimCoreColdChase(b *testing.B) { coldChase(b) }
+
 // BuildReusing times a donor-backed build, the per-cell system cost of
 // the fig2/fig3/fig13 sweeps.
 func BenchmarkSimCoreBuildReusing(b *testing.B) { BuildReusing(b) }
@@ -60,6 +67,10 @@ func BenchmarkSimCoreBuildReusing(b *testing.B) { BuildReusing(b) }
 // contract: an attached injector with no fault classes configured must
 // not add a single allocation to the hot paths (its decision points are
 // pointer tests plus empty-map probes).
+// The Cold LoadDep probe chases dependent loads 4 KB apart across 64 MB
+// of PM (coldLine), after one warm lap over the span: every load misses
+// every cache level, the read buffer and the AIT cache, so it pins the
+// DIMM's miss paths, AIT eviction included, at zero allocations too.
 // The breakdown subtest runs with cycle attribution recording: every op
 // charges components into the shared scratchpad and records into
 // preallocated histograms, so steady state must still be allocation-free
@@ -75,6 +86,17 @@ func TestHotPathAllocs(t *testing.T) {
 	t.Run("faults-idle", func(t *testing.T) { testHotPathAllocs(t, false, true, false, false) })
 	t.Run("breakdown", func(t *testing.T) { testHotPathAllocs(t, true, false, true, false) })
 	t.Run("reused", func(t *testing.T) { testHotPathAllocs(t, false, false, false, true) })
+}
+
+// coldLine returns the i-th line of a dependent chase 4 KB apart across
+// coldSpan. Each lap over the span's 16,384 pages moves 512 B further
+// into every page, past the lines a previous lap's prefetchers brought
+// in (they stay within the 4 KB page and fetch at most four lines
+// ahead), so every line is new to the caches and every page is a fresh
+// AIT miss.
+func coldLine(i int) mem.Addr {
+	const pages = coldSpan >> 12
+	return mem.PMBase + mem.Addr((i%pages)<<12+(i/pages%8)*512)
 }
 
 func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, reused bool) {
@@ -97,7 +119,7 @@ func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, reused 
 	}
 	var got map[string]float64
 	probeBody := func(th *machine.Thread) {
-		i := 0
+		i, cold := 0, 0
 		s := pmem.NewSession(th)
 		probes := []probe{
 			{"Load", func(th *machine.Thread) {
@@ -144,6 +166,15 @@ func testHotPathAllocs(t *testing.T, telemetryOn, faultsOn, breakdownOn, reused 
 				}
 				th.SetTenant("")
 			}},
+			{"Cold LoadDep", func(th *machine.Thread) {
+				for k := 0; k < 64; k++ {
+					th.LoadDep(coldLine(cold))
+					cold++
+				}
+			}},
+		}
+		for ; cold < coldSpan>>12; cold++ {
+			th.LoadDep(coldLine(cold))
 		}
 		got = make(map[string]float64, len(probes))
 		for _, p := range probes {
