@@ -67,6 +67,7 @@ import (
 	"optanesim/internal/fault"
 	"optanesim/internal/mem"
 	"optanesim/internal/runner"
+	"optanesim/internal/telemetry"
 )
 
 var (
@@ -183,7 +184,8 @@ func main() {
 		fmt.Printf("[%s completed in %v]\n\n", name, runner.Wall(expResults).Round(time.Millisecond))
 	}
 	if telemetryEnabled() {
-		if err := writeTelemetrySinks(harvestRecordings(run, slots, results)); err != nil {
+		sinks := telemetry.Sinks{Trace: *traceOut, Events: *eventsOut, Samples: *samplesOut, Hists: *histOut}
+		if err := sinks.Write(harvestRecordings(run, slots, results)...); err != nil {
 			fmt.Fprintf(os.Stderr, "optbench: %v\n", err)
 			failed = true
 		}

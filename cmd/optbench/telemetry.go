@@ -119,47 +119,3 @@ func harvestRecordings(run []string, slots map[string][]int, results []runner.Re
 	}
 	return recs
 }
-
-// writeTelemetrySinks writes every requested export of the recordings.
-func writeTelemetrySinks(recs []*telemetry.Recording) error {
-	writeTo := func(path string, write func(f *os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if *traceOut != "" {
-		if err := writeTo(*traceOut, func(f *os.File) error {
-			return telemetry.WriteChromeTrace(f, recs...)
-		}); err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-	}
-	if *eventsOut != "" {
-		if err := writeTo(*eventsOut, func(f *os.File) error {
-			return telemetry.WriteEventsJSONL(f, recs...)
-		}); err != nil {
-			return fmt.Errorf("events-out: %w", err)
-		}
-	}
-	if *samplesOut != "" {
-		if err := writeTo(*samplesOut, func(f *os.File) error {
-			return telemetry.WriteSamplesJSONL(f, recs...)
-		}); err != nil {
-			return fmt.Errorf("sample-out: %w", err)
-		}
-	}
-	if *histOut != "" {
-		if err := writeTo(*histOut, func(f *os.File) error {
-			return telemetry.WriteHistsJSONL(f, recs...)
-		}); err != nil {
-			return fmt.Errorf("hist-out: %w", err)
-		}
-	}
-	return nil
-}

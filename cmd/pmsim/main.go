@@ -163,40 +163,7 @@ func writeTelemetry(r *telemetry.Recorder) error {
 	if r == nil {
 		return nil
 	}
-	rec := r.Snapshot()
-	writeTo := func(path string, write func(f *os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if *traceOut != "" {
-		if err := writeTo(*traceOut, func(f *os.File) error {
-			return telemetry.WriteChromeTrace(f, rec)
-		}); err != nil {
-			return err
-		}
-	}
-	if *eventsOut != "" {
-		if err := writeTo(*eventsOut, func(f *os.File) error {
-			return telemetry.WriteEventsJSONL(f, rec)
-		}); err != nil {
-			return err
-		}
-	}
-	if *samplesOut != "" {
-		if err := writeTo(*samplesOut, func(f *os.File) error {
-			return telemetry.WriteSamplesJSONL(f, rec)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return telemetry.Sinks{Trace: *traceOut, Events: *eventsOut, Samples: *samplesOut}.Write(r.Snapshot())
 }
 
 // runReplay parses the -replay trace and executes it on the testbed,

@@ -163,6 +163,17 @@ func TestRewiredQuickDigests(t *testing.T) {
 	checkQuickDigests(t, "j2", names, runStructured(t, units, 2), counts)
 }
 
+// TestHazardTableQuickDigests pins the -quick structured results of
+// the experiments that lean hardest on the shared address table to the
+// committed digests: fig7 probes the iMC's read-after-persist stall,
+// sec33 moves XPLines between the DIMM's read and write buffers, and
+// bandwidth is the one cheap run whose writes prune the hazard table.
+func TestHazardTableQuickDigests(t *testing.T) {
+	names := []string{"fig7", "sec33", "bandwidth"}
+	units, counts := experimentUnits(t, names, bench.Options{Quick: true})
+	checkQuickDigests(t, "j2", names, runStructured(t, units, 2), counts)
+}
+
 // TestFig12CellsIndependent pins fig12's prebuilt trees: each unit
 // builds each mode's tree once, and every cell rewinds the unit's heap
 // to it, so a point must equal the point of its thread count run alone

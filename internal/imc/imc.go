@@ -114,7 +114,11 @@ type Controller struct {
 
 	// hazards maps a cacheline to the time it becomes readable again
 	// after a flush/nt-store was accepted (accept + device RAP window).
-	hazards     *hazardTable
+	// Which entries exist when is observable through time-rewound loads,
+	// so the calls on it fix their lifecycle: a read that finds its
+	// window closed deletes the entry, a write keeps the later close
+	// time, and maybePruneHazards drops closed windows in bulk.
+	hazards     mem.Table[sim.Cycles]
 	hazardPrune int
 	maxNow      sim.Cycles
 
@@ -151,11 +155,8 @@ func NewController(cfg Config, devs ...Device) *Controller {
 	if len(devs) == 0 {
 		panic("imc: NewController needs at least one device")
 	}
-	c := &Controller{
-		cfg:     cfg,
-		devs:    devs,
-		hazards: newHazardTable(),
-	}
+	c := &Controller{cfg: cfg, devs: devs}
+	c.hazards.Init(1 << 10)
 	for range devs {
 		c.wpqs = append(c.wpqs, newWPQ(cfg.WPQDepth))
 	}
@@ -214,7 +215,7 @@ func (c *Controller) Read(now sim.Cycles, addr mem.Addr, demand bool) sim.Cycles
 		a.BeginService()
 	}
 	line := addr.Line()
-	if hu, ok := c.hazards.get(line); ok {
+	if hu, ok := c.hazards.Get(line); ok {
 		if hu > now {
 			if c.tel != nil {
 				c.tel.Emit(now, telemetry.KindHazardStall, line, uint64(hu-now))
@@ -224,7 +225,7 @@ func (c *Controller) Read(now sim.Cycles, addr mem.Addr, demand bool) sim.Cycles
 			}
 			now = hu
 		} else {
-			c.hazards.remove(line)
+			c.hazards.Del(line)
 		}
 	}
 	c.observe(now)
@@ -294,7 +295,9 @@ func (c *Controller) Write(now sim.Cycles, addr mem.Addr) (accept, landed sim.Cy
 	}
 
 	hazard := accept + c.devs[idx].RAPWindow()
-	c.hazards.setMax(line, hazard)
+	if hu, ok := c.hazards.Get(line); !ok || hazard > hu {
+		c.hazards.Put(line, hazard)
+	}
 	c.observe(accept)
 	c.maybePruneHazards()
 	return accept, landed
@@ -315,11 +318,11 @@ func (c *Controller) observe(now sim.Cycles) {
 // loads and must not move.
 func (c *Controller) maybePruneHazards() {
 	c.hazardPrune++
-	if c.hazardPrune < 1<<15 || c.hazards.live < 1<<14 {
+	if c.hazardPrune < 1<<15 || c.hazards.Len() < 1<<14 {
 		return
 	}
 	c.hazardPrune = 0
-	c.hazards.rebuild(true, c.maxNow)
+	c.hazards.DeleteIf(func(hu sim.Cycles) bool { return hu <= c.maxNow })
 }
 
 func (c *Controller) String() string {

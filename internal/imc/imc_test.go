@@ -160,9 +160,67 @@ func TestHazardPruning(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {
 		c.Write(sim.Cycles(i*100), mem.PMBase+mem.Addr(i*64))
 	}
-	if c.hazards.live >= 1<<16 {
-		t.Fatalf("hazard table never pruned: %d entries", c.hazards.live)
+	if c.hazards.Len() >= 1<<16 {
+		t.Fatalf("hazard table never pruned: %d entries", c.hazards.Len())
 	}
+}
+
+// TestHazardLifecycle pins which read-after-persist hazards the
+// controller holds at each moment. Each check observes them through a
+// rewound read: one issued earlier in simulated time than the controller
+// has already seen, which stalls only while the line's entry is held. A
+// read that finds its window closed deletes the entry, an unread entry
+// stays, and the prune drops exactly the windows closed by the latest
+// time seen.
+func TestHazardLifecycle(t *testing.T) {
+	cfg := DefaultConfig()
+	x := mem.PMBase
+	// unstalled is a read's completion when issued at at with no hazard;
+	// stalled is its completion when it waits for a window opened at
+	// accept.
+	unstalled := func(dev *stubDev, at sim.Cycles) sim.Cycles {
+		return at + cfg.RPQCycles + dev.readCycles + cfg.BusCycles
+	}
+	stalled := func(dev *stubDev, accept sim.Cycles) sim.Cycles {
+		return unstalled(dev, accept+dev.rapWindow)
+	}
+
+	t.Run("closed-window read deletes", func(t *testing.T) {
+		dev := newStub()
+		c := NewController(cfg, dev)
+		accept, _ := c.Write(0, x)
+		c.Read(accept+dev.rapWindow+5000, x, true)
+		if done := c.Read(accept+10, x, true); done != unstalled(dev, accept+10) {
+			t.Fatalf("rewound read done at %d, want %d: the closed window's entry survived its read", done, unstalled(dev, accept+10))
+		}
+	})
+	t.Run("unread entry stays", func(t *testing.T) {
+		dev := newStub()
+		c := NewController(cfg, dev)
+		accept, _ := c.Write(0, x)
+		c.Read(accept+dev.rapWindow+5000, x+mem.CachelineSize, true)
+		if done := c.Read(accept+10, x, true); done != stalled(dev, accept) {
+			t.Fatalf("rewound read done at %d, want %d", done, stalled(dev, accept))
+		}
+	})
+	t.Run("prune drops closed windows", func(t *testing.T) {
+		dev := newStub()
+		c := NewController(cfg, dev)
+		first, _ := c.Write(0, x)
+		// 1<<15 writes in all: the last one triggers the prune.
+		var last sim.Cycles
+		lastLine := x
+		for i := 1; i < 1<<15; i++ {
+			lastLine = x + mem.Addr(i*mem.CachelineSize)
+			last, _ = c.Write(sim.Cycles(i*100), lastLine)
+		}
+		if done := c.Read(first+10, x, true); done != unstalled(dev, first+10) {
+			t.Fatalf("rewound read of the first line done at %d, want %d: its closed window survived the prune", done, unstalled(dev, first+10))
+		}
+		if done := c.Read(last+10, lastLine, true); done != stalled(dev, last) {
+			t.Fatalf("rewound read of the last line done at %d, want %d: its open window was pruned", done, stalled(dev, last))
+		}
+	})
 }
 
 func TestNoDevicesPanics(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package mem defines the memory geometry and operation vocabulary shared
 // by the whole simulator: byte addresses, 64-byte cachelines, 256-byte
-// XPLines (the 3D-XPoint media access granule), and the CPU memory
-// operations the simulated machine executes.
+// XPLines (the 3D-XPoint media access granule), the CPU memory
+// operations the simulated machine executes, and Table, the address-keyed
+// table under every per-line lookup.
 package mem
 
 import "fmt"

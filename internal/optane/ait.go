@@ -6,13 +6,13 @@ import "optanesim/internal/mem"
 // (AIT), which translates DIMM physical addresses to media locations.
 // Its coverage (entries x granule) is ~16 MB, producing the read-latency
 // knee the paper observes at a 16 MB working set (§3.6). Entries are kept
-// in LRU order with an intrusive doubly-linked list over an addrTable
+// in LRU order with an intrusive doubly-linked list over a mem.Table
 // keyed by granule-aligned address; a miss at capacity reuses the LRU
 // tail's node for the new granule, so a full cache allocates nothing.
 type aitCache struct {
 	granuleBits uint
 	capacity    int
-	entries     addrTable[aitNode]
+	entries     mem.Table[*aitNode]
 	head, tail  *aitNode // head = most recent
 
 	hits, misses uint64
@@ -25,7 +25,7 @@ type aitNode struct {
 
 func newAITCache(entries int, granuleBits uint) *aitCache {
 	a := &aitCache{granuleBits: granuleBits, capacity: entries}
-	a.entries.init(addrTableInitialSlots)
+	a.entries.Init(1 << 9)
 	return a
 }
 
@@ -34,22 +34,22 @@ func newAITCache(entries int, granuleBits uint) *aitCache {
 // least recently used entry if necessary.
 func (a *aitCache) Lookup(addr mem.Addr) bool {
 	granule := addr >> a.granuleBits << a.granuleBits
-	if n := a.entries.get(granule); n != nil {
+	if n, ok := a.entries.Get(granule); ok {
 		a.hits++
 		a.moveToFront(n)
 		return true
 	}
 	a.misses++
 	var n *aitNode
-	if a.entries.live < a.capacity {
+	if a.entries.Len() < a.capacity {
 		n = new(aitNode)
 	} else {
 		n = a.tail
 		a.unlink(n)
-		a.entries.del(n.granule)
+		a.entries.Del(n.granule)
 	}
 	n.granule = granule
-	a.entries.put(granule, n)
+	a.entries.Put(granule, n)
 	a.pushFront(n)
 	return false
 }
@@ -63,7 +63,7 @@ func (a *aitCache) HitRatio() float64 {
 	return float64(a.hits) / float64(total)
 }
 
-func (a *aitCache) Len() int { return a.entries.live }
+func (a *aitCache) Len() int { return a.entries.Len() }
 
 func (a *aitCache) pushFront(n *aitNode) {
 	n.prev = nil

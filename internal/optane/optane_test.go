@@ -179,7 +179,7 @@ func TestReadBufferToWriteBufferTransition(t *testing.T) {
 	}
 	// ...into the write buffer, carrying full base data, so its later
 	// eviction needs no RMW read.
-	e := d.wb.tbl.get(pmAddr(7, 0).XPLine())
+	e, _ := d.wb.tbl.Get(pmAddr(7, 0).XPLine())
 	if e == nil || !e.hasBase {
 		t.Fatalf("transitioned entry missing base data: present=%v", e != nil)
 	}

@@ -16,7 +16,7 @@ type readBuffer struct {
 	capacity int
 	// retainServed disables the cache-exclusive consumption (ablation).
 	retainServed bool
-	entries      addrTable[rbEntry] // keyed by XPLine address
+	entries      mem.Table[*rbEntry] // keyed by XPLine address
 	// fifo holds insertion order, oldest first from fifoHead; the popped
 	// prefix is compacted periodically so the backing array is reused.
 	fifo     []mem.Addr
@@ -40,7 +40,7 @@ type rbEntry struct {
 
 func newReadBuffer(capacity int, retainServed bool) *readBuffer {
 	rb := &readBuffer{capacity: capacity, retainServed: retainServed}
-	rb.entries.init(addrTableInitialSlots)
+	rb.entries.Init(1 << 9)
 	return rb
 }
 
@@ -48,8 +48,8 @@ func newReadBuffer(capacity int, retainServed bool) *readBuffer {
 // set, it returns the entry's readyAt time and consumes the line
 // (clearing the valid bit, per the buffer's cache-exclusive behaviour).
 func (rb *readBuffer) Probe(addr mem.Addr) (readyAt sim.Cycles, ok bool) {
-	e := rb.entries.get(addr.XPLine())
-	if e == nil {
+	e, ok := rb.entries.Get(addr.XPLine())
+	if !ok {
 		return 0, false
 	}
 	idx := addr.LineInXPLine()
@@ -69,7 +69,7 @@ func (rb *readBuffer) Probe(addr mem.Addr) (readyAt sim.Cycles, ok bool) {
 // (read buffer entries are clean, so eviction is free).
 func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) {
 	xpl := addr.XPLine()
-	if e := rb.entries.get(xpl); e != nil {
+	if e, ok := rb.entries.Get(xpl); ok {
 		for i := range e.valid {
 			e.valid[i] = true
 		}
@@ -94,7 +94,7 @@ func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) 
 	if servedIdx >= 0 && !rb.retainServed {
 		e.valid[servedIdx] = false
 	}
-	rb.entries.put(xpl, e)
+	rb.entries.Put(xpl, e)
 	if rb.fifoHead > 64 && rb.fifoHead*2 >= len(rb.fifo) {
 		n := copy(rb.fifo, rb.fifo[rb.fifoHead:])
 		rb.fifo = rb.fifo[:n]
@@ -102,7 +102,7 @@ func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) 
 	}
 	rb.fifo = append(rb.fifo, xpl)
 	rb.insertions++
-	for rb.entries.live > rb.capacity {
+	for rb.entries.Len() > rb.capacity {
 		rb.evictOldest(readyAt)
 	}
 }
@@ -111,15 +111,16 @@ func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) 
 // (regardless of per-line valid bits): the full line data is on the DIMM
 // and can seed a write-buffer transition or satisfy an eviction RMW.
 func (rb *readBuffer) Contains(addr mem.Addr) bool {
-	return rb.entries.get(addr.XPLine()) != nil
+	_, ok := rb.entries.Get(addr.XPLine())
+	return ok
 }
 
 // Take removes the XPLine containing addr from the read buffer,
 // reporting whether it was present. Used when a write transitions the
 // line into the write-combining buffer (§3.3).
 func (rb *readBuffer) Take(addr mem.Addr) bool {
-	e := rb.entries.del(addr.XPLine())
-	if e == nil {
+	e, ok := rb.entries.Del(addr.XPLine())
+	if !ok {
 		return false
 	}
 	rb.free = append(rb.free, e)
@@ -137,7 +138,7 @@ func (rb *readBuffer) evictOldest(at sim.Cycles) {
 			rb.fifo = rb.fifo[:0]
 			rb.fifoHead = 0
 		}
-		if e := rb.entries.del(oldest); e != nil {
+		if e, ok := rb.entries.Del(oldest); ok {
 			rb.free = append(rb.free, e)
 			rb.evictions++
 			if rb.tel != nil {
@@ -150,4 +151,4 @@ func (rb *readBuffer) evictOldest(at sim.Cycles) {
 }
 
 // Len reports the number of buffered XPLines.
-func (rb *readBuffer) Len() int { return rb.entries.live }
+func (rb *readBuffer) Len() int { return rb.entries.Len() }

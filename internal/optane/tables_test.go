@@ -9,55 +9,6 @@ import (
 	"optanesim/internal/sim"
 )
 
-// TestAddrTableMatchesMap drives the open-addressed table with seeded
-// put/get/del churn and checks every return value and the live count
-// against a Go map after every step. Key spans of 200 stay below the
-// initial 512 slots' growth point; spans of 5,000 grow the table
-// several times while deletions keep shifting probe chains.
-func TestAddrTableMatchesMap(t *testing.T) {
-	for _, span := range []int{200, 5000} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("span%d/seed%d", span, seed), func(t *testing.T) {
-				rng := sim.NewRand(seed)
-				var tbl addrTable[int]
-				tbl.init(addrTableInitialSlots)
-				ref := make(map[mem.Addr]*int)
-				for step := 0; step < 100000; step++ {
-					a := mem.Addr(rng.Intn(span)) << 8
-					switch rng.Intn(3) {
-					case 0:
-						if got, want := tbl.get(a), ref[a]; got != want {
-							t.Fatalf("step %d: get(%#x) = %p, want %p", step, a, got, want)
-						}
-					case 1:
-						v := new(int)
-						tbl.put(a, v)
-						ref[a] = v
-					default:
-						got, want := tbl.del(a), ref[a]
-						if got != want {
-							t.Fatalf("step %d: del(%#x) = %p, want %p", step, a, got, want)
-						}
-						delete(ref, a)
-					}
-					if tbl.live != len(ref) {
-						t.Fatalf("step %d: live = %d, want %d", step, tbl.live, len(ref))
-					}
-				}
-				for k := 0; k < span; k++ {
-					a := mem.Addr(k) << 8
-					if got, want := tbl.get(a), ref[a]; got != want {
-						t.Fatalf("final get(%#x) = %p, want %p", a, got, want)
-					}
-				}
-				if span > addrTableInitialSlots && len(tbl.keys) == addrTableInitialSlots {
-					t.Fatal("table never grew")
-				}
-			})
-		}
-	}
-}
-
 // rbRef is the read buffer's reference model: a Go map of per-line
 // valid bits plus a FIFO slice of install order. A taken XPLine's slot
 // stays in the FIFO, and eviction pops slots until one names a resident

@@ -19,13 +19,13 @@ import (
 // missing bytes are read from the media (or taken from the read buffer)
 // before the 256 B media write.
 //
-// Residency is tracked in an addrTable rather than a runtime map: the
+// Residency is tracked in a mem.Table rather than a runtime map: the
 // buffer is probed on every read and write the DIMM serves.
 type writeBuffer struct {
 	prof *Profile
 	rng  *sim.Rand
 
-	tbl   addrTable[wbEntry]
+	tbl   mem.Table[*wbEntry]
 	order []mem.Addr // occupancy list for victim selection
 
 	// fullQueue holds fully written XPLines awaiting periodic write-back
@@ -75,7 +75,7 @@ type fullRec struct {
 
 func newWriteBuffer(prof *Profile, rng *sim.Rand) *writeBuffer {
 	wb := &writeBuffer{prof: prof, rng: rng}
-	wb.tbl.init(addrTableInitialSlots)
+	wb.tbl.Init(1 << 9)
 	return wb
 }
 
@@ -83,8 +83,8 @@ func newWriteBuffer(prof *Profile, rng *sim.Rand) *writeBuffer {
 // write buffer (either that line was written, or full base data is
 // present).
 func (wb *writeBuffer) Contains(addr mem.Addr) bool {
-	e := wb.tbl.get(addr.XPLine())
-	if e == nil {
+	e, ok := wb.tbl.Get(addr.XPLine())
+	if !ok {
 		return false
 	}
 	return e.hasBase || e.written[addr.LineInXPLine()]
@@ -94,8 +94,8 @@ func (wb *writeBuffer) Contains(addr mem.Addr) bool {
 // one was present. When the write completes the XPLine, the entry is
 // queued for G1's periodic write-back.
 func (wb *writeBuffer) Merge(addr mem.Addr, now sim.Cycles) bool {
-	e := wb.tbl.get(addr.XPLine())
-	if e == nil {
+	e, ok := wb.tbl.Get(addr.XPLine())
+	if !ok {
 		return false
 	}
 	wb.merges++
@@ -156,8 +156,8 @@ func (wb *writeBuffer) Allocate(addr mem.Addr, hasBase bool, now sim.Cycles) {
 	idx := addr.LineInXPLine()
 	e.written[idx] = true
 	e.nWritten = 1
-	wb.tbl.put(xpl, e)
-	if len(wb.order) >= 4*wb.prof.WriteBufLines && len(wb.order) >= 2*wb.tbl.live {
+	wb.tbl.Put(xpl, e)
+	if len(wb.order) >= 4*wb.prof.WriteBufLines && len(wb.order) >= 2*wb.tbl.Len() {
 		wb.compactOrder()
 	}
 	wb.order = append(wb.order, xpl)
@@ -170,22 +170,22 @@ func (wb *writeBuffer) Allocate(addr mem.Addr, hasBase bool, now sim.Cycles) {
 // NeedsEviction reports whether an allocation would push occupancy past
 // the generation's high watermark.
 func (wb *writeBuffer) NeedsEviction() bool {
-	return wb.tbl.live >= wb.prof.WriteBufHighWater
+	return wb.tbl.Len() >= wb.prof.WriteBufHighWater
 }
 
 // PickVictims selects up to n random resident XPLines for eviction and
 // removes them from the buffer, returning their entries.
 func (wb *writeBuffer) PickVictims(n int) []*wbEntry {
 	victims := wb.victimBuf[:0]
-	for len(victims) < n && wb.tbl.live > 0 {
+	for len(victims) < n && wb.tbl.Len() > 0 {
 		// Compact lazily: drop stale order slots as we encounter them.
 		i := wb.rng.Intn(len(wb.order))
 		xpl := wb.order[i]
 		last := len(wb.order) - 1
 		wb.order[i] = wb.order[last]
 		wb.order = wb.order[:last]
-		e := wb.tbl.del(xpl)
-		if e == nil {
+		e, ok := wb.tbl.Del(xpl)
+		if !ok {
 			continue
 		}
 		e.gen++
@@ -220,7 +220,7 @@ func (wb *writeBuffer) DuePeriodic(now sim.Cycles) []*wbEntry {
 			// re-allocated and written full again, this (oldest) record
 			// stands in for it, exactly as the address-keyed queue did:
 			// the current residency drains on the refill's own deadline.
-			e = wb.tbl.get(rec.xpl)
+			e, _ = wb.tbl.Get(rec.xpl)
 			if e == nil || e.nWritten != mem.LinesPerXPLine {
 				wb.fqHead++
 				continue
@@ -230,7 +230,7 @@ func (wb *writeBuffer) DuePeriodic(now sim.Cycles) []*wbEntry {
 			break
 		}
 		wb.fqHead++
-		wb.tbl.del(rec.xpl)
+		wb.tbl.Del(rec.xpl)
 		e.gen++
 		wb.periodicWBs++
 		due = append(due, e)
@@ -248,9 +248,9 @@ func (wb *writeBuffer) DuePeriodic(now sim.Cycles) []*wbEntry {
 // selection stays deterministic.
 func (wb *writeBuffer) compactOrder() {
 	kept := wb.order[:0]
-	seen := make(map[mem.Addr]bool, wb.tbl.live)
+	seen := make(map[mem.Addr]bool, wb.tbl.Len())
 	for _, xpl := range wb.order {
-		if wb.tbl.get(xpl) != nil && !seen[xpl] {
+		if _, ok := wb.tbl.Get(xpl); ok && !seen[xpl] {
 			seen[xpl] = true
 			kept = append(kept, xpl)
 		}
@@ -259,4 +259,4 @@ func (wb *writeBuffer) compactOrder() {
 }
 
 // Len reports the number of resident XPLine entries.
-func (wb *writeBuffer) Len() int { return wb.tbl.live }
+func (wb *writeBuffer) Len() int { return wb.tbl.Len() }
