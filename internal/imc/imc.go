@@ -295,8 +295,10 @@ func (c *Controller) Write(now sim.Cycles, addr mem.Addr) (accept, landed sim.Cy
 	}
 
 	hazard := accept + c.devs[idx].RAPWindow()
-	if hu, ok := c.hazards.Get(line); !ok || hazard > hu {
+	if hu := c.hazards.Ref(line); hu == nil {
 		c.hazards.Put(line, hazard)
+	} else if hazard > *hu {
+		*hu = hazard
 	}
 	c.observe(accept)
 	c.maybePruneHazards()

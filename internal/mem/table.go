@@ -3,31 +3,29 @@ package mem
 // Table is a linear-probed open-addressed map from an aligned address to
 // a V. It indexes the simulator's per-line lookups in place of runtime
 // maps: the iMC's read-after-persist hazards and the DIMM's write
-// buffer, read buffer and AIT cache. A probe is a multiply-shift hash
-// plus a short scan, and only growth and DeleteIf allocate.
+// buffer, read buffer and AIT cache, which keep their entries as values
+// in the table and update them through Ref. A probe is a multiply-shift
+// hash plus a short scan, and only growth allocates.
 //
 // Keys are stored as addr|1, so bit 0 of every address must be clear
 // (cachelines, XPLines and AIT granules are aligned far beyond that); 0
-// marks an empty slot. Del shifts the later entries of the probe chain
-// back into the hole (Knuth's Algorithm R), so there are no tombstones.
-// Lookups never depend on slot order, and DeleteIf only removes, so no
-// result depends on where an entry sits.
+// marks an empty slot. Del and DeleteIf shift the later entries of the
+// probe chain back into the hole (Knuth's Algorithm R), so there are no
+// tombstones. Lookups never depend on slot order, and DeleteIf only
+// removes, so no result depends on where an entry sits.
 //
-// A table grows once it is three quarters full, and DeleteIf re-sizes
-// it: both re-insert every entry into the smallest power of two, no
-// smaller than the Init size, that holds 4×(Len()+1) slots.
+// A table grows once it is three quarters full, re-inserting every entry
+// into the smallest power of two that holds 4×(Len()+1) slots, and never
+// shrinks.
 type Table[V any] struct {
 	keys  []uint64
 	vals  []V
 	live  int
-	floor int  // the Init size
 	shift uint // 64 - log2(len(keys))
 }
 
-// Init empties the table to slots slots, a power of two, which is also
-// the smallest size it will ever shrink to.
+// Init empties the table to slots slots, a power of two.
 func (t *Table[V]) Init(slots int) {
-	t.floor = slots
 	t.alloc(slots)
 	t.live = 0
 }
@@ -50,20 +48,36 @@ func (t *Table[V]) slot(key uint64) int {
 	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
-// Get returns a's value and whether a is present.
-func (t *Table[V]) Get(a Addr) (V, bool) {
+// find returns a's slot, or -1 when a is absent.
+func (t *Table[V]) find(a Addr) int {
 	key := uint64(a) | 1
 	mask := len(t.keys) - 1
 	for i := t.slot(key); ; i = (i + 1) & mask {
-		k := t.keys[i]
-		if k == key {
-			return t.vals[i], true
-		}
-		if k == 0 {
-			var zero V
-			return zero, false
+		switch t.keys[i] {
+		case key:
+			return i
+		case 0:
+			return -1
 		}
 	}
+}
+
+// Get returns a's value and whether a is present.
+func (t *Table[V]) Get(a Addr) (V, bool) {
+	if i := t.find(a); i >= 0 {
+		return t.vals[i], true
+	}
+	var zero V
+	return zero, false
+}
+
+// Ref returns a pointer to a's value, or nil when a is absent. The
+// pointer is valid until the next Put, Del or DeleteIf on t.
+func (t *Table[V]) Ref(a Addr) *V {
+	if i := t.find(a); i >= 0 {
+		return &t.vals[i]
+	}
+	return nil
 }
 
 // Put sets a's value to v.
@@ -81,7 +95,7 @@ func (t *Table[V]) Put(a Addr, v V) {
 			t.vals[i] = v
 			t.live++
 			if 4*t.live >= 3*len(t.keys) {
-				t.rehash()
+				t.grow()
 			}
 			return
 		}
@@ -90,17 +104,20 @@ func (t *Table[V]) Put(a Addr, v V) {
 
 // Del removes a, returning its value and whether it was present.
 func (t *Table[V]) Del(a Addr) (V, bool) {
-	var zero V
-	key := uint64(a) | 1
-	mask := len(t.keys) - 1
-	i := t.slot(key)
-	for t.keys[i] != key {
-		if t.keys[i] == 0 {
-			return zero, false
-		}
-		i = (i + 1) & mask
+	i := t.find(a)
+	if i < 0 {
+		var zero V
+		return zero, false
 	}
 	v := t.vals[i]
+	t.delAt(i)
+	return v, true
+}
+
+// delAt empties slot i, which holds an entry, and closes the hole.
+func (t *Table[V]) delAt(i int) {
+	var zero V
+	mask := len(t.keys) - 1
 	t.live--
 	// i is the hole. An entry later in the chain moves into it unless its
 	// home slot lies cyclically in (i, j]: then the hole is before its
@@ -112,27 +129,23 @@ func (t *Table[V]) Del(a Addr) (V, bool) {
 		}
 	}
 	t.keys[i], t.vals[i] = 0, zero
-	return v, true
 }
 
-// DeleteIf removes every entry whose value drop reports true, then
-// re-sizes the table to what is left.
+// DeleteIf removes every entry whose value drop reports true, in place.
 func (t *Table[V]) DeleteIf(drop func(V) bool) {
-	for i, k := range t.keys {
-		// The old arrays are only read back by rehash, so emptying the
-		// slot in place is enough: no probe chain needs to stay intact.
-		if k != 0 && drop(t.vals[i]) {
-			t.keys[i] = 0
-			t.live--
+	for i := 0; i < len(t.keys); i++ {
+		// delAt may shift a later entry into slot i, so slot i is checked
+		// again until it is empty or kept.
+		for t.keys[i] != 0 && drop(t.vals[i]) {
+			t.delAt(i)
 		}
 	}
-	t.rehash()
 }
 
-// rehash re-inserts every entry into fresh arrays of the smallest power
-// of two, no smaller than the Init size, that holds 4×(live+1) slots.
-func (t *Table[V]) rehash() {
-	slots := t.floor
+// grow re-inserts every entry into fresh arrays of the smallest power of
+// two that holds 4×(live+1) slots.
+func (t *Table[V]) grow() {
+	slots := len(t.keys)
 	for slots < 4*(t.live+1) {
 		slots *= 2
 	}

@@ -6,25 +6,27 @@ import "optanesim/internal/mem"
 // (AIT), which translates DIMM physical addresses to media locations.
 // Its coverage (entries x granule) is ~16 MB, producing the read-latency
 // knee the paper observes at a 16 MB working set (§3.6). Entries are kept
-// in LRU order with an intrusive doubly-linked list over a mem.Table
-// keyed by granule-aligned address; a miss at capacity reuses the LRU
-// tail's node for the new granule, so a full cache allocates nothing.
+// in LRU order in a doubly-linked list of nodes, linked by index, and a
+// mem.Table maps each granule-aligned address to its node; a miss at
+// capacity reuses the LRU tail's node for the new granule, so a full
+// cache allocates nothing.
 type aitCache struct {
 	granuleBits uint
 	capacity    int
-	entries     mem.Table[*aitNode]
-	head, tail  *aitNode // head = most recent
+	entries     mem.Table[int32] // granule -> index into nodes
+	nodes       []aitNode        // grows by append up to capacity
+	head, tail  int32            // head = most recent; -1 when empty
 
 	hits, misses uint64
 }
 
 type aitNode struct {
 	granule    mem.Addr
-	prev, next *aitNode
+	prev, next int32 // -1 ends the list
 }
 
 func newAITCache(entries int, granuleBits uint) *aitCache {
-	a := &aitCache{granuleBits: granuleBits, capacity: entries}
+	a := &aitCache{granuleBits: granuleBits, capacity: entries, head: -1, tail: -1}
 	a.entries.Init(1 << 9)
 	return a
 }
@@ -40,15 +42,16 @@ func (a *aitCache) Lookup(addr mem.Addr) bool {
 		return true
 	}
 	a.misses++
-	var n *aitNode
-	if a.entries.Len() < a.capacity {
-		n = new(aitNode)
+	var n int32
+	if len(a.nodes) < a.capacity {
+		n = int32(len(a.nodes))
+		a.nodes = append(a.nodes, aitNode{})
 	} else {
 		n = a.tail
 		a.unlink(n)
-		a.entries.Del(n.granule)
+		a.entries.Del(a.nodes[n].granule)
 	}
-	n.granule = granule
+	a.nodes[n].granule = granule
 	a.entries.Put(granule, n)
 	a.pushFront(n)
 	return false
@@ -65,33 +68,33 @@ func (a *aitCache) HitRatio() float64 {
 
 func (a *aitCache) Len() int { return a.entries.Len() }
 
-func (a *aitCache) pushFront(n *aitNode) {
-	n.prev = nil
-	n.next = a.head
-	if a.head != nil {
-		a.head.prev = n
+func (a *aitCache) pushFront(n int32) {
+	a.nodes[n].prev = -1
+	a.nodes[n].next = a.head
+	if a.head >= 0 {
+		a.nodes[a.head].prev = n
 	}
 	a.head = n
-	if a.tail == nil {
+	if a.tail < 0 {
 		a.tail = n
 	}
 }
 
-func (a *aitCache) unlink(n *aitNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (a *aitCache) unlink(n int32) {
+	prev, next := a.nodes[n].prev, a.nodes[n].next
+	if prev >= 0 {
+		a.nodes[prev].next = next
 	} else {
-		a.head = n.next
+		a.head = next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if next >= 0 {
+		a.nodes[next].prev = prev
 	} else {
-		a.tail = n.prev
+		a.tail = prev
 	}
-	n.prev, n.next = nil, nil
 }
 
-func (a *aitCache) moveToFront(n *aitNode) {
+func (a *aitCache) moveToFront(n int32) {
 	if a.head == n {
 		return
 	}

@@ -232,7 +232,7 @@ func (d *DIMM) WriteLine(now sim.Cycles, addr mem.Addr) sim.Cycles {
 	// on-DIMM, so the write avoids the RMW media read (§3.3).
 	if d.rb.Take(addr) {
 		accept := d.ensureSpace(now)
-		d.wb.Allocate(addr, true, now)
+		d.wb.Allocate(addr, true)
 		d.c.BufferWriteHits++
 		d.noteWCBAlloc(now, addr, 1)
 		if a := d.attr; a != nil {
@@ -241,7 +241,7 @@ func (d *DIMM) WriteLine(now sim.Cycles, addr mem.Addr) sim.Cycles {
 		return sim.Max(accept, now) + d.prof.WriteAcceptCycles
 	}
 	accept := d.ensureSpace(now)
-	d.wb.Allocate(addr, false, now)
+	d.wb.Allocate(addr, false)
 	d.noteWCBAlloc(now, addr, 0)
 	if a := d.attr; a != nil {
 		a.Add(telemetry.CompWCBInstall, d.prof.WriteAcceptCycles)
@@ -274,7 +274,6 @@ func (d *DIMM) ensureSpace(now sim.Cycles) sim.Cycles {
 			slotFree = free
 		}
 	}
-	d.wb.recycle(victims)
 	if slotFree < 0 {
 		return now
 	}
@@ -285,7 +284,7 @@ func (d *DIMM) ensureSpace(now sim.Cycles) sim.Cycles {
 // read first when the entry lacks full base data. It returns the time
 // the buffer slot becomes reusable (the media write's issue time — the
 // write itself completes asynchronously).
-func (d *DIMM) evict(v *wbEntry, now sim.Cycles) sim.Cycles {
+func (d *DIMM) evict(v wbEntry, now sim.Cycles) sim.Cycles {
 	t := now
 	var rmw uint64
 	if !v.hasBase {
@@ -328,7 +327,6 @@ func (d *DIMM) evict(v *wbEntry, now sim.Cycles) sim.Cycles {
 func (d *DIMM) drainPeriodic(now sim.Cycles) {
 	due := d.wb.DuePeriodic(now)
 	if len(due) == 0 {
-		d.wb.recycle(due)
 		return
 	}
 	a := d.attr
@@ -354,5 +352,4 @@ func (d *DIMM) drainPeriodic(now sim.Cycles) {
 	if a != nil {
 		a.EndService()
 	}
-	d.wb.recycle(due)
 }

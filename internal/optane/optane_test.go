@@ -174,14 +174,14 @@ func TestReadBufferToWriteBufferTransition(t *testing.T) {
 		t.Fatal("transition performed a media read")
 	}
 	// The XPLine moved out of the read buffer...
-	if d.rb.Contains(pmAddr(7, 0)) {
+	if _, ok := d.rb.entries.Get(pmAddr(7, 0).XPLine()); ok {
 		t.Fatal("XPLine still in the read buffer after the transition")
 	}
 	// ...into the write buffer, carrying full base data, so its later
 	// eviction needs no RMW read.
-	e, _ := d.wb.tbl.Get(pmAddr(7, 0).XPLine())
-	if e == nil || !e.hasBase {
-		t.Fatalf("transitioned entry missing base data: present=%v", e != nil)
+	e, ok := d.wb.tbl.Get(pmAddr(7, 0).XPLine())
+	if !ok || !e.hasBase {
+		t.Fatalf("transitioned entry missing base data: present=%v", ok)
 	}
 	// And a read of an unwritten line of that XPLine is served by the
 	// write buffer's base data.

@@ -16,16 +16,13 @@ type readBuffer struct {
 	capacity int
 	// retainServed disables the cache-exclusive consumption (ablation).
 	retainServed bool
-	entries      mem.Table[*rbEntry] // keyed by XPLine address
+	entries      mem.Table[rbEntry] // keyed by XPLine address
 	// fifo holds insertion order, oldest first from fifoHead; the popped
 	// prefix is compacted periodically so the backing array is reused.
 	fifo     []mem.Addr
 	fifoHead int
-	// free recycles rbEntry structs evicted or taken out of the buffer.
-	free []*rbEntry
 
-	insertions uint64
-	evictions  uint64
+	evictions uint64
 
 	// tel, when non-nil (set via the owning DIMM), receives eviction
 	// events; the disabled path is a single pointer test.
@@ -33,7 +30,6 @@ type readBuffer struct {
 }
 
 type rbEntry struct {
-	xpl     mem.Addr
 	valid   [mem.LinesPerXPLine]bool
 	readyAt sim.Cycles // when the media fill completes
 }
@@ -48,8 +44,8 @@ func newReadBuffer(capacity int, retainServed bool) *readBuffer {
 // set, it returns the entry's readyAt time and consumes the line
 // (clearing the valid bit, per the buffer's cache-exclusive behaviour).
 func (rb *readBuffer) Probe(addr mem.Addr) (readyAt sim.Cycles, ok bool) {
-	e, ok := rb.entries.Get(addr.XPLine())
-	if !ok {
+	e := rb.entries.Ref(addr.XPLine())
+	if e == nil {
 		return 0, false
 	}
 	idx := addr.LineInXPLine()
@@ -68,31 +64,17 @@ func (rb *readBuffer) Probe(addr mem.Addr) (readyAt sim.Cycles, ok bool) {
 // refreshed in place; otherwise the oldest entry is evicted on overflow
 // (read buffer entries are clean, so eviction is free).
 func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) {
-	xpl := addr.XPLine()
-	if e, ok := rb.entries.Get(xpl); ok {
-		for i := range e.valid {
-			e.valid[i] = true
-		}
-		if servedIdx >= 0 && !rb.retainServed {
-			e.valid[servedIdx] = false
-		}
-		e.readyAt = readyAt
-		return
-	}
-	var e *rbEntry
-	if n := len(rb.free); n > 0 {
-		e = rb.free[n-1]
-		rb.free = rb.free[:n-1]
-		*e = rbEntry{}
-	} else {
-		e = &rbEntry{}
-	}
-	e.xpl, e.readyAt = xpl, readyAt
+	e := rbEntry{readyAt: readyAt}
 	for i := range e.valid {
 		e.valid[i] = true
 	}
 	if servedIdx >= 0 && !rb.retainServed {
 		e.valid[servedIdx] = false
+	}
+	xpl := addr.XPLine()
+	if old := rb.entries.Ref(xpl); old != nil {
+		*old = e
+		return
 	}
 	rb.entries.Put(xpl, e)
 	if rb.fifoHead > 64 && rb.fifoHead*2 >= len(rb.fifo) {
@@ -101,31 +83,18 @@ func (rb *readBuffer) Install(addr mem.Addr, servedIdx int, readyAt sim.Cycles) 
 		rb.fifoHead = 0
 	}
 	rb.fifo = append(rb.fifo, xpl)
-	rb.insertions++
 	for rb.entries.Len() > rb.capacity {
 		rb.evictOldest(readyAt)
 	}
-}
-
-// Contains reports whether the XPLine containing addr is buffered
-// (regardless of per-line valid bits): the full line data is on the DIMM
-// and can seed a write-buffer transition or satisfy an eviction RMW.
-func (rb *readBuffer) Contains(addr mem.Addr) bool {
-	_, ok := rb.entries.Get(addr.XPLine())
-	return ok
 }
 
 // Take removes the XPLine containing addr from the read buffer,
 // reporting whether it was present. Used when a write transitions the
 // line into the write-combining buffer (§3.3).
 func (rb *readBuffer) Take(addr mem.Addr) bool {
-	e, ok := rb.entries.Del(addr.XPLine())
-	if !ok {
-		return false
-	}
-	rb.free = append(rb.free, e)
 	// The FIFO slice may retain a stale address; evictOldest skips those.
-	return true
+	_, ok := rb.entries.Del(addr.XPLine())
+	return ok
 }
 
 // evictOldest displaces the oldest resident XPLine; at timestamps the
@@ -138,8 +107,7 @@ func (rb *readBuffer) evictOldest(at sim.Cycles) {
 			rb.fifo = rb.fifo[:0]
 			rb.fifoHead = 0
 		}
-		if e, ok := rb.entries.Del(oldest); ok {
-			rb.free = append(rb.free, e)
+		if _, ok := rb.entries.Del(oldest); ok {
 			rb.evictions++
 			if rb.tel != nil {
 				rb.tel.Emit(at, telemetry.KindRBEvict, oldest, 0)

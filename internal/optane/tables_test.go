@@ -72,7 +72,7 @@ func (r *rbRef) take(addr mem.Addr) bool {
 }
 
 // TestReadBufferMatchesReference drives the read buffer with seeded
-// random Probe/Install/Take/Contains sequences over a span of twice its
+// random Probe/Install/Take/lookup sequences over a span of twice its
 // capacity in XPLines, at both generations' capacities, with and
 // without the served-line ablation, and compares every return value,
 // the occupancy and the eviction count with rbRef after every step.
@@ -102,8 +102,8 @@ func TestReadBufferMatchesReference(t *testing.T) {
 							t.Fatalf("step %d: Take(%#x) = %v, want %v", step, addr, got, want)
 						}
 					default:
-						if got, want := rb.Contains(addr), ref.entries[addr.XPLine()] != nil; got != want {
-							t.Fatalf("step %d: Contains(%#x) = %v, want %v", step, addr, got, want)
+						if _, got := rb.entries.Get(addr.XPLine()); got != (ref.entries[addr.XPLine()] != nil) {
+							t.Fatalf("step %d: XPLine of %#x buffered = %v, want %v", step, addr, got, !got)
 						}
 					}
 					if rb.Len() != len(ref.entries) || rb.evictions != ref.evictions {
@@ -159,5 +159,35 @@ func TestAITCacheMatchesReference(t *testing.T) {
 				t.Fatalf("hits %d misses %d, reference hits %d", ait.hits, ait.misses, hits)
 			}
 		})
+	}
+}
+
+// TestDIMMAllocsBounded bounds what the DIMM's tables allocate while
+// they fill: only their slot arrays and the AIT's node slice grow, so
+// filling a 4,096-entry AIT and serving 20,000 cold reads (each an AIT
+// miss, a read-buffer install and, past 64 XPLines, an eviction) cost a
+// few dozen allocations however many entries pass through.
+func TestDIMMAllocsBounded(t *testing.T) {
+	const granule = 1 << 12
+	fillAIT := testing.AllocsPerRun(1, func() {
+		ait := newAITCache(4096, 12)
+		for i := 0; i < 4096; i++ {
+			ait.Lookup(mem.PMBase + mem.Addr(i*granule))
+		}
+		if ait.Len() != 4096 {
+			t.Fatalf("AIT holds %d entries, want 4096", ait.Len())
+		}
+	})
+	if fillAIT > 32 {
+		t.Errorf("filling a 4,096-entry AIT made %v allocations, want at most 32", fillAIT)
+	}
+	coldReads := testing.AllocsPerRun(1, func() {
+		d := MustNewDIMM(G1(), 1)
+		for i := 0; i < 20000; i++ {
+			d.ReadLine(sim.Cycles(i)*1000, mem.PMBase+mem.Addr(i*granule), true)
+		}
+	})
+	if coldReads > 64 {
+		t.Errorf("a fresh G1 DIMM serving 20,000 cold reads made %v allocations, want at most 64", coldReads)
 	}
 }

@@ -25,29 +25,21 @@ type writeBuffer struct {
 	prof *Profile
 	rng  *sim.Rand
 
-	tbl   mem.Table[*wbEntry]
+	tbl   mem.Table[wbEntry]
 	order []mem.Addr // occupancy list for victim selection
 
-	// fullQueue holds fully written XPLines awaiting periodic write-back
-	// (G1 only), oldest first from fqHead on; the popped prefix is
-	// compacted away periodically so the backing array is reused instead
-	// of reallocated. Each record pins the entry it refers to by
-	// generation: if the entry was evicted (and possibly re-allocated)
-	// since queueing, the generations disagree and the record is stale.
-	fullQueue []fullRec
+	// fullQueue holds the XPLines that became fully written, awaiting
+	// periodic write-back (G1 only), oldest first from fqHead on; the
+	// popped prefix is compacted away periodically so the backing array
+	// is reused instead of reallocated.
+	fullQueue []mem.Addr
 	fqHead    int
 
-	// free recycles wbEntry structs: the DIMM consumes evicted/drained
-	// entries synchronously and returns them via recycle, so steady-state
-	// allocation traffic is zero.
-	free []*wbEntry
 	// dueBuf and victimBuf are reused return buffers for DuePeriodic and
 	// PickVictims; contents are only valid until the next call.
-	dueBuf    []*wbEntry
-	victimBuf []*wbEntry
+	dueBuf    []wbEntry
+	victimBuf []wbEntry
 
-	merges      uint64
-	allocations uint64
 	evictions   uint64
 	periodicWBs uint64
 }
@@ -61,16 +53,6 @@ type wbEntry struct {
 	// buffer), in which case eviction needs no RMW media read.
 	hasBase bool
 	fullAt  sim.Cycles // when the entry became fully written
-	// gen counts this struct's residency epochs: it increments each time
-	// the entry leaves the buffer, invalidating fullQueue records that
-	// still point here.
-	gen uint64
-}
-
-type fullRec struct {
-	e   *wbEntry
-	gen uint64
-	xpl mem.Addr
 }
 
 func newWriteBuffer(prof *Profile, rng *sim.Rand) *writeBuffer {
@@ -83,22 +65,18 @@ func newWriteBuffer(prof *Profile, rng *sim.Rand) *writeBuffer {
 // write buffer (either that line was written, or full base data is
 // present).
 func (wb *writeBuffer) Contains(addr mem.Addr) bool {
-	e, ok := wb.tbl.Get(addr.XPLine())
-	if !ok {
-		return false
-	}
-	return e.hasBase || e.written[addr.LineInXPLine()]
+	e := wb.tbl.Ref(addr.XPLine())
+	return e != nil && (e.hasBase || e.written[addr.LineInXPLine()])
 }
 
 // Merge records a 64 B write into an existing entry, reporting whether
 // one was present. When the write completes the XPLine, the entry is
 // queued for G1's periodic write-back.
 func (wb *writeBuffer) Merge(addr mem.Addr, now sim.Cycles) bool {
-	e, ok := wb.tbl.Get(addr.XPLine())
-	if !ok {
+	e := wb.tbl.Ref(addr.XPLine())
+	if e == nil {
 		return false
 	}
-	wb.merges++
 	idx := addr.LineInXPLine()
 	if !e.written[idx] {
 		e.written[idx] = true
@@ -107,7 +85,7 @@ func (wb *writeBuffer) Merge(addr mem.Addr, now sim.Cycles) bool {
 			e.hasBase = true
 			e.fullAt = now
 			if wb.prof.PeriodicWritebackCycles > 0 {
-				wb.pushFull(e)
+				wb.pushFull(e.xpl)
 			}
 		}
 	}
@@ -117,54 +95,27 @@ func (wb *writeBuffer) Merge(addr mem.Addr, now sim.Cycles) bool {
 // pushFull queues a fully written XPLine for periodic write-back,
 // compacting the consumed queue prefix when it dominates the backing
 // array.
-func (wb *writeBuffer) pushFull(e *wbEntry) {
+func (wb *writeBuffer) pushFull(xpl mem.Addr) {
 	if wb.fqHead > 64 && wb.fqHead*2 >= len(wb.fullQueue) {
 		n := copy(wb.fullQueue, wb.fullQueue[wb.fqHead:])
 		wb.fullQueue = wb.fullQueue[:n]
 		wb.fqHead = 0
 	}
-	wb.fullQueue = append(wb.fullQueue, fullRec{e: e, gen: e.gen, xpl: e.xpl})
-}
-
-// recycle returns consumed entries (from DuePeriodic or PickVictims) to
-// the freelist.
-func (wb *writeBuffer) recycle(entries []*wbEntry) {
-	wb.free = append(wb.free, entries...)
-}
-
-// newEntry takes an entry from the freelist or allocates one. The
-// residency generation survives the reset.
-func (wb *writeBuffer) newEntry() *wbEntry {
-	if n := len(wb.free); n > 0 {
-		e := wb.free[n-1]
-		wb.free = wb.free[:n-1]
-		g := e.gen
-		*e = wbEntry{}
-		e.gen = g
-		return e
-	}
-	return &wbEntry{}
+	wb.fullQueue = append(wb.fullQueue, xpl)
 }
 
 // Allocate installs a fresh entry for the XPLine containing addr with the
 // given cacheline written. hasBase marks entries seeded with full data
 // (e.g. transitioned from the read buffer).
-func (wb *writeBuffer) Allocate(addr mem.Addr, hasBase bool, now sim.Cycles) {
+func (wb *writeBuffer) Allocate(addr mem.Addr, hasBase bool) {
 	xpl := addr.XPLine()
-	e := wb.newEntry()
-	e.xpl, e.hasBase = xpl, hasBase
-	idx := addr.LineInXPLine()
-	e.written[idx] = true
-	e.nWritten = 1
+	e := wbEntry{xpl: xpl, hasBase: hasBase, nWritten: 1}
+	e.written[addr.LineInXPLine()] = true
 	wb.tbl.Put(xpl, e)
 	if len(wb.order) >= 4*wb.prof.WriteBufLines && len(wb.order) >= 2*wb.tbl.Len() {
 		wb.compactOrder()
 	}
 	wb.order = append(wb.order, xpl)
-	wb.allocations++
-	if e.nWritten == mem.LinesPerXPLine {
-		e.fullAt = now
-	}
 }
 
 // NeedsEviction reports whether an allocation would push occupancy past
@@ -175,7 +126,7 @@ func (wb *writeBuffer) NeedsEviction() bool {
 
 // PickVictims selects up to n random resident XPLines for eviction and
 // removes them from the buffer, returning their entries.
-func (wb *writeBuffer) PickVictims(n int) []*wbEntry {
+func (wb *writeBuffer) PickVictims(n int) []wbEntry {
 	victims := wb.victimBuf[:0]
 	for len(victims) < n && wb.tbl.Len() > 0 {
 		// Compact lazily: drop stale order slots as we encounter them.
@@ -188,7 +139,6 @@ func (wb *writeBuffer) PickVictims(n int) []*wbEntry {
 		if !ok {
 			continue
 		}
-		e.gen++
 		wb.evictions++
 		victims = append(victims, e)
 	}
@@ -198,42 +148,38 @@ func (wb *writeBuffer) PickVictims(n int) []*wbEntry {
 
 // DuePeriodic pops the fully written XPLines whose periodic write-back
 // deadline (fullAt + interval) has passed by now. The returned entries
-// have been removed from the buffer. Entries that were evicted or
-// re-allocated in the meantime are skipped.
+// have been removed from the buffer. A queued XPLine that was evicted
+// in the meantime is discharged, unless it was re-allocated and written
+// full again: then its oldest record stands in for the refill, which
+// drains on the refill's own deadline. A record whose residency is
+// still in the buffer names a fully written entry, so "resident and
+// fully written" is the whole liveness test.
 //
 // The prefix scan must run on every call — a deadline watermark cannot
 // shortcut it. Discharging a stale record is a decision made against the
 // buffer state at call time: deferred, the same record can later find
 // its XPLine refilled and resurface as a blocking stand-in, delaying
-// unrelated XPLines queued behind it. The common case is one generation
-// compare and one deadline compare on the head record.
-func (wb *writeBuffer) DuePeriodic(now sim.Cycles) []*wbEntry {
+// unrelated XPLines queued behind it. The common case is one table
+// probe and one deadline compare on the head record.
+func (wb *writeBuffer) DuePeriodic(now sim.Cycles) []wbEntry {
 	if wb.prof.PeriodicWritebackCycles <= 0 {
 		return nil
 	}
 	due := wb.dueBuf[:0]
 	for wb.fqHead < len(wb.fullQueue) {
-		rec := &wb.fullQueue[wb.fqHead]
-		e := rec.e
-		if e.gen != rec.gen {
-			// The queued entry left the buffer. If the XPLine was since
-			// re-allocated and written full again, this (oldest) record
-			// stands in for it, exactly as the address-keyed queue did:
-			// the current residency drains on the refill's own deadline.
-			e, _ = wb.tbl.Get(rec.xpl)
-			if e == nil || e.nWritten != mem.LinesPerXPLine {
-				wb.fqHead++
-				continue
-			}
+		xpl := wb.fullQueue[wb.fqHead]
+		e := wb.tbl.Ref(xpl)
+		if e == nil || e.nWritten != mem.LinesPerXPLine {
+			wb.fqHead++
+			continue
 		}
 		if e.fullAt+wb.prof.PeriodicWritebackCycles > now {
 			break
 		}
 		wb.fqHead++
-		wb.tbl.Del(rec.xpl)
-		e.gen++
+		due = append(due, *e)
+		wb.tbl.Del(xpl)
 		wb.periodicWBs++
-		due = append(due, e)
 	}
 	if wb.fqHead == len(wb.fullQueue) {
 		wb.fullQueue = wb.fullQueue[:0]
