@@ -83,7 +83,7 @@ func fig10(m *machine.Meter, o Fig10Options) []Fig10Point {
 // worker→helper progress block.
 type fig10Shard struct {
 	heap  *pmem.Heap
-	mark  []byte
+	mark  *pmem.Mark
 	super mem.Addr
 	prog  mem.Addr
 }
@@ -115,8 +115,10 @@ func fig10Prebuild(o Fig10Options, workers int) []fig10Shard {
 	return shards
 }
 
-// fig10Run runs one cell on the shards, each rewound to its prebuild
-// (see fig12Prebuild).
+// fig10Run runs one cell on the shards as prebuilt and then rewinds each
+// to its mark, so the next cell starts from the prebuild too (see
+// fig12Prebuild). Each shard's mark is its heap's live mark, so the
+// rewind copies back only the lines the cell wrote.
 func fig10Run(m *machine.Meter, o Fig10Options, shards []fig10Shard, helper bool) (cyclesPerInsert, mops float64) {
 	workers := len(shards)
 	mcfg := o.Gen.Config(workers)
@@ -130,7 +132,6 @@ func fig10Run(m *machine.Meter, o Fig10Options, shards []fig10Shard, helper bool
 	var endMax sim.Cycles
 	for w, sh := range shards {
 		shard, prog := sh.heap, sh.prog
-		shard.Rewind(sh.mark)
 		tbl := cceh.Open(pmem.NewFreeSession(shard), shard, sh.super)
 
 		warm := workload.SequenceKeys(1<<41|uint64(w)<<32, warmPer)
@@ -166,6 +167,9 @@ func fig10Run(m *machine.Meter, o Fig10Options, shards []fig10Shard, helper bool
 		}
 	}
 	m.Run(sys)
+	for _, sh := range shards {
+		sh.heap.Rewind(sh.mark)
+	}
 
 	cyclesPerInsert = float64(busy) / float64(inserted)
 	secs := sys.CyclesToSeconds(endMax)

@@ -82,7 +82,7 @@ func fig12(m *machine.Meter, o Fig12Options) []Fig12Point {
 // and the superblock that reopens the tree.
 type fig12Tree struct {
 	mode  btree.Mode
-	mark  []byte
+	mark  *pmem.Mark
 	super mem.Addr
 }
 

@@ -218,7 +218,7 @@ func (t *Tracker) Materialize(st State) []*pmem.Heap {
 	}
 	for line, data := range st.lines {
 		hi, _ := t.tracked(line)
-		copy(out[hi].Bytes(line, len(data)), data)
+		out[hi].PutBytes(line, data)
 	}
 	return out
 }

@@ -103,7 +103,7 @@ type Event struct {
 // semantics).
 type Tracker struct {
 	heaps     []*pmem.Heap
-	baselines [][]byte // each heap's Mark at the baseline
+	baselines []*pmem.Mark // each heap's Mark at the baseline
 	eadr      bool
 	metaFn    func() any
 	baseMeta  any
@@ -127,7 +127,8 @@ type snapshot struct {
 // NewTracker builds a tracker over the given heaps, marking their
 // current content (pmem.Heap.Mark) as the durable baseline (callers
 // attach it after setup, so the pre-trace structure counts as
-// persisted).
+// persisted). Each mark is its heap's live mark, so the baseline holds
+// the original bytes of only the lines the trace overwrites.
 func NewTracker(heaps ...*pmem.Heap) *Tracker {
 	if len(heaps) == 0 {
 		panic("crash: NewTracker needs at least one heap")
@@ -195,26 +196,13 @@ func (t *Tracker) sample(hi int, line mem.Addr) []byte {
 	return append([]byte(nil), h.Bytes(line, n)...)
 }
 
-// zeroLine is the baseline content of every line past a heap's mark.
-var zeroLine [mem.CachelineSize]byte
-
 // baselineLine returns line's content in the baseline image: the marked
 // bytes, and zeros past the mark. Like sample, it stops at the heap's
 // capacity.
 func (t *Tracker) baselineLine(hi int, line mem.Addr) []byte {
 	h := t.heaps[hi]
-	off := uint64(line - h.Base())
-	n := min(uint64(mem.CachelineSize), h.Size()-off)
-	mark := t.baselines[hi]
-	switch {
-	case off >= uint64(len(mark)):
-		return zeroLine[:n]
-	case off+n <= uint64(len(mark)):
-		return mark[off : off+n]
-	}
-	// The line holds the mark's end.
-	b := make([]byte, n)
-	copy(b, mark[off:])
+	b := make([]byte, min(uint64(mem.CachelineSize), h.Size()-uint64(line-h.Base())))
+	h.ReadMarked(t.baselines[hi], line, b)
 	return b
 }
 

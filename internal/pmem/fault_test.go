@@ -122,12 +122,3 @@ func TestCheckedReadScrubsMultipleLines(t *testing.T) {
 		t.Fatalf("%d lines still poisoned", inj.PoisonedLines())
 	}
 }
-
-func TestWithThreadPropagatesFaults(t *testing.T) {
-	s, inj, addr := faultSession(t)
-	inj.InstallPoison(addr)
-	s2 := s.WithThread(nil)
-	if err := s2.FaultCheck(func() { s2.Load64(addr) }); !mem.IsPoison(err) {
-		t.Fatalf("derived session lost the injector: %v", err)
-	}
-}

@@ -28,12 +28,15 @@ type Heap struct {
 	// reslice, so buf[len(buf):cap(buf)] holds what a fresh allocation
 	// reads: zeros (Alloc and Rewind keep it so).
 	buf []byte
+	// live is the heap's latest Mark while no Rewind to another mark has
+	// superseded it; its undo log sees every write (see Mark).
+	live *Mark
 }
 
 // UnallocatedError is the panic value of a data-plane access (Bytes,
-// Uint64, PutUint64 and every Session access) that reaches past the
-// heap's allocated cachelines: the bytes [Off, Off+N) from the heap's
-// base were never allocated, or were carved out to a child heap.
+// Uint64, PutUint64, PutBytes and every Session access) that reaches
+// past the heap's allocated cachelines: the bytes [Off, Off+N) from the
+// heap's base were never allocated, or were carved out to a child heap.
 type UnallocatedError struct {
 	Heap string
 	Off  uint64
@@ -123,9 +126,11 @@ func (h *Heap) Contains(addr mem.Addr) bool {
 	return addr >= h.base && addr < h.base+mem.Addr(h.size)
 }
 
-// Bytes returns the live backing bytes for [addr, addr+n). It panics
-// with an UnallocatedError when the range reaches past the allocated
-// cachelines, whatever the capacity.
+// Bytes returns the backing bytes for [addr, addr+n), for reading only:
+// every write goes through PutUint64 or PutBytes, so that the live Mark
+// sees it. The slice aliases the heap until its next write, Alloc or
+// Rewind. Bytes panics with an UnallocatedError when the range reaches
+// past the allocated cachelines, whatever the capacity.
 func (h *Heap) Bytes(addr mem.Addr, n int) []byte {
 	off := uint64(addr - h.base)
 	if off+uint64(n) > uint64(len(h.buf)) {
@@ -141,42 +146,172 @@ func (h *Heap) Uint64(addr mem.Addr) uint64 {
 
 // PutUint64 writes the data-plane value at addr.
 func (h *Heap) PutUint64(addr mem.Addr, v uint64) {
-	binary.LittleEndian.PutUint64(h.Bytes(addr, 8), v)
+	binary.LittleEndian.PutUint64(h.writable(addr, 8), v)
 }
 
-// Mark returns a copy of the allocated prefix of the heap: its bytes
-// and, as the copy's length, its bump pointer. It is the heap's one
-// image format: Rewind(mark) restores both, and CloneWith builds a heap
-// from one.
-func (h *Heap) Mark() []byte {
-	return append([]byte(nil), h.buf[:h.off]...)
+// PutBytes copies data into the heap at addr. It panics like Bytes.
+func (h *Heap) PutBytes(addr mem.Addr, data []byte) {
+	copy(h.writable(addr, len(data)), data)
 }
 
-// Rewind returns the heap to the state Mark recorded: the marked prefix
-// is copied back, everything allocated since is zeroed, and the next
-// Alloc starts at len(mark). Rewind(nil) discards every allocation.
-// Writes that stayed inside the heap's allocations are all undone, so a
-// sweep can prebuild a data structure once and rewind to it per cell.
-// It panics when the mark is longer than the heap's capacity.
-func (h *Heap) Rewind(mark []byte) {
-	if uint64(len(mark)) > h.size {
-		panic(fmt.Sprintf("pmem: %s heap rewound to a %d-byte mark, past its capacity of %d", h.name, len(mark), h.size))
+// writable is Bytes for a write: it first has the live mark, if any,
+// save the original content of the lines the write changes.
+func (h *Heap) writable(addr mem.Addr, n int) []byte {
+	b := h.Bytes(addr, n)
+	if h.live != nil {
+		h.live.save(h.buf, uint64(addr-h.base), n)
 	}
-	clear(h.buf[min(len(mark), len(h.buf)):])
-	h.off = uint64(len(mark))
+	return b
+}
+
+// Mark is a heap image: the heap's allocation pointer and its bytes
+// below it, as they stood when Heap.Mark took it. Past the pointer the
+// image reads zero, even in the cacheline that holds it.
+//
+// The latest Mark of a heap is its live mark, an undo log: the first
+// write after it to each line below the pointer saves the line's
+// original bytes, so it costs what the heap has written since. A later
+// Mark, or a Rewind to another mark, supersedes it, and it then freezes
+// into a full copy of the image.
+type Mark struct {
+	h   *Heap
+	off uint64
+	// While the mark is live, saved holds the original bytes of every
+	// line below off written since, a cacheline each, and slot maps a
+	// line's offset to its bytes' offset in saved.
+	slot  map[uint64]int
+	saved []byte
+	// image is the frozen copy of the heap's first off bytes.
+	image []byte
+}
+
+// save records the original content of the lines of buf, the heap's
+// backing, that the n bytes at off overlap below the mark's pointer.
+func (m *Mark) save(buf []byte, off uint64, n int) {
+	for line := off &^ (mem.CachelineSize - 1); line < min(off+uint64(n), m.off); line += mem.CachelineSize {
+		if _, ok := m.slot[line]; ok {
+			continue
+		}
+		at := len(m.saved)
+		m.slot[line] = at
+		m.saved = append(m.saved, make([]byte, mem.CachelineSize)...)
+		copy(m.saved[at:], buf[line:])
+	}
+}
+
+// restore copies the saved lines back into dst, the heap's bytes from
+// its base, as far as dst reaches.
+func (m *Mark) restore(dst []byte) {
+	for line, at := range m.slot {
+		if line < uint64(len(dst)) {
+			copy(dst[line:], m.saved[at:at+mem.CachelineSize])
+		}
+	}
+}
+
+// mine panics unless m is nil or a mark of h.
+func (h *Heap) mine(m *Mark) {
+	if m != nil && m.h != h {
+		panic(fmt.Sprintf("pmem: %s heap given a mark of another heap", h.name))
+	}
+}
+
+// Mark records the heap's image, its allocated prefix, and returns it:
+// Rewind(mark) restores it, CloneWith builds a heap from it and
+// ReadMarked reads it. The mark is the heap's live mark until
+// superseded (see Mark).
+func (h *Heap) Mark() *Mark {
+	h.freeze()
+	m := &Mark{h: h, off: h.off, slot: make(map[uint64]int)}
+	h.live = m
+	return m
+}
+
+// freeze turns the live mark, if any, into a full copy and stops
+// logging writes.
+func (h *Heap) freeze() {
+	m := h.live
+	if m == nil {
+		return
+	}
+	m.image = append([]byte(nil), h.buf[:m.off]...)
+	m.restore(m.image)
+	m.slot, m.saved = nil, nil
+	h.live = nil
+}
+
+// Rewind returns the heap to the image mark recorded: the marked bytes
+// are restored, everything allocated since is zeroed, and the next
+// Alloc starts at the mark's allocation pointer. Rewind(nil) discards
+// every allocation. Writes that stayed inside the heap's allocations
+// are all undone, so a sweep can prebuild a data structure once and
+// rewind to it per cell. Rewinding to the live mark copies back only
+// the lines written since and keeps the mark live; rewinding to any
+// other mark first freezes the live one. It panics when mark belongs
+// to another heap.
+func (h *Heap) Rewind(mark *Mark) {
+	h.mine(mark)
+	var off uint64
+	if mark != nil {
+		off = mark.off
+	}
+	live := mark != nil && mark == h.live
+	if live {
+		mark.restore(h.buf)
+		clear(mark.slot)
+		mark.saved = mark.saved[:0]
+	} else {
+		h.freeze()
+	}
+	clear(h.buf[min(off, uint64(len(h.buf))):])
+	h.off = off
 	h.fit()
-	copy(h.buf, mark)
+	if mark != nil && !live {
+		copy(h.buf, mark.image)
+	}
+}
+
+// ReadMarked copies into dst the bytes at addr as they stand in mark's
+// image: the marked bytes, and zeros past the mark's allocation
+// pointer. It panics like Rewind.
+func (h *Heap) ReadMarked(mark *Mark, addr mem.Addr, dst []byte) {
+	h.mine(mark)
+	clear(dst)
+	off := uint64(addr - h.base)
+	if mark == nil || off >= mark.off {
+		return
+	}
+	end := min(off+uint64(len(dst)), mark.off)
+	if mark != h.live {
+		copy(dst, mark.image[off:end])
+		return
+	}
+	copy(dst, h.buf[off:end])
+	for line := off &^ (mem.CachelineSize - 1); line < end; line += mem.CachelineSize {
+		if at, ok := mark.slot[line]; ok {
+			lo, hi := max(line, off), min(line+mem.CachelineSize, end)
+			copy(dst[lo-off:hi-off], mark.saved[at+int(lo-line):])
+		}
+	}
 }
 
 // CloneWith builds a heap with h's base, name, capacity and allocation
 // pointer — so recovery code running on the clone can allocate without
-// overlapping live regions — holding mark's bytes and zeros past them.
+// overlapping live regions — holding mark's image and zeros past it.
 // mark is a Mark of h taken when h had allocated no more than it has
-// now; the crash subsystem clones its baseline marks this way.
-func (h *Heap) CloneWith(mark []byte) *Heap {
-	c := &Heap{name: h.name, base: h.base, size: h.size}
-	c.Rewind(mark)
-	c.off = h.off
+// now; the crash subsystem clones its baseline marks this way. It
+// panics like Rewind.
+func (h *Heap) CloneWith(mark *Mark) *Heap {
+	h.mine(mark)
+	c := &Heap{name: h.name, base: h.base, size: h.size, off: h.off}
 	c.fit()
+	switch {
+	case mark == nil:
+	case mark == h.live:
+		n := copy(c.buf, h.buf[:mark.off])
+		mark.restore(c.buf[:n])
+	default:
+		copy(c.buf, mark.image)
+	}
 	return c
 }

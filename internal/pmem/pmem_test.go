@@ -77,14 +77,13 @@ func TestHeapDataPlane(t *testing.T) {
 func TestHeapMarkRewind(t *testing.T) {
 	h := NewPMHeap(4096)
 	a := h.Alloc(100, 8)
-	data := h.Bytes(a, 100)
+	data := make([]byte, 100)
 	for i := range data {
 		data[i] = byte(i + 1)
 	}
+	h.PutBytes(a, data)
 	mark := h.Mark()
-	if uint64(len(mark)) != h.Used() {
-		t.Fatalf("mark holds %d bytes, heap used %d", len(mark), h.Used())
-	}
+	marked := int(h.Used())
 
 	// Overwrite marked bytes and allocate past the mark.
 	h.PutUint64(a, 0xFFFF)
@@ -94,20 +93,20 @@ func TestHeapMarkRewind(t *testing.T) {
 	h.PutUint64(second+200, 9)
 
 	h.Rewind(mark)
-	if got := h.Bytes(h.Base(), len(mark)); !bytes.Equal(got, mark) {
+	if got := h.Bytes(h.Base(), marked); !bytes.Equal(got, data) {
 		t.Fatal("rewind did not restore the marked prefix")
 	}
-	if h.Used() != uint64(len(mark)) {
-		t.Fatalf("used %d after rewind, want %d", h.Used(), len(mark))
+	if h.Used() != uint64(marked) {
+		t.Fatalf("used %d after rewind, want %d", h.Used(), marked)
 	}
 	if again := h.Alloc(64, 64); again != first {
 		t.Fatalf("first alloc after rewind at %#x, want %#x", again, first)
 	}
 	// Everything past the mark, allocated again, reads zero.
 	h.Alloc(h.Size()-h.Used(), 1)
-	for i, b := range h.Bytes(h.Base()+mem.Addr(len(mark)), int(h.Size())-len(mark)) {
+	for i, b := range h.Bytes(h.Base()+mem.Addr(marked), int(h.Size())-marked) {
 		if b != 0 {
-			t.Fatalf("byte %d past the mark is %#x after rewind", len(mark)+i, b)
+			t.Fatalf("byte %d past the mark is %#x after rewind", marked+i, b)
 		}
 	}
 
@@ -189,23 +188,26 @@ func TestHeapBackingFollowsAllocations(t *testing.T) {
 	}
 }
 
-// TestHeapMarkPastCapacityPanics pins that a mark longer than the heap's
-// capacity fails where it is applied, naming the heap, instead of
-// surfacing later as an unrelated exhaustion.
+// TestHeapMarkPastCapacityPanics pins that a mark of another heap, here
+// one longer than the heap's capacity, fails where it is applied, naming
+// the heap, instead of surfacing later as an unrelated exhaustion.
 func TestHeapMarkPastCapacityPanics(t *testing.T) {
 	h := NewDRAMHeap(4096)
 	h.Alloc(64, 64)
-	long := make([]byte, h.Size()+1)
+	big := NewPMHeap(2 * h.Size())
+	big.Alloc(h.Size()+1, 1)
+	long := big.Mark()
 	for name, apply := range map[string]func(){
-		"Rewind":    func() { h.Rewind(long) },
-		"CloneWith": func() { h.CloneWith(long) },
+		"Rewind":     func() { h.Rewind(long) },
+		"CloneWith":  func() { h.CloneWith(long) },
+		"ReadMarked": func() { h.ReadMarked(long, h.Base(), make([]byte, 8)) },
 	} {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.Contains(msg, "dram heap") {
-					t.Errorf("%s with a %d-byte mark on a %d-byte heap: panic %q, want one naming the dram heap",
-						name, len(long), h.Size(), msg)
+					t.Errorf("%s with a %d-byte mark of a pm heap on a %d-byte heap: panic %q, want one naming the dram heap",
+						name, big.Used(), h.Size(), msg)
 				}
 			}()
 			apply()
@@ -281,32 +283,6 @@ func TestTagAttribution(t *testing.T) {
 		}
 	})
 	sys.Run()
-}
-
-func TestSessionRanges(t *testing.T) {
-	sys := machine.MustNewSystem(machine.G1Config(1))
-	h := NewPMHeap(8192)
-	a := h.Alloc(256, 256)
-	sys.Go("t", 0, false, func(th *machine.Thread) {
-		s := NewSession(th, h)
-		data := make([]byte, 200)
-		for i := range data {
-			data[i] = byte(i)
-		}
-		s.StoreRange(a, data)
-		got := s.LoadRange(a, 200)
-		for i := range data {
-			if got[i] != data[i] {
-				t.Errorf("byte %d: %d != %d", i, got[i], data[i])
-			}
-		}
-	})
-	sys.Run()
-	// 200 bytes starting line-aligned span 4 cachelines.
-	c := sys.PMCounters()
-	if c.DemandWriteBytes != 4*64 || c.DemandReadBytes != 4*64 {
-		t.Fatalf("range ops charged %d/%d bytes, want 256/256", c.DemandWriteBytes, c.DemandReadBytes)
-	}
 }
 
 func TestSessionMultiHeapRouting(t *testing.T) {

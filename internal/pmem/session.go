@@ -68,18 +68,6 @@ func (s *Session) noteStore(addr mem.Addr) {
 	}
 }
 
-func (s *Session) noteStoreRange(addr mem.Addr, n int) {
-	if s.obs == nil && s.faults == nil {
-		return
-	}
-	for line := addr.Line(); line < addr+mem.Addr(n); line += mem.CachelineSize {
-		s.noteWrite(line)
-		if s.obs != nil {
-			s.obs.ObserveStore(line)
-		}
-	}
-}
-
 // NewSession builds a session over the given heaps.
 func NewSession(t *machine.Thread, heaps ...*Heap) *Session {
 	return &Session{T: t, heaps: heaps}
@@ -90,12 +78,6 @@ func NewSession(t *machine.Thread, heaps ...*Heap) *Session {
 // large structures outside the measured region.
 func NewFreeSession(heaps ...*Heap) *Session {
 	return &Session{heaps: heaps}
-}
-
-// WithThread returns a session over the same heaps bound to another
-// thread (e.g. a helper prefetch thread).
-func (s *Session) WithThread(t *machine.Thread) *Session {
-	return &Session{T: t, heaps: s.heaps, obs: s.obs, faults: s.faults}
 }
 
 // heapFor locates the heap containing addr.
@@ -141,34 +123,6 @@ func (s *Session) Peek64(addr mem.Addr) uint64 {
 func (s *Session) Poke64(addr mem.Addr, v uint64) {
 	s.heapFor(addr).PutUint64(addr, v)
 	s.noteStore(addr)
-}
-
-// LoadRange charges loads for every cacheline overlapping [addr,addr+n)
-// and returns the live backing bytes.
-func (s *Session) LoadRange(addr mem.Addr, n int) []byte {
-	if s.T != nil {
-		for line := addr.Line(); line < addr+mem.Addr(n); line += mem.CachelineSize {
-			s.T.Load(line)
-		}
-	}
-	if s.faults != nil {
-		for line := addr.Line(); line < addr+mem.Addr(n); line += mem.CachelineSize {
-			s.noteRead(line)
-		}
-	}
-	return s.heapFor(addr).Bytes(addr, n)
-}
-
-// StoreRange copies data into the heap, charging stores for every
-// cacheline it overlaps.
-func (s *Session) StoreRange(addr mem.Addr, data []byte) {
-	if s.T != nil {
-		for line := addr.Line(); line < addr+mem.Addr(len(data)); line += mem.CachelineSize {
-			s.T.Store(line)
-		}
-	}
-	copy(s.heapFor(addr).Bytes(addr, len(data)), data)
-	s.noteStoreRange(addr, len(data))
 }
 
 // NTStore64 writes a uint64 with a non-temporal store.

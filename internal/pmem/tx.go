@@ -90,7 +90,7 @@ func (t *Tx) Update(addr mem.Addr, n int) error {
 	e := t.entryAddr(idx)
 	t.s.Poke64(e, uint64(addr))
 	t.s.Poke64(e+8, uint64(n))
-	copy(t.s.heapFor(e).Bytes(e+mem.CachelineSize, n), old)
+	t.s.heapFor(e).PutBytes(e+mem.CachelineSize, old)
 	t.s.StoreLine(e)
 	t.s.StoreLine(e + mem.CachelineSize)
 	t.s.Flush(e, txEntryBytes)
@@ -171,7 +171,7 @@ func (t *Tx) rollback(n int) {
 			continue
 		}
 		old := t.s.heapFor(e).Bytes(e+mem.CachelineSize, length)
-		copy(t.s.heapFor(addr).Bytes(addr, length), old)
+		t.s.heapFor(addr).PutBytes(addr, old)
 		t.s.StoreLine(addr)
 		t.s.Flush(addr.Line(), mem.CachelineSize)
 	}
